@@ -1,10 +1,7 @@
 """Packed storage for the content-addressed analysis cache.
 
-The first cache layout kept one ``key[:2]/<key>.json`` file per app.
-That is simple and atomic, but a warm 1M-app re-run pays a filesystem
-``open`` per app — two orders of magnitude more syscalls than actual
-work — and directory fanout churns the dentry cache.  This module
-replaces the storage layer with an append-only *pack* format:
+An append-only *pack* format keeps a warm 1M-app re-run at O(segments)
+file opens instead of one per app:
 
 ``seg-<digest>.pack``
     A segment: fixed 16-byte header (magic, format version, record
@@ -19,29 +16,29 @@ replaces the storage layer with an append-only *pack* format:
     table over the first key byte, the sorted raw 32-byte keys, and a
     parallel ``(u64 offset, u32 length)`` table pointing into the
     segment.  A warm run opens O(segments) files — one index per
-    segment up front, one lazy handle per segment actually read —
-    regardless of how many records they hold.
+    segment up front, one lazy read-only mapping per segment actually
+    read — regardless of how many records they hold.
 
-Writers buffer records in memory and emit a whole segment at
-``flush()`` (the pipeline flushes once per shard, and ``put`` rotates
+Writers encode each payload to its canonical bytes once, at ``put``,
+and buffer those bytes; ``flush()`` only frames them into a whole
+segment (the pipeline flushes once per shard, and ``put`` rotates
 automatically past a record cap).  Segment and index files are staged
 to a temp name and ``os.replace``d into place, and segment names are
 derived from the content digest — concurrent shards never collide and
-re-flushing identical content is idempotent.
+re-flushing identical content is idempotent.  Because a segment is
+never rewritten in place, a reader may map it: a replaced file keeps
+its old inode alive under any existing mapping.
 
-Entries written by the legacy per-app layout remain readable:
-:meth:`PackStore.get` falls back to ``key[:2]/<key>.json`` and
-:meth:`PackStore.iter_payloads` walks both, so a cache populated by an
-older checkout warm-runs with zero re-analysis before any segment
-exists.  Semantic validation (schema and detector-version checks,
-record materialization) stays with the caller — this module moves
-*payload dicts* in and out of files.
+Semantic validation (schema and detector-version checks, record
+materialization) stays with the caller — this module moves *payload
+dicts* in and out of files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import struct
 import tempfile
@@ -63,10 +60,30 @@ DEFAULT_ROTATE_RECORDS = 65536
 _KEY_BYTES = 32
 
 
+def _raw_key(key) -> bytes:
+    """The raw bytes of a hex key; a malformed key maps to ``b""``."""
+    try:
+        return bytes.fromhex(key)
+    except (TypeError, ValueError):
+        return b""
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
 def _canonical_payload(payload: dict) -> bytes:
     """The byte form that is hashed, stored, and verified."""
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
+
+
+def _decode_payload(blob: bytes) -> Optional[dict]:
+    """The payload dict in ``blob``, or None if it is not one."""
+    try:
+        decoded = _DECODER.decode(blob.decode("utf-8"))
+    except ValueError:
+        return None
+    return decoded if isinstance(decoded, dict) else None
 
 
 class _Segment:
@@ -79,7 +96,7 @@ class _Segment:
         self._fanout = fanout
         self._keys = keys
         self._entries = entries
-        self._handle = None
+        self._map: Optional[mmap.mmap] = None
 
     def find(self, raw_key: bytes) -> Optional[Tuple[int, int]]:
         """``(offset, length)`` of the key's payload, or None."""
@@ -101,23 +118,23 @@ class _Segment:
 
     def read_payload(self, offset: int, length: int) -> Optional[dict]:
         """Decode one sha256-verified payload; None on any corruption."""
-        try:
-            if self._handle is None:
-                self._handle = open(self.path, "rb")
-            self._handle.seek(offset - _KEY_BYTES)
-            blob = self._handle.read(_KEY_BYTES + length)
-        except OSError:
+        view = self._map
+        if view is None:
+            try:
+                with open(self.path, "rb") as handle:
+                    view = mmap.mmap(handle.fileno(), 0,
+                                     access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # ValueError: empty file
+                return None
+            self._map = view
+        start = offset - _KEY_BYTES
+        end = offset + length
+        if start < 0 or end > len(view):  # torn tail
             return None
-        if len(blob) != _KEY_BYTES + length:
+        payload = view[offset:end]
+        if hashlib.sha256(payload).digest() != view[start:offset]:
             return None
-        digest, payload = blob[:_KEY_BYTES], blob[_KEY_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        try:
-            decoded = json.loads(payload)
-        except json.JSONDecodeError:
-            return None
-        return decoded if isinstance(decoded, dict) else None
+        return _decode_payload(payload)
 
     def iter_payloads(self) -> Iterator[dict]:
         """Records in file order (skipping any that fail verification)."""
@@ -129,11 +146,10 @@ class _Segment:
                 yield payload
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
+        """Release the mapping (a later read maps the file again)."""
+        if self._map is not None:
+            self._map.close()
+            self._map = None
 
 
 def _build_index(records: List[Tuple[bytes, int, int]]
@@ -183,7 +199,7 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
     """Walk a segment's records directly (missing or corrupt ``.idx``).
 
     Stops cleanly at the first torn record, indexing the intact
-    prefix — mirroring how the legacy layout survived torn JSON files.
+    prefix.
     """
     try:
         with open(path, "rb") as handle:
@@ -209,11 +225,7 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
         digest = blob[offset + _RECORD_PREFIX.size:payload_at]
         payload = blob[payload_at:payload_at + length]
         if hashlib.sha256(payload).digest() == digest:
-            try:
-                key_hex = json.loads(payload).get("key", "")
-                raw_key = bytes.fromhex(key_hex)
-            except (json.JSONDecodeError, ValueError, AttributeError):
-                raw_key = b""
+            raw_key = _raw_key((_decode_payload(payload) or {}).get("key"))
             if len(raw_key) == _KEY_BYTES:
                 records.append((raw_key, payload_at, length))
         offset = payload_at + length
@@ -224,9 +236,9 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
 class PackStore:
     """Pack-aware payload storage under one cache root.
 
-    ``get``/``put`` move payload dicts; ``flush`` rotates the write
-    buffer into an immutable segment + index pair.  Legacy per-app
-    ``key[:2]/<key>.json`` entries are a read-only fallback.
+    ``get``/``put`` move payload dicts; ``put`` encodes each one to its
+    canonical bytes once, and ``flush`` frames the buffered bytes into
+    an immutable segment + index pair.
     """
 
     def __init__(self, root: str,
@@ -234,66 +246,38 @@ class PackStore:
         self.root = root
         self.rotate_records = rotate_records
         os.makedirs(root, exist_ok=True)
-        self._segments: List[_Segment] = []
+        #: Readable segments by path, in name then flush order.
+        self._segments: Dict[str, _Segment] = {}
         for name in sorted(os.listdir(root)):
             if name.endswith(".pack"):
                 segment = _scan_segment(os.path.join(root, name))
                 if segment is not None:
-                    self._segments.append(segment)
-        self._buffer: Dict[str, dict] = {}
+                    self._segments[segment.path] = segment
+        self._buffer: Dict[str, bytes] = {}
 
     # -- reads ----------------------------------------------------------------
 
     def get(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key`` (buffered, packed, or legacy)."""
+        """The stored payload for ``key`` (buffered or packed)."""
         buffered = self._buffer.get(key)
         if buffered is not None:
-            return buffered
-        try:
-            raw_key = bytes.fromhex(key)
-        except ValueError:
-            raw_key = b""
+            return _decode_payload(buffered)
+        raw_key = _raw_key(key)
         if len(raw_key) == _KEY_BYTES:
-            for segment in self._segments:
+            for segment in self._segments.values():
                 entry = segment.find(raw_key)
                 if entry is not None:
                     payload = segment.read_payload(*entry)
                     if payload is not None:
                         return payload
-        return self._legacy_get(key)
-
-    def _legacy_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
-
-    def _legacy_get(self, key: str) -> Optional[dict]:
-        try:
-            with open(self._legacy_path(key), "r",
-                      encoding="utf-8") as handle:
-                decoded = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return decoded if isinstance(decoded, dict) else None
+        return None
 
     def iter_payloads(self) -> Iterator[dict]:
-        """Every stored payload: segments (name order), legacy, buffer."""
-        for segment in self._segments:
+        """Every stored payload: segments (name order), then the buffer."""
+        for segment in self._segments.values():
             yield from segment.iter_payloads()
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            shards = []
-        for shard_dir in shards:
-            full = os.path.join(self.root, shard_dir)
-            if len(shard_dir) != 2 or not os.path.isdir(full):
-                continue
-            for name in sorted(os.listdir(full)):
-                if not name.endswith(".json"):
-                    continue
-                key = name[:-len(".json")]
-                payload = self._legacy_get(key)
-                if payload is not None:
-                    yield payload
-        yield from self._buffer.values()
+        for blob in self._buffer.values():
+            yield _decode_payload(blob)
 
     @property
     def segment_count(self) -> int:
@@ -303,7 +287,7 @@ class PackStore:
 
     def put(self, key: str, payload: dict) -> None:
         """Buffer one payload; rotates a full buffer into a segment."""
-        self._buffer[key] = payload
+        self._buffer[key] = _canonical_payload(payload)
         if len(self._buffer) >= self.rotate_records:
             self.flush()
 
@@ -315,7 +299,7 @@ class PackStore:
         records: List[Tuple[bytes, int, int]] = []
         running = hashlib.sha256()
         for key in sorted(self._buffer):
-            payload = _canonical_payload(self._buffer[key])
+            payload = self._buffer[key]
             digest = hashlib.sha256(payload).digest()
             offset = (_HEADER.size + len(body)
                       + _RECORD_PREFIX.size + _KEY_BYTES)
@@ -323,10 +307,7 @@ class PackStore:
             body += digest
             body += payload
             running.update(digest)
-            try:
-                raw_key = bytes.fromhex(key)
-            except ValueError:
-                raw_key = b""
+            raw_key = _raw_key(key)
             if len(raw_key) == _KEY_BYTES:
                 records.append((raw_key, offset, len(payload)))
         count = len(records)
@@ -338,8 +319,11 @@ class PackStore:
                       + _FANOUT.pack(*fanout) + keys + entries)
         self._atomic_write(segment_path, header + bytes(body))
         self._atomic_write(stem + ".idx", index_blob)
-        self._segments.append(
-            _Segment(segment_path, count, fanout, keys, entries))
+        retired = self._segments.get(segment_path)
+        if retired is not None:  # identical content re-flushed
+            retired.close()
+        self._segments[segment_path] = _Segment(
+            segment_path, count, fanout, keys, entries)
         self._buffer.clear()
         return segment_path
 
@@ -358,7 +342,6 @@ class PackStore:
             raise
 
     def close(self) -> None:
-        """Flush pending writes and drop open segment handles."""
-        self.flush()
-        for segment in self._segments:
+        """Release every segment mapping (does not flush the buffer)."""
+        for segment in self._segments.values():
             segment.close()

@@ -35,7 +35,7 @@ import functools
 import hashlib
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.cache import DEFAULT_ROTATE_RECORDS, PackStore
@@ -222,12 +222,12 @@ class AnalysisCache:
     code reached the chmod detector, and nothing else.
 
     Storage is the :class:`~repro.analysis.cache.PackStore` pack
-    format: writes buffer in memory and :meth:`flush` (called once per
-    shard) emits one append-only, sha256-verified segment plus its
-    fanout index, so a warm run does O(segments) opens instead of one
-    per app.  Entries written by the legacy ``key[:2]/<key>.json``
-    layout stay readable — a legacy-populated cache warm-runs with
-    zero re-analysis before any segment exists.
+    format: :meth:`store` encodes each entry once into an in-memory
+    buffer and :meth:`flush` (called once per shard) frames it into one
+    append-only, sha256-verified segment plus its fanout index, so a
+    warm run does O(segments) opens instead of one per app.  Hits are
+    read from a read-only mapping of the segment and re-verified;
+    :meth:`close` releases those mappings.
     """
 
     def __init__(self, root: str,
@@ -258,23 +258,27 @@ class AnalysisCache:
         if not isinstance(record, dict):
             return None
         try:
-            return AppAnalysis(
-                package=record["package"],
-                category=record["category"],
-                has_install_api=record["has_install_api"],
-                uses_sdcard=record["uses_sdcard"],
-                sets_world_readable=record["sets_world_readable"],
-                unresolved_setter=record["unresolved_setter"],
-                redirect_targets=tuple(record["redirect_targets"]),
-                instructions=record["instructions"],
-                unparsed_lines=record["unparsed_lines"],
-                detectors=tuple(record["detectors"]),
-                scanned_redirects=record["scanned_redirects"],
-                write_external=record["write_external"],
-                instances=record["instances"],
-            )
+            fields = {
+                "package": record["package"],
+                "category": record["category"],
+                "has_install_api": record["has_install_api"],
+                "uses_sdcard": record["uses_sdcard"],
+                "sets_world_readable": record["sets_world_readable"],
+                "unresolved_setter": record["unresolved_setter"],
+                "redirect_targets": tuple(record["redirect_targets"]),
+                "instructions": record["instructions"],
+                "unparsed_lines": record["unparsed_lines"],
+                "detectors": tuple(record["detectors"]),
+                "scanned_redirects": record["scanned_redirects"],
+                "write_external": record["write_external"],
+                "instances": record["instances"],
+            }
         except (KeyError, TypeError):
             return None
+        loaded = object.__new__(AppAnalysis)
+        # Built like analyze_app's records: no frozen-dataclass __init__.
+        object.__setattr__(loaded, "__dict__", fields)
+        return loaded
 
     def store(self, key: str, record: AppAnalysis) -> None:
         """Buffer ``record`` with its consulted detector versions."""
@@ -283,22 +287,28 @@ class AnalysisCache:
                     if name in DETECTOR_VERSIONS}
         if record.scanned_redirects:
             versions["redirect"] = REDIRECT_SCAN_VERSION
+        # Flat fields (str, bool, int, tuple of str): the record's own
+        # __dict__ encodes exactly as asdict() would, and put encodes it.
         self._store.put(key, {
             "schema": CACHE_SCHEMA,
             "key": key,
             "versions": versions,
-            "record": asdict(record),
+            "record": record.__dict__,
         })
 
     def flush(self) -> Optional[str]:
         """Rotate buffered writes into a segment; its path, or None."""
         return self._store.flush()
 
+    def close(self) -> None:
+        """Release segment mappings; unflushed writes are not written."""
+        self._store.close()
+
     def iter_entries(self) -> Iterable[Tuple[str, Dict[str, int], dict]]:
         """``(key, versions, record-dict)`` for every stored entry.
 
-        Walks pack segments, legacy per-app files, and the unflushed
-        write buffer — the test/inspection view of the cache.
+        Walks pack segments and the unflushed write buffer — the
+        test/inspection view of the cache.
         """
         for payload in self._store.iter_payloads():
             key = payload.get("key")
@@ -513,43 +523,47 @@ class AnalysisShardSpec:
                  if spec.cache_dir is not None else None)
         preinstalled = spec.corpus == "preinstalled"
         hits = misses = 0
-        for index in range(self.start, self.stop):
-            app = plan.app_at(index)
-            record = None
-            key = None
-            if cache is not None:
-                key = cache.key_for(app)
-                record = cache.load(key)
-            if record is None:
-                record = analyze_app(app, classifier,
-                                     scan_redirects=not preinstalled)
-                misses += 1
+        try:
+            for index in range(self.start, self.stop):
+                app = plan.app_at(index)
+                record = None
+                key = None
                 if cache is not None:
-                    cache.store(key, record)
-            else:
-                hits += 1
-            fold_analysis(stats, record, preinstalled)
-            if recorder is not None:
-                # Simulated time = the app's global index: identical
-                # records for any shard split, cold or warm cache.
-                recorder.span(
-                    "analysis/app",
-                    start_ns=index * 1000,
-                    end_ns=index * 1000 + record.instructions,
-                    package=record.package,
-                    category=record.category,
-                )
-            if metrics is not None:
-                metrics.counter("analysis/apps").inc()
-                if record.has_install_api:
-                    metrics.counter("analysis/installers").inc()
-                metrics.histogram(
-                    "analysis/instructions_per_app").observe(
-                        record.instructions)
-        if cache is not None:
-            # One segment per shard: the warm re-run opens O(shards)
-            # index files instead of one JSON per analyzed app.
-            cache.flush()
+                    key = cache.key_for(app)
+                    record = cache.load(key)
+                if record is None:
+                    record = analyze_app(app, classifier,
+                                         scan_redirects=not preinstalled)
+                    misses += 1
+                    if cache is not None:
+                        cache.store(key, record)
+                else:
+                    hits += 1
+                fold_analysis(stats, record, preinstalled)
+                if recorder is not None:
+                    # Simulated time = the app's global index: identical
+                    # records for any shard split, cold or warm cache.
+                    recorder.span(
+                        "analysis/app",
+                        start_ns=index * 1000,
+                        end_ns=index * 1000 + record.instructions,
+                        package=record.package,
+                        category=record.category,
+                    )
+                if metrics is not None:
+                    metrics.counter("analysis/apps").inc()
+                    if record.has_install_api:
+                        metrics.counter("analysis/installers").inc()
+                    metrics.histogram(
+                        "analysis/instructions_per_app").observe(
+                            record.instructions)
+            if cache is not None:
+                # One segment per shard: the warm re-run opens O(shards)
+                # index files instead of one JSON per analyzed app.
+                cache.flush()
+        finally:
+            if cache is not None:
+                cache.close()
         return hits, misses
 
     # -- per-image passes (hare + platform keys, Section IV-B) ----------------

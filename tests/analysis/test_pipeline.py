@@ -6,15 +6,20 @@ identical to a serial run — and the serial run agrees with the
 measurement layer's existing single-process tables.
 """
 
+import dataclasses
 import json
+import os
 
 import pytest
 
 from repro.analysis import classifier as classifier_mod
+from repro.analysis.cache import PackStore
 from repro.analysis.factory_images import generate_fleet
 from repro.analysis.hare_analysis import search_images
 from repro.analysis.pipeline import (
+    CACHE_SCHEMA,
     AnalysisCache,
+    AppAnalysis,
     AnalysisSpec,
     AnalysisStats,
     merge_analysis_stats,
@@ -209,14 +214,21 @@ def test_detector_version_bump_invalidates_only_consulted_apps(
 
 
 def test_cache_rejects_torn_or_foreign_entries(tmp_path):
-    cache = AnalysisCache(str(tmp_path))
     key = "ab" + "0" * 62
-    path = tmp_path / key[:2] / (key + ".json")
-    path.parent.mkdir(parents=True)
-    path.write_text("{not json")
-    assert cache.load(key) is None
-    path.write_text(json.dumps({"schema": 999, "record": {}}))
-    assert cache.load(key) is None
+    store = PackStore(str(tmp_path / "foreign"))
+    store.put(key, {"schema": 999, "key": key, "record": {}})
+    store.flush()
+    assert AnalysisCache(str(tmp_path / "foreign")).load(key) is None
+    record = {field.name: 0 for field in dataclasses.fields(AppAnalysis)}
+    record.update(redirect_targets=[], detectors=[])
+    store = PackStore(str(tmp_path / "torn"))
+    store.put(key, {"schema": CACHE_SCHEMA, "key": key, "versions": {},
+                    "record": record})
+    path = store.flush()
+    assert AnalysisCache(str(tmp_path / "torn")).load(key) is not None
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - 1)
+    assert AnalysisCache(str(tmp_path / "torn")).load(key) is None
 
 
 # -- spec validation --------------------------------------------------------------
