@@ -22,6 +22,8 @@ class App:
     """Base class for all simulated application behaviour."""
 
     package: str = ""
+    #: Last principal built by :attr:`caller`, reused while it is current.
+    _caller: Optional[Caller] = None
 
     def __init__(self, package: Optional[str] = None) -> None:
         if package is not None:
@@ -52,13 +54,21 @@ class App:
 
     @property
     def caller(self) -> Caller:
-        """The app's current security principal (fresh permission snapshot)."""
+        """The app's current security principal.
+
+        Rebuilt only when the installed record's uid or permission
+        snapshot changed: :attr:`PermissionState.granted` returns a new
+        frozenset after every grant or revoke, so an identity check
+        suffices to keep the principal current.
+        """
         installed = self.system.pms.require_package(self.package)
-        return Caller(
-            uid=installed.uid,
-            package=self.package,
-            permissions=frozenset(installed.permissions.granted),
-        )
+        granted = installed.permissions.granted
+        caller = self._caller
+        if (caller is None or caller.uid != installed.uid
+                or caller.permissions is not granted):
+            caller = self._caller = Caller(
+                uid=installed.uid, package=self.package, permissions=granted)
+        return caller
 
     @property
     def uid(self) -> int:

@@ -17,7 +17,7 @@ must rescan the directory to resynchronize.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Optional, Set, Tuple
 
 from repro.android.filesystem import FileEvent, FileEventType, normalize
 from repro.sim.events import EventHub, QueueOverflow, Subscription, WatchLimits
@@ -43,7 +43,10 @@ class FileObserver:
         self.mask: Set[FileEventType] = set(mask) if mask is not None else set(ALL_EVENTS)
         self.limits = limits
         self._subscription: Optional[Subscription] = None
-        self._listeners: List[Callable[[FileEvent], None]] = []
+        # A tuple, replaced on registration: dispatch iterates it
+        # without copying, and a listener added mid-dispatch waits for
+        # the next event.
+        self._listeners: Tuple[Callable[[FileEvent], None], ...] = ()
         self.history: Deque[FileEvent] = deque(maxlen=history_limit)
         #: Matching events ever dispatched (history may have evicted some).
         self.events_seen = 0
@@ -54,7 +57,7 @@ class FileObserver:
 
     def on_event(self, listener: Callable[[FileEvent], None]) -> None:
         """Register ``listener`` for every matching event while watching."""
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def start_watching(self) -> None:
         """Begin receiving events. Idempotent."""
@@ -94,15 +97,17 @@ class FileObserver:
             self.overflows += 1
             event = FileEvent(FileEventType.Q_OVERFLOW, self.directory,
                               "", event.time_ns)
-        if event.event_type not in self.mask:
+        event_type = event.event_type
+        if event_type not in self.mask:
             return
         self.events_seen += 1
-        key = (event.event_type, event.name)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self._type_counts[event.event_type] = \
-            self._type_counts.get(event.event_type, 0) + 1
+        counts = self._counts
+        key = (event_type, event.name)
+        counts[key] = counts.get(key, 0) + 1
+        type_counts = self._type_counts
+        type_counts[event_type] = type_counts.get(event_type, 0) + 1
         self.history.append(event)
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(event)
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ import enum
 import itertools
 import posixpath
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
@@ -70,6 +70,11 @@ class FileEventType(enum.Enum):
     #: filesystem itself; see :class:`repro.sim.events.WatchLimits`).
     Q_OVERFLOW = "Q_OVERFLOW"
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with ``==``; it replaces ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``) on every observer's count-dict update.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class FileEvent:
@@ -80,10 +85,18 @@ class FileEvent:
     name: str
     time_ns: int
 
-    @property
+    @cached_property
     def path(self) -> str:
-        """Full path of the affected file."""
+        """Full path of the affected file.
+
+        Events built by :meth:`Filesystem._emit` carry the emit's own
+        canonical path already; only hand-built events compute it.
+        """
         return posixpath.join(self.directory, self.name)
+
+
+_object_new = object.__new__
+_object_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -300,6 +313,8 @@ class Filesystem:
         self._resolve_cache: Dict[Tuple[str, bool], Tuple[str, Inode]] = {}
         # path -> mount (or None), valid until the mount table changes.
         self._mount_cache: Dict[str, Optional[Mount]] = {}
+        # directory -> its ``fs:<directory>`` watch topic.
+        self._fs_topics: Dict[str, str] = {}
 
     # -- time ---------------------------------------------------------------
 
@@ -601,6 +616,12 @@ class Filesystem:
         The MOVED_TO event at the destination directory is how the
         paper's DAPP defense notices "move a file to replace
         target_apk" (Section V-B).
+
+        Raises:
+            FilesystemError: ``src`` is a directory and ``dst`` lies
+                beneath it.
+            IsADirectory: ``dst`` is a directory and ``src`` is not
+                (POSIX ``EISDIR``).
         """
         src_resolved, node = self._resolve(src, follow_last=False)
         dst = normalize(dst)
@@ -617,18 +638,26 @@ class Filesystem:
         src_parent_path, src_name = split(src_resolved)
         _sp, src_parent = self._resolve(src_parent_path)
         dst_parent_path, dst_name = split(dst)
-        _dp, dst_parent = self._resolve(dst_parent_path)
+        dst_parent_resolved, dst_parent = self._resolve(dst_parent_path)
         if dst_parent.kind is not NodeKind.DIRECTORY:
             raise NotADirectory(dst_parent_path)
-        src_mount_entry = self.mount_for(src_resolved)
-        dst_mount_entry = self.mount_for(dst)
-        if src_mount_entry is not dst_mount_entry:
+        moving_dir = node.kind is NodeKind.DIRECTORY
+        if moving_dir and (dst_parent_resolved + "/").startswith(
+                src_resolved + "/"):
+            raise FilesystemError(
+                dst, f"cannot move directory {src_resolved} beneath itself")
+        replaced = dst_parent.children.get(dst_name)
+        if replaced is node:
+            replaced = None  # renamed onto itself
+        if (replaced is not None and not moving_dir
+                and replaced.kind is NodeKind.DIRECTORY):
+            raise IsADirectory(dst)
+        if src_mount is not dst_mount:
             # Cross-volume move: the bytes leave one volume's accounting
             # and must fit on (and be charged to) the other.
             self._charge(dst, node.size)
             self._charge(src_resolved, -node.size)
         del src_parent.children[src_name]
-        replaced = dst_parent.children.get(dst_name)
         if replaced is not None:
             self._charge(dst, -replaced.size)
         dst_parent.children[dst_name] = node
@@ -683,9 +712,23 @@ class Filesystem:
         # the split and the event construction entirely.  Watchers
         # registered *after* an emit would not have seen the event
         # anyway, so the skip is invisible to every subscriber.
-        if not self._hub.namespace_active("fs"):
+        hub = self._hub
+        if not hub.namespace_active("fs"):
             return
         directory, name = split(path)
-        event = FileEvent(event_type, directory, name, self.now_ns)
-        self._hub.publish(f"fs:{directory}", event)
-        self._hub.publish("fs:*", event)
+        topics = self._fs_topics
+        topic = topics.get(directory)
+        if topic is None:
+            if len(topics) >= self._CACHE_CAP:
+                topics.clear()
+            topic = topics[directory] = "fs:" + directory
+        # One event per emit, built without the frozen dataclass's
+        # per-field ``object.__setattr__``; every call site passes a
+        # canonical path, which pre-fills the cached ``path``.
+        event = _object_new(FileEvent)
+        _object_setattr(event, "__dict__", {
+            "event_type": event_type, "directory": directory, "name": name,
+            "time_ns": self._clock.now_ns, "path": path,
+        })
+        hub.publish(topic, event)
+        hub.publish("fs:*", event)

@@ -142,19 +142,30 @@ class PermissionState:
     def __init__(self, registry: PermissionRegistry) -> None:
         self._registry = registry
         self._granted: Set[str] = set()
+        # Snapshot handed out by ``granted``; every mutation drops it.
+        self._frozen: Optional[frozenset] = None
 
     @property
     def granted(self) -> frozenset:
-        """Immutable view of granted permission names."""
-        return frozenset(self._granted)
+        """Immutable view of granted permission names.
+
+        The same object is returned until the next grant or revoke, so
+        callers may detect a change by identity.
+        """
+        frozen = self._frozen
+        if frozen is None:
+            frozen = self._frozen = frozenset(self._granted)
+        return frozen
 
     def grant(self, name: str) -> None:
         """Grant unconditionally (install-time / system decision)."""
         self._granted.add(name)
+        self._frozen = None
 
     def revoke(self, name: str) -> None:
         """Remove a grant if present."""
         self._granted.discard(name)
+        self._frozen = None
 
     def has(self, name: str) -> bool:
         """True if ``name`` is currently granted."""
@@ -179,13 +190,13 @@ class PermissionState:
             # runtime request can never mint them.
             return False
         if not definition.is_dangerous():
-            self._granted.add(name)
+            self.grant(name)
             return True
         if definition.group is not None and self._holds_group(definition.group):
-            self._granted.add(name)
+            self.grant(name)
             return True
         if user_approves:
-            self._granted.add(name)
+            self.grant(name)
             return True
         return False
 

@@ -78,7 +78,9 @@ class FileObserverHijacker(MaliciousApp):
         name = event.name
         if not name.endswith(".apk"):
             return
-        state = self._states.setdefault(name, _FileState())
+        state = self._states.get(name)
+        if state is None:
+            state = self._states[name] = _FileState()
         if self.fingerprint.rename_signals_completion:
             # Xiaomi: the tmp-name rename to the official .apk name is
             # the download-completion cue.

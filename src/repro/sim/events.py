@@ -211,13 +211,19 @@ class EventHub:
         subs = self._subs.get(topic)
         if not subs:
             return 0
-        targets = [sub for sub in subs if sub.active]
-        for sub in targets:
+        # One pass over the live list: scheduling runs no handler, so
+        # nothing can subscribe or cancel until this loop returns.
+        call_later = self._kernel.call_later
+        scheduled = 0
+        for sub in subs:
+            if not sub.active:
+                continue
+            scheduled += 1
             if sub.limits is None:
-                self._kernel.call_later(delay_ns, _deliver(sub, payload))
+                call_later(delay_ns, _deliver(sub, payload))
             else:
                 self._offer(sub, payload, delay_ns)
-        return len(targets)
+        return scheduled
 
     def subscriber_count(self, topic: str) -> int:
         """Number of active subscriptions on ``topic``."""

@@ -203,7 +203,10 @@ class Kernel:
 
     def call_later(self, delay_ns: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay_ns`` nanoseconds from now."""
-        self.call_at(self.clock.now_ns + delay_ns, callback)
+        if delay_ns < 0:
+            raise SimulationError("cannot schedule an event in the past")
+        heapq.heappush(self._queue, (self.clock.now_ns + delay_ns,
+                                     next(self._sequence), callback))
 
     def spawn(self, gen: ProcessGenerator, name: str = "") -> Process:
         """Start a generator as a process; it runs on the next dispatch."""

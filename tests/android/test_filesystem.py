@@ -468,3 +468,66 @@ def test_mount_cache_survives_policy_swaps(fs):
     # cached entry must expose the new policy.
     assert fs.mount_for("/data/file") is first
     assert first.policy is replacement
+
+
+def test_rename_directory_beneath_itself_is_rejected(fs):
+    fs.makedirs("/a/b", ALICE)
+    fs.write_bytes("/a/b/f", ALICE, b"data")
+    seen = collect_events(fs, "*")
+    with pytest.raises(FilesystemError) as info:
+        fs.rename("/a", "/a/b/c", ALICE)
+    assert not isinstance(info.value, (FileNotFound, IsADirectory))
+    drain(fs)
+    assert seen == []
+    assert fs.listdir("/") == ["a"]
+    assert fs.read_bytes("/a/b/f", ALICE) == b"data"
+    assert not fs.exists("/a/b/c")
+
+
+def test_rename_directory_beneath_itself_through_a_symlink_is_rejected(fs):
+    fs.makedirs("/a/b", ALICE)
+    fs.symlink("/link", "/a/b", ALICE)
+    with pytest.raises(FilesystemError):
+        fs.rename("/a", "/link/c", ALICE)
+    assert fs.listdir("/") == ["a", "link"]
+
+
+def test_rename_directory_to_a_sibling_prefix_is_allowed(fs):
+    fs.makedirs("/a", ALICE)
+    fs.makedirs("/ab", ALICE)
+    fs.rename("/a", "/ab/a", ALICE)
+    assert fs.listdir("/ab") == ["a"]
+
+
+def test_rename_file_over_a_directory_raises_eisdir(fs):
+    volume = StorageVolume("vol", capacity_bytes=100)
+    fs.mount("/vol", volume)
+    fs.makedirs("/vol/dir/sub", ALICE)
+    fs.write_bytes("/vol/dir/sub/g", ALICE, b"y" * 30)
+    fs.write_bytes("/vol/f", ALICE, b"x" * 10)
+    assert volume.used_bytes == 40
+    seen = collect_events(fs, "*")
+    with pytest.raises(IsADirectory):
+        fs.rename("/vol/f", "/vol/dir", ALICE)
+    drain(fs)
+    assert seen == []
+    assert volume.used_bytes == 40
+    assert fs.read_bytes("/vol/f", ALICE) == b"x" * 10
+    assert fs.read_bytes("/vol/dir/sub/g", ALICE) == b"y" * 30
+
+
+def test_rename_file_over_an_empty_directory_raises_eisdir(fs):
+    fs.makedirs("/d/empty", ALICE)
+    fs.write_bytes("/d/f", ALICE, b"x")
+    with pytest.raises(IsADirectory):
+        fs.rename("/d/f", "/d/empty", ALICE)
+    assert fs.stat("/d/empty").kind is NodeKind.DIRECTORY
+
+
+def test_rename_onto_itself_is_a_no_op(fs):
+    volume = StorageVolume("vol", capacity_bytes=100)
+    fs.mount("/same", volume)
+    fs.write_bytes("/same/f", ALICE, b"x" * 10)
+    fs.rename("/same/f", "/same/f", ALICE)
+    assert fs.read_bytes("/same/f", ALICE) == b"x" * 10
+    assert volume.used_bytes == 10

@@ -278,3 +278,11 @@ def test_spawn_names_are_generated():
 
     handle = kernel.spawn(proc())
     assert handle.name.startswith("proc-")
+
+
+def test_call_later_rejects_a_negative_delay():
+    kernel = Kernel()
+    kernel.clock.advance_to(100)
+    with pytest.raises(SimulationError):
+        kernel.call_later(-1, lambda: None)
+    assert kernel.pending_events() == 0
