@@ -390,8 +390,7 @@ class AnalysisSpec:
     chaos: Optional[str] = None
     cache_dir: Optional[str] = None
 
-    #: Report type the executor assembles for this spec (duck-typed
-    #: hook; CampaignSpec leaves it unset and gets FleetReport).
+    #: Report type the executor assembles for this spec.
     report_class: ClassVar[type] = None  # set below, after AnalysisReport
 
     def __post_init__(self) -> None:

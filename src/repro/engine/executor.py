@@ -1,24 +1,31 @@
 """Fleet executor: run campaign shards across a worker pool.
 
-The process backend is a small explicit scheduler over
-``multiprocessing.Process`` workers rather than a ``Pool``: a pool
-loses the task (and may hang the caller) when a worker dies abruptly,
-while the whole point here is precise per-shard crash/timeout
-semantics — a shard whose worker crashes or overruns its deadline is
-retried a bounded number of times, then degraded to the in-process
-serial backend, which is also the fleet-wide fallback when
-``multiprocessing`` itself is unavailable (restricted sandboxes).
+The process backend is one small explicit scheduler over a
+:class:`WarmPool` of ``multiprocessing.Process`` workers rather than a
+``multiprocessing.Pool``: that pool loses the task (and may hang the
+caller) when a worker dies abruptly, while the whole point here is
+precise per-shard crash/timeout semantics — a shard whose worker
+crashes or overruns its deadline is retried a bounded number of times,
+then degraded to the in-process serial backend, which is also the
+fleet-wide fallback when ``multiprocessing`` itself is unavailable
+(restricted sandboxes).
 
-Two pool flavours share that scheduler shape:
+The pool is either **resident** or **scoped to one run**:
 
-- the **cold pool** (default) forks one process per shard attempt and
-  lets it exit — simple, and the right call for one-shot CLI runs;
-- the **warm pool** (``FleetExecutor(warm=True)``, used by the
-  ``repro serve`` daemon) keeps a fixed set of resident workers alive
-  across campaigns, so fork/import/artifact-cache warm-up is paid once
-  per worker instead of once per shard.  Crashed or timed-out warm
-  workers are restarted in place and the shard is retried exactly like
-  the cold pool's semantics.
+- ``FleetExecutor(warm=True)``, used by the ``repro serve`` daemon,
+  keeps one pool alive across campaigns, so fork/import/artifact-cache
+  warm-up is paid once per worker instead of once per campaign;
+- otherwise (one-shot CLI runs) each :meth:`FleetExecutor.run` opens a
+  pool of ``min(workers, shards)`` processes and closes it on return.
+
+Either way a crashed or timed-out worker is restarted in place and its
+shard retried.
+
+Any spec with ``shard(count)``, ``chaos`` and a ``report_class`` whose
+``from_shards`` merges the results can ride the engine; each of its
+shards carries ``index`` and ``campaign`` and runs itself with
+``execute()``.  :class:`~repro.engine.spec.CampaignSpec` and
+:class:`~repro.analysis.pipeline.AnalysisSpec` are the two kinds.
 
 Results merge in shard-index order regardless of completion order, so
 the merged stats honour the determinism contract of
@@ -29,19 +36,17 @@ results are byte-for-byte the ones the interrupted run recorded.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue as queue_module
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.campaign import Campaign, CampaignStats
 from repro.engine.merge import FleetReport, ShardResult
 from repro.engine.progress import FleetProgress, NullProgress
 from repro.engine.spec import CampaignSpec, ShardSpec, parse_chaos
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceRecorder
 
 _OK = "ok"
 _ERROR = "error"
@@ -52,7 +57,7 @@ _FAULT_KINDS = {_ERROR: "errors", _CRASH: "crashes", _TIMEOUT: "timeouts"}
 #: Ceiling on one blocking wait in the pool loop.  The loop does not
 #: poll at this cadence — results and worker deaths interrupt the wait
 #: immediately (see :func:`wait_for_result`); the ceiling only bounds
-#: how stale the timeout bookkeeping in ``_reap`` can get.
+#: how stale the timeout bookkeeping in ``reap_timeouts`` can get.
 _IDLE_WAIT_SECONDS = 0.5
 
 BACKENDS = ("auto", "process", "serial")
@@ -77,7 +82,7 @@ def run_shard(shard: ShardSpec, telemetry: bool = False,
     shard's deterministic stats/trace/metrics.
     """
     if not (telemetry or profile):
-        return _execute_shard(shard)
+        return shard.execute()
     probe = None
     profiler = None
     if telemetry:
@@ -90,7 +95,7 @@ def run_shard(shard: ShardSpec, telemetry: bool = False,
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        result = _execute_shard(shard)
+        result = shard.execute()
     finally:
         if profiler is not None:
             profiler.disable()
@@ -101,82 +106,6 @@ def run_shard(shard: ShardSpec, telemetry: bool = False,
 
         result.profile = profile_blob(profiler)
     return result
-
-
-def _execute_shard(shard: ShardSpec) -> ShardResult:
-    """The untelemetered core of :func:`run_shard`.
-
-    Provisions a fresh device from the shard spec, publishes the
-    shard's slice of the global workload, runs the installs, and
-    returns compacted (picklable, trace-free) stats.  When the
-    campaign spec has ``observe=True`` the shard also carries its
-    trace records and metrics snapshot (simulated-time only, so both
-    are deterministic for a fixed shard spec).
-    """
-    execute = getattr(shard, "execute", None)
-    if execute is not None:
-        # Self-executing workload (e.g. repro.analysis.pipeline shards):
-        # the spec knows how to run its own slice; the executor supplies
-        # only pooling, retries, chaos and merge.
-        return execute()
-    started = time.perf_counter()
-    spec = shard.campaign
-    recorder = TraceRecorder() if spec.observe else None
-    metrics = MetricsRegistry() if spec.observe else None
-    scenario = shard.build_scenario(recorder=recorder, metrics=metrics)
-    packages = shard.publish_workload(scenario)
-    # Compact at record time: outcomes are projected to trace-free
-    # OutcomeRecord as they happen, so the shard never accumulates
-    # transaction traces only to strip them post-hoc.
-    campaign = Campaign(scenario, stats=CampaignStats(
-        compact=True, keep_outcomes=spec.keep_outcomes))
-    campaign.install_many(
-        packages,
-        arm_attacker=spec.arm_attacker,
-        rearm_between=spec.rearm_between,
-    )
-    return ShardResult(
-        shard_index=shard.index,
-        start=shard.start,
-        stop=shard.stop,
-        stats=campaign.stats,
-        wall_seconds=time.perf_counter() - started,
-        backend="serial",
-        trace=recorder.records() if recorder is not None else None,
-        metrics=metrics.snapshot() if metrics is not None else None,
-    )
-
-
-def _chaos_indices(spec: CampaignSpec, mode: str) -> Set[int]:
-    chaos_mode, indices = parse_chaos(spec.chaos)
-    if chaos_mode != mode:
-        return set()
-    return set(indices)
-
-
-def _shard_entry(result_queue, shard: ShardSpec, telemetry: bool = False,
-                 profile: bool = False) -> None:
-    """Worker-process entry point.
-
-    Failure injection (``spec.chaos``) lives here on purpose: only
-    pool workers honour it, so the serial fallback always recovers.
-    """
-    try:
-        if shard.index in _chaos_indices(shard.campaign, "crash"):
-            os._exit(13)
-        if shard.index in _chaos_indices(shard.campaign, "hang"):
-            time.sleep(3600)
-        if shard.index in _chaos_indices(shard.campaign, "error"):
-            raise RuntimeError(f"injected error in shard {shard.index}")
-        result = run_shard(shard, telemetry=telemetry, profile=profile)
-        result.backend = "process"
-        result_queue.put((shard.index, _OK, result))
-    except BaseException as exc:  # pragma: no cover - depends on failure mode
-        try:
-            result_queue.put(
-                (shard.index, _ERROR, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            os._exit(14)
 
 
 def wait_for_result(result_queue, processes=(),
@@ -213,9 +142,8 @@ def drain_queue(result_queue, handle: Callable[[object], None],
                 timeout: float = _IDLE_WAIT_SECONDS) -> int:
     """Feed every queued message to ``handle``; return how many.
 
-    The scheduler's drain step, shared by the cold pool, the warm pool
-    and the serve daemon's scheduler: block up to ``timeout`` for the
-    first message, then sweep whatever else is already queued without
+    The pool's drain step: block up to ``timeout`` for the first
+    message, then sweep whatever else is already queued without
     blocking again.  Pairs with :func:`wait_for_result` — wait on the
     pipe and the worker sentinels, then drain — so a burst of shard
     completions is handled in one pass while a worker death never
@@ -251,15 +179,15 @@ def multiprocessing_usable() -> bool:
         return False
 
 
-def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
+def _warm_worker_entry(task_queue, result_queue) -> None:
     """Resident worker loop: run shards until a ``None`` sentinel.
 
-    Mirrors :func:`_shard_entry` (including chaos injection — only
-    pool workers honour it, so the serial fallback always recovers)
-    but stays alive between tasks: module imports and the
+    Failure injection (``spec.chaos``) lives here on purpose: only pool
+    workers honour it, so the serial fallback always recovers.  The
+    worker stays alive between tasks, so module imports and the
     content-addressed artifact caches built by earlier shards carry
-    over to later ones, which is the whole point of the warm pool.
-    Messages are ``(slot, ticket, status, payload)``.
+    over to later ones.  Tasks are ``(seq, shard, telemetry,
+    profile)``; messages are ``(seq, status, payload)``.
 
     A worker orphaned by a hard-killed parent (SIGKILL skips
     :meth:`WarmPool.close`) notices the reparenting on its next idle
@@ -275,22 +203,22 @@ def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
             continue
         if task is None:
             break
-        ticket, shard = task[0], task[1]
-        telemetry, profile = task[2] if len(task) > 2 else (False, False)
+        seq, shard, telemetry, profile = task
         try:
-            if shard.index in _chaos_indices(shard.campaign, "crash"):
+            mode, indices = parse_chaos(shard.campaign.chaos)
+            if shard.index in indices and mode == "crash":
                 os._exit(13)
-            if shard.index in _chaos_indices(shard.campaign, "hang"):
+            if shard.index in indices and mode == "hang":
                 time.sleep(3600)
-            if shard.index in _chaos_indices(shard.campaign, "error"):
+            if shard.index in indices and mode == "error":
                 raise RuntimeError(f"injected error in shard {shard.index}")
             result = run_shard(shard, telemetry=telemetry, profile=profile)
-            result.backend = "warm"
-            result_queue.put((slot, ticket, _OK, result))
+            result.backend = "process"
+            result_queue.put((seq, _OK, result))
         except BaseException as exc:  # pragma: no cover - failure-mode paths
             try:
                 result_queue.put(
-                    (slot, ticket, _ERROR, f"{type(exc).__name__}: {exc}"))
+                    (seq, _ERROR, f"{type(exc).__name__}: {exc}"))
             except Exception:
                 os._exit(14)
 
@@ -298,27 +226,29 @@ def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
 class _WarmWorker:
     """Parent-side handle on one resident worker process."""
 
-    __slots__ = ("slot", "process", "task_queue", "tasks_done")
+    __slots__ = ("process", "task_queue")
 
-    def __init__(self, slot: int, process, task_queue) -> None:
-        self.slot = slot
+    def __init__(self, process, task_queue) -> None:
         self.process = process
         self.task_queue = task_queue
-        self.tasks_done = 0
 
 
 class WarmPool:
-    """A fixed set of resident shard workers, reused across campaigns.
+    """A fixed set of resident shard workers, reusable across campaigns.
 
-    Workers are forked once and then fed ``(ticket, shard)`` tasks over
-    per-worker queues; results come back on one shared queue.  A dead
+    Workers are forked once and then fed shards over per-worker queues;
+    results come back on one shared queue.  Each submission gets a
+    pool-wide sequence number the worker echoes back, so a result from
+    an attempt already given up on (timed out, or its worker crashed)
+    is never taken for a retry's result under the same ticket.  A dead
     worker (crash chaos, OOM, kill) is detected via its process
     sentinel, restarted in place, and its in-flight ticket is reported
     as a crash so the scheduler can retry the shard — ``restarts``
     counts every such replacement (the serve daemon exports it as the
     ``serve/worker_restarts`` metric).  ``close`` shuts the pool down
-    deterministically: sentinel every worker, join, terminate
-    stragglers — no leaked processes, pinned by the leak-check test.
+    deterministically: terminate busy workers (nobody will collect their
+    results), sentinel idle ones, join, terminate stragglers — no
+    leaked processes, pinned by the leak-check test.
     """
 
     def __init__(self, workers: int, context=None) -> None:
@@ -336,7 +266,9 @@ class WarmPool:
         self._closed = False
         self._workers: Dict[int, _WarmWorker] = {}
         self._idle: List[int] = []
-        self._running: Dict[int, Tuple[int, float, ShardSpec]] = {}
+        #: seq -> (ticket, slot, monotonic start) of each task in flight.
+        self._running: Dict[int, Tuple[int, int, float]] = {}
+        self._seq = itertools.count()
         for slot in range(workers):
             self._spawn(slot)
 
@@ -351,12 +283,12 @@ class WarmPool:
         task_queue = self._context.Queue()
         process = self._context.Process(
             target=_warm_worker_entry,
-            args=(slot, task_queue, self.result_queue),
+            args=(task_queue, self.result_queue),
             name=f"fleet-warm-{slot}",
             daemon=True,
         )
         process.start()
-        self._workers[slot] = _WarmWorker(slot, process, task_queue)
+        self._workers[slot] = _WarmWorker(process, task_queue)
         self._idle.append(slot)
 
     def _respawn(self, slot: int) -> None:
@@ -370,7 +302,11 @@ class WarmPool:
         if self._closed:
             return
         self._closed = True
-        for worker in self._workers.values():
+        busy = {slot for _, slot, _ in self._running.values()}
+        for slot, worker in self._workers.items():
+            if slot in busy:
+                worker.process.terminate()
+                continue
             try:
                 worker.task_queue.put(None)
             except Exception:  # queue already broken: terminate below
@@ -417,7 +353,7 @@ class WarmPool:
         """Monotonic start of the oldest in-flight task, if any."""
         if not self._running:
             return None
-        return min(started for _, started, _ in self._running.values())
+        return min(started for _, _, started in self._running.values())
 
     # -- scheduling ------------------------------------------------------------
 
@@ -425,7 +361,7 @@ class WarmPool:
                profile: bool = False) -> None:
         """Hand ``shard`` to an idle worker under key ``ticket``.
 
-        ``telemetry``/``profile`` ride along as a flags tuple so the
+        ``telemetry``/``profile`` ride along with the task so the
         worker brackets execution with the rusage probe / cProfile
         (see :func:`run_shard`); both default off.
         """
@@ -434,9 +370,9 @@ class WarmPool:
         if not self._idle:
             raise ReproError("no idle warm worker; poll() first")
         slot = self._idle.pop()
-        self._workers[slot].task_queue.put(
-            (ticket, shard, (telemetry, profile)))
-        self._running[ticket] = (slot, time.monotonic(), shard)
+        seq = next(self._seq)
+        self._workers[slot].task_queue.put((seq, shard, telemetry, profile))
+        self._running[seq] = (ticket, slot, time.monotonic())
 
     def poll(self, timeout: float = _IDLE_WAIT_SECONDS
              ) -> List[Tuple[int, str, object]]:
@@ -449,19 +385,18 @@ class WarmPool:
         as a ``crash`` event and the slot is respawned.  Returns
         ``(ticket, status, payload)`` tuples where status is ``ok``
         (payload: :class:`ShardResult`), ``error`` or ``crash``
-        (payload: reason string).
+        (payload: reason string).  A message whose sequence number is
+        no longer in flight is dropped.
         """
         events: List[Tuple[int, str, object]] = []
 
         def handle(message) -> None:
-            slot, ticket, status, payload = message
-            entry = self._running.pop(ticket, None)
+            seq, status, payload = message
+            entry = self._running.pop(seq, None)
             if entry is None:
-                return  # stale: ticket already reaped as timeout/crash
+                return  # stale: that attempt was reaped as timeout/crash
+            ticket, slot, _ = entry
             self._idle.append(slot)
-            worker = self._workers.get(slot)
-            if worker is not None:
-                worker.tasks_done += 1
             self.tasks_done += 1
             events.append((ticket, status, payload))
 
@@ -472,18 +407,18 @@ class WarmPool:
             if worker.process.is_alive():
                 continue
             # Its result may still be in flight: one final drain chance
-            # before declaring the ticket crashed (mirrors _reap).
+            # before declaring the ticket crashed.
             drain_queue(self.result_queue, handle, timeout=0.1)
-            dead = [ticket for ticket, (s, _, _) in self._running.items()
+            dead = [seq for seq, (_, s, _) in self._running.items()
                     if s == slot]
             exitcode = worker.process.exitcode
             worker.process.join()
             self._respawn(slot)
-            for ticket in dead:
-                self._running.pop(ticket)
+            for seq in dead:
+                ticket, _, _ = self._running.pop(seq)
                 events.append(
                     (ticket, _CRASH,
-                     f"warm worker died (exit code {exitcode})"))
+                     f"worker crashed (exit code {exitcode})"))
         return events
 
     def reap_timeouts(self, shard_timeout: Optional[float]
@@ -497,13 +432,13 @@ class WarmPool:
             return []
         events: List[Tuple[int, str, object]] = []
         now = time.monotonic()
-        for ticket, (slot, started, _) in list(self._running.items()):
+        for seq, (ticket, slot, started) in list(self._running.items()):
             if now - started <= shard_timeout:
                 continue
             worker = self._workers[slot]
             worker.process.terminate()
             worker.process.join()
-            self._running.pop(ticket)
+            del self._running[seq]
             self._respawn(slot)
             events.append((ticket, _TIMEOUT,
                            f"timeout after {shard_timeout:.1f}s"))
@@ -546,10 +481,10 @@ class FleetExecutor:
     def close(self) -> None:
         """Release the warm pool (if any); idempotent, leak-free.
 
-        Cold pools clean up per run, so this only matters for
-        ``warm=True`` executors — but call it (or use the executor as a
-        context manager) unconditionally: it makes shutdown
-        deterministic for tests and the daemon alike.
+        One-shot pools close when their run returns, so this only
+        matters for ``warm=True`` executors — but call it (or use the
+        executor as a context manager) unconditionally: it makes
+        shutdown deterministic for tests and the daemon alike.
         """
         if self._pool is not None:
             self._pool.close()
@@ -606,11 +541,13 @@ class FleetExecutor:
         if backend == "serial":
             self._run_serial(todo, results, total, on_result)
         elif self.warm:
-            self._run_warm(todo, results, total, counters, on_result)
-        else:
-            self._run_pool(todo, results, total, counters, on_result)
-        report_class = getattr(type(spec), "report_class", None) or FleetReport
-        report = report_class.from_shards(
+            self._run_process(self._ensure_pool(), todo, results, total,
+                              counters, on_result)
+        elif todo:
+            with WarmPool(workers) as pool:
+                self._run_process(pool, todo, results, total, counters,
+                                  on_result)
+        report = type(spec).report_class.from_shards(
             spec, list(results.values()),
             wall_seconds=time.perf_counter() - started,
             workers=workers, backend=backend,
@@ -672,82 +609,12 @@ class FleetExecutor:
                                profile=self.profile_shards)
             self._finish(result, results, total, on_result)
 
-    # -- process backend (cold pool) ------------------------------------------
+    # -- process backend ------------------------------------------------------
 
-    def _run_pool(self, shard_specs: List[ShardSpec],
-                  results: Dict[int, ShardResult], total: int,
-                  counters: Dict[str, int], on_result=None) -> None:
-        import multiprocessing
-
-        context = multiprocessing.get_context()
-        result_queue = context.Queue()
-        pending: Deque[ShardSpec] = deque(shard_specs)
-        running: Dict[int, Tuple[object, float, ShardSpec]] = {}
-        attempts: Dict[int, int] = {shard.index: 0 for shard in shard_specs}
-        fallback: List[ShardSpec] = []
-        workers = min(self.workers, len(shard_specs) or 1)
-
-        def handle(message: Tuple[int, str, object]) -> None:
-            index, status, payload = message
-            if index in results:
-                return  # stale message from a timed-out-then-finished worker
-            entry = running.pop(index, None)
-            if entry is not None:
-                entry[0].join()
-            if status == _OK:
-                payload.attempts = attempts[index]
-                self._finish(payload, results, total, on_result)
-            else:
-                self._retry(pending, fallback, attempts,
-                            self._shard_by_index(shard_specs, index),
-                            str(payload), counters, "errors")
-
-        def drain(timeout: float) -> int:
-            return drain_queue(result_queue, handle, timeout)
-
-        try:
-            while pending or running:
-                while pending and len(running) < workers:
-                    shard = pending.popleft()
-                    attempts[shard.index] += 1
-                    self.progress.on_shard_start(shard,
-                                                 attempts[shard.index])
-                    process = context.Process(
-                        target=_shard_entry,
-                        args=(result_queue, shard, self.telemetry,
-                              self.profile_shards),
-                        name=f"fleet-shard-{shard.index}",
-                        daemon=True,
-                    )
-                    process.start()
-                    running[shard.index] = (process, time.monotonic(), shard)
-                if wait_for_result(
-                        result_queue,
-                        [entry[0] for entry in running.values()],
-                        self._wait_timeout(running)):
-                    drain(_IDLE_WAIT_SECONDS)
-                self._reap(running, pending, fallback, attempts, drain,
-                           counters)
-        finally:
-            for process, _, _ in running.values():
-                process.terminate()
-                process.join()
-            result_queue.close()
-
-        self._run_fallback(fallback, attempts, results, total, counters,
-                           on_result)
-
-    # -- process backend (warm pool) ------------------------------------------
-
-    def _run_warm(self, shard_specs: List[ShardSpec],
-                  results: Dict[int, ShardResult], total: int,
-                  counters: Dict[str, int], on_result=None) -> None:
-        """Schedule shards onto the resident pool (created on first use).
-
-        Same retry/timeout/fallback semantics as the cold pool, but
-        worker processes survive the run — and the next one.
-        """
-        pool = self._ensure_pool()
+    def _run_process(self, pool: WarmPool, shard_specs: List[ShardSpec],
+                     results: Dict[int, ShardResult], total: int,
+                     counters: Dict[str, int], on_result=None) -> None:
+        """Schedule shards onto ``pool``: retry, police, fall back."""
         pending: Deque[ShardSpec] = deque(shard_specs)
         attempts: Dict[int, int] = {shard.index: 0 for shard in shard_specs}
         by_index: Dict[int, ShardSpec] = {shard.index: shard
@@ -774,51 +641,17 @@ class FleetExecutor:
                            on_result)
 
     def _warm_wait_timeout(self, pool: WarmPool) -> float:
-        """Warm-pool analogue of :meth:`_wait_timeout`."""
-        soonest = pool.earliest_start()
-        if self.shard_timeout is None or soonest is None:
-            return _IDLE_WAIT_SECONDS
-        remaining = soonest + self.shard_timeout - time.monotonic()
-        return max(0.0, min(_IDLE_WAIT_SECONDS, remaining))
-
-    def _wait_timeout(self, running) -> float:
-        """How long one blocking wait may last before ``_reap`` runs.
+        """How long one blocking poll may last before timeouts are policed.
 
         With a shard timeout configured, the wait ends no later than
         the earliest running shard's deadline so overruns are policed
         on time; either way it is capped at :data:`_IDLE_WAIT_SECONDS`.
         """
-        if self.shard_timeout is None or not running:
+        soonest = pool.earliest_start()
+        if self.shard_timeout is None or soonest is None:
             return _IDLE_WAIT_SECONDS
-        now = time.monotonic()
-        soonest = min(started_at for _, started_at, _ in running.values())
-        remaining = soonest + self.shard_timeout - now
+        remaining = soonest + self.shard_timeout - time.monotonic()
         return max(0.0, min(_IDLE_WAIT_SECONDS, remaining))
-
-    def _reap(self, running, pending, fallback, attempts, drain,
-              counters) -> None:
-        """Police timeouts and detect crashed workers."""
-        now = time.monotonic()
-        for index, (process, started_at, shard) in list(running.items()):
-            if (self.shard_timeout is not None
-                    and now - started_at > self.shard_timeout):
-                process.terminate()
-                process.join()
-                running.pop(index)
-                self._retry(pending, fallback, attempts, shard,
-                            f"timeout after {self.shard_timeout:.1f}s",
-                            counters, "timeouts")
-            elif not process.is_alive():
-                # Its result may still be in flight: give the queue one
-                # final chance before declaring a crash.
-                drain(0.1)
-                if index not in running:
-                    continue  # the drain handled it
-                process.join()
-                running.pop(index)
-                self._retry(pending, fallback, attempts, shard,
-                            f"worker crashed (exit code {process.exitcode})",
-                            counters, "crashes")
 
     def _retry(self, pending, fallback, attempts, shard: ShardSpec,
                reason: str, counters: Dict[str, int], kind: str) -> None:
@@ -829,14 +662,6 @@ class FleetExecutor:
             pending.append(shard)
         else:
             fallback.append(shard)
-
-    @staticmethod
-    def _shard_by_index(shard_specs: List[ShardSpec],
-                        index: int) -> ShardSpec:
-        for shard in shard_specs:
-            if shard.index == index:
-                return shard
-        raise ReproError(f"unknown shard index {index}")  # pragma: no cover
 
 
 def run_fleet(spec: CampaignSpec, shards: Optional[int] = None,

@@ -247,3 +247,6 @@ class FleetReport:
                 f"{counts.get('retries', 0)} retried, "
                 f"{counts.get('fallbacks', 0)} serial fallback(s)")
         return "\n".join(lines)
+
+
+CampaignSpec.report_class = FleetReport

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import (TYPE_CHECKING, Any, Callable, ClassVar, Dict, List,
+                    Optional, Tuple, Type)
 
 from repro.android.device import (
     DeviceProfile,
@@ -36,11 +38,17 @@ from repro.attacks.base import MaliciousApp, fingerprint_for
 from repro.attacks.toctou import FileObserverHijacker
 from repro.attacks.wait_and_see import WaitAndSeeHijacker
 from repro.attacks.watcher_flood import WatcherFloodHijacker
+from repro.core.campaign import Campaign, CampaignStats
 from repro.core.scenario import VALID_DEFENSES, Scenario
 from repro.errors import ReproError
 from repro.installers import installer_by_name
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceRecorder
 from repro.sim.events import DEFAULT_DRAIN_INTERVAL_NS, WatchLimits
 from repro.sim.rand import DeterministicRandom
+
+if TYPE_CHECKING:  # merge imports this module for CampaignSpec
+    from repro.engine.merge import ShardResult
 
 #: Attacks a spec may name.  ``None`` means a defense-only / benign run.
 ATTACKS: Dict[str, Optional[Type[MaliciousApp]]] = {
@@ -272,7 +280,7 @@ class CampaignSpec:
             raise ReproError(
                 f"campaign spec must be a JSON object, "
                 f"got {type(data).__name__}")
-        known = set(cls.__dataclass_fields__)
+        known = {field.name for field in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ReproError(
@@ -426,6 +434,45 @@ class ShardSpec:
             )
             packages.append(package)
         return packages
+
+    def execute(self) -> "ShardResult":
+        """Run this shard in the current process (the engine's unit).
+
+        Provisions a fresh device, publishes the shard's slice of the
+        global workload, runs the installs, and returns compacted
+        (picklable, trace-free) stats.  When the campaign spec has
+        ``observe=True`` the result also carries the shard's trace
+        records and metrics snapshot (simulated-time only, so both are
+        deterministic for a fixed shard spec).
+        """
+        from repro.engine.merge import ShardResult  # import cycle
+
+        started = time.perf_counter()
+        spec = self.campaign
+        recorder = TraceRecorder() if spec.observe else None
+        metrics = MetricsRegistry() if spec.observe else None
+        scenario = self.build_scenario(recorder=recorder, metrics=metrics)
+        packages = self.publish_workload(scenario)
+        # Compact at record time: outcomes are projected to trace-free
+        # OutcomeRecord as they happen, so the shard never accumulates
+        # transaction traces only to strip them post-hoc.
+        campaign = Campaign(scenario, stats=CampaignStats(
+            compact=True, keep_outcomes=spec.keep_outcomes))
+        campaign.install_many(
+            packages,
+            arm_attacker=spec.arm_attacker,
+            rearm_between=spec.rearm_between,
+        )
+        return ShardResult(
+            shard_index=self.index,
+            start=self.start,
+            stop=self.stop,
+            stats=campaign.stats,
+            wall_seconds=time.perf_counter() - started,
+            backend="serial",
+            trace=recorder.records() if recorder is not None else None,
+            metrics=metrics.snapshot() if metrics is not None else None,
+        )
 
 
 #: The scenario attribute holding each defense object, by spec name.

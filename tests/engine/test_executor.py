@@ -159,6 +159,44 @@ def test_worker_exception_is_reported_and_retried():
     assert any("RuntimeError" in r[2] for r in progress.retries)
 
 
+@needs_multiprocessing
+def test_one_shot_process_run_starts_one_process_per_worker(monkeypatch):
+    from multiprocessing.process import BaseProcess
+
+    started = []
+    original = BaseProcess.start
+
+    def counting_start(process):
+        started.append(process.name)
+        original(process)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    report = run_fleet(CampaignSpec(installs=16, seed=3), shards=8,
+                       workers=2, backend="process")
+    assert report.stats.runs == 16
+    assert len(started) == 2
+
+
+@needs_multiprocessing
+def test_a_raising_progress_hook_leaves_no_live_child():
+    import multiprocessing
+    import time
+
+    class Exploding(FleetProgress):
+        def on_shard_done(self, result, done, total):
+            raise RuntimeError("hook failed")
+
+    # shard 1 hangs, so its worker is still busy when the hook raises:
+    # the pool must kill it rather than wait for it.
+    spec = CampaignSpec(installs=16, seed=3, chaos="hang:1")
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="hook failed"):
+        run_fleet(spec, shards=8, workers=2, backend="process",
+                  progress=Exploding())
+    assert time.monotonic() - started < 4.0
+    assert multiprocessing.active_children() == []
+
+
 # -- blocking result wait (replaces fixed-interval polling) -------------------
 
 def _exit_immediately():  # worker target; must be module-level (spawn-safe)

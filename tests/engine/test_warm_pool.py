@@ -31,7 +31,7 @@ def _alive_children(pids):
     return alive
 
 
-# -- drain helper (shared by cold pool, warm pool, serve scheduler) -----------
+# -- drain helper -------------------------------------------------------------
 
 @needs_multiprocessing
 def test_drain_queue_sweeps_a_burst_in_one_pass():
@@ -100,7 +100,7 @@ def test_warm_pool_results_match_serial_execution():
     for index in (1, 2, 3):
         merged = merged.merge(results[index].stats)
     assert merged.counter_tuple() == serial.stats.counter_tuple()
-    assert all(result.backend == "warm" for result in results.values())
+    assert all(result.backend == "process" for result in results.values())
 
 
 @needs_multiprocessing
@@ -135,7 +135,7 @@ def test_warm_pool_restarts_a_dead_worker_and_reports_the_crash():
         ticket, status, payload = events[0]
         assert ticket == 0
         assert status == "crash"
-        assert "died" in payload
+        assert payload == "worker crashed (exit code 13)"
         assert pool.restarts == 1
         assert pool.worker_pids() != before
         assert pool.has_idle()  # replacement is ready for work
@@ -152,6 +152,23 @@ def test_warm_pool_reaps_a_hung_worker_on_timeout():
         assert [(t, s) for t, s, _ in events] == [(0, "timeout")]
         assert pool.restarts == 1
         assert pool.has_idle()
+
+
+@needs_multiprocessing
+def test_warm_pool_drops_a_result_from_an_attempt_it_gave_up_on():
+    # The first attempt's result reaches the pipe, but the attempt is
+    # reaped as a timeout before anyone polls; the retry reuses ticket 0
+    # and hangs.  The leftover result must not pass for the retry's.
+    done = CampaignSpec(installs=4, seed=7).shard(2)[0]
+    hung = CampaignSpec(installs=4, seed=7, chaos="hang:0").shard(2)[0]
+    with WarmPool(1) as pool:
+        pool.submit(0, done)
+        assert executor_module.wait_for_result(pool.result_queue, (), 10.0)
+        time.sleep(0.2)  # let the whole message land
+        assert [s for _, s, _ in pool.reap_timeouts(0.0)] == ["timeout"]
+        pool.submit(0, hung)
+        assert pool.poll(timeout=0.5) == []
+        assert pool.busy()
 
 
 def test_warm_pool_validates_worker_count():
@@ -174,7 +191,7 @@ def test_warm_executor_matches_serial_and_reuses_workers():
         assert fleet._pool.worker_pids() == pids
     assert first.stats.counter_tuple() == serial.stats.counter_tuple()
     assert second.stats.counter_tuple() == serial.stats.counter_tuple()
-    assert {shard.backend for shard in first.shards} == {"warm"}
+    assert {shard.backend for shard in first.shards} == {"process"}
 
 
 @needs_multiprocessing

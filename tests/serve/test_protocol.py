@@ -67,6 +67,13 @@ def test_campaign_submission_round_trips_the_spec():
     assert submission.derive_seed is False
 
 
+def test_campaign_spec_wire_form_excludes_its_report_class():
+    spec = CampaignSpec(installs=5)
+    assert "report_class" not in spec.to_json_dict()
+    with pytest.raises(ReproError, match="unknown field"):
+        CampaignSpec.from_json_dict({"installs": 5, "report_class": "x"})
+
+
 def test_derive_seed_nulls_the_seed_on_the_wire():
     spec = CampaignSpec(installs=10, seed=5)
     message = submit_campaign_request(spec, derive_seed=True)
