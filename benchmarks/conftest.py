@@ -12,23 +12,10 @@ import pathlib
 
 import pytest
 
-from repro.analysis.corpus import generate_play_corpus, generate_preinstalled_corpus
 from repro.analysis.factory_images import generate_fleet
 from repro.analysis.platform_keys import generate_appstore_catalogs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def play_corpus():
-    """The 12,750-app Google Play corpus."""
-    return generate_play_corpus(seed=2016)
-
-
-@pytest.fixture(scope="session")
-def preinstalled_corpus():
-    """The 1,613-unique-app pre-installed corpus."""
-    return generate_preinstalled_corpus(seed=2016)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,12 @@
 """Table II: potentially vulnerable Google Play apps (SD-Card usage).
 
-Runs the installer classifier over the 12,750-app synthetic Play corpus
-and compares the breakdown with the paper's numbers.
+Runs the measurement pipeline (installer classifier) over the
+12,750-app synthetic Play corpus at one shard and compares the
+breakdown with the paper's numbers.
 """
 
 from repro.measurement.report import render_installer_breakdown
-from repro.measurement.tables import compute_table2
+from repro.measurement.tables import build_table2, corpus_stats
 
 PAPER = {
     "vulnerable": 779,
@@ -19,9 +20,9 @@ PAPER = {
 }
 
 
-def test_table2_play_installers(benchmark, play_corpus, report_sink):
+def test_table2_play_installers(benchmark, report_sink):
     table = benchmark.pedantic(
-        lambda: compute_table2(play_corpus), rounds=1, iterations=1
+        lambda: build_table2(corpus_stats("play")), rounds=1, iterations=1
     )
     text = render_installer_breakdown(
         "Table II: potentially vulnerable GooglePlay apps (measured)", table

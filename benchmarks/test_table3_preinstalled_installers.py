@@ -1,7 +1,7 @@
 """Table III: potentially vulnerable pre-installed apps."""
 
 from repro.measurement.report import render_installer_breakdown
-from repro.measurement.tables import compute_table3
+from repro.measurement.tables import build_table3, corpus_stats
 
 PAPER = {
     "vulnerable": 102,
@@ -13,10 +13,10 @@ PAPER = {
 }
 
 
-def test_table3_preinstalled_installers(benchmark, preinstalled_corpus,
-                                        report_sink):
+def test_table3_preinstalled_installers(benchmark, report_sink):
     table = benchmark.pedantic(
-        lambda: compute_table3(preinstalled_corpus), rounds=1, iterations=1
+        lambda: build_table3(corpus_stats("preinstalled")),
+        rounds=1, iterations=1,
     )
     text = render_installer_breakdown(
         "Table III: potentially vulnerable pre-installed apps (measured)",

@@ -1,15 +1,15 @@
 """Table IV: number of fixed URL or redirection schemes per Play app."""
 
 from repro.measurement.report import render_table4
-from repro.measurement.tables import compute_table4
+from repro.measurement.tables import build_table4, corpus_stats
 
 PAPER_BUCKETS = {1: 723, 2: 1405, 4: 2090, 8: 2337}
 PAPER_REDIRECTING_FRACTION = 0.847
 
 
-def test_table4_redirect_targets(benchmark, play_corpus, report_sink):
+def test_table4_redirect_targets(benchmark, report_sink):
     table = benchmark.pedantic(
-        lambda: compute_table4(play_corpus), rounds=1, iterations=1
+        lambda: build_table4(corpus_stats("play")), rounds=1, iterations=1
     )
     text = render_table4(table)
     text += (

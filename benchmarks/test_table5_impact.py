@@ -1,6 +1,7 @@
 """Table V: impact of vulnerable pre-installed installers.
 
-Joins the factory-image fleet against the named vulnerable installers;
+Runs the measurement pipeline over the factory-image fleet at one shard,
+which joins every image against the named vulnerable installers;
 the paper's qualitative rows (which carriers and vendors ship which
 installer) must hold.
 """
@@ -13,12 +14,12 @@ from repro.analysis.factory_images import (
     XIAOMI_STORE_PKG,
 )
 from repro.measurement.report import render_table5
-from repro.measurement.tables import compute_table5
+from repro.measurement.tables import build_table5, corpus_stats
 
 
-def test_table5_impact(benchmark, fleet, report_sink):
+def test_table5_impact(benchmark, report_sink):
     table = benchmark.pedantic(
-        lambda: compute_table5(fleet), rounds=1, iterations=1
+        lambda: build_table5(corpus_stats("images")), rounds=1, iterations=1
     )
     text = render_table5(table)
     text += (

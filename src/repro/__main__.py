@@ -158,7 +158,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.analysis.factory_images import generate_fleet
     from repro.measurement.report import (
         render_installer_breakdown,
         render_table4,
@@ -166,28 +165,31 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         render_table6,
     )
     from repro.measurement.tables import (
-        compute_table2,
-        compute_table3,
-        compute_table4,
-        compute_table5,
-        compute_table6,
+        build_table2,
+        build_table3,
+        build_table4,
+        build_table5,
+        build_table6,
+        corpus_stats,
     )
 
+    # The corpora and the fleet ship calibrated at seed 2016; --seed
+    # overrides it for every table, for sensitivity runs.
+    seed = 2016 if args.seed is None else args.seed
+    play = corpus_stats("play", seed)
     print(render_installer_breakdown("Table II (Google Play apps)",
-                                     compute_table2()))
+                                     build_table2(play)))
     print()
     print(render_installer_breakdown("Table III (pre-installed apps)",
-                                     compute_table3()))
+                                     build_table3(
+                                         corpus_stats("preinstalled", seed))))
     print()
-    print(render_table4(compute_table4()))
+    print(render_table4(build_table4(play)))
     print()
-    # The corpus ships with its own calibrated default seed; --seed
-    # overrides it for sensitivity runs.
-    fleet = (generate_fleet() if args.seed is None
-             else generate_fleet(seed=args.seed))
-    print(render_table5(compute_table5(fleet)))
+    images = corpus_stats("images", seed)
+    print(render_table5(build_table5(images)))
     print()
-    print(render_table6(compute_table6(fleet)))
+    print(render_table6(build_table6(images)))
     # The tables are computed from static corpora, not simulator runs,
     # so there is nothing to trace; honour the flags with valid empty
     # output rather than surprising the caller.

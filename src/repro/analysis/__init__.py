@@ -13,13 +13,15 @@ then runs the paper's actual analyses over them:
 - :mod:`repro.analysis.classifier` — the vulnerable/secure/unknown
   installer classifier (Tables II and III),
 - :mod:`repro.analysis.redirect_scan` — hardcoded Play URL/scheme
-  counting (Table IV),
+  extraction per parsed app (Table IV),
 - :mod:`repro.analysis.factory_images` — vendor image fleets,
   INSTALL_PACKAGES prevalence (Tables V and VI),
 - :mod:`repro.analysis.platform_keys` — single-platform-key findings,
 - :mod:`repro.analysis.hare_analysis` — Hare permission prevalence,
 - :mod:`repro.analysis.pipeline` — every pass above as a sharded,
-  cacheable :mod:`repro.engine` workload (``repro analyze``).
+  cacheable :mod:`repro.engine` workload (``repro analyze``); its
+  merged stats are the only source of Tables II–VI
+  (:mod:`repro.measurement.tables` reads them).
 """
 
 from repro.analysis.smali import SmaliMethod, SmaliProgram, parse_program

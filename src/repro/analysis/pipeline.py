@@ -11,7 +11,7 @@ shard *statically analyzes* a contiguous slice of a streaming corpus:
   :class:`~repro.analysis.corpus.PreinstalledCorpusPlan` — no
   million-element list is ever materialized),
 - ``images`` shards run the hare and platform-key passes per factory
-  image over the Section IV-B fleet.
+  image over the Section IV-B fleet, and tally Tables V and VI.
 
 Every shard folds into an :class:`AnalysisStats` — counters that add
 and string sets that union, associatively, in shard-index order — so
@@ -63,7 +63,7 @@ from repro.analysis.factory_images import (
     scaled_image_specs,
 )
 from repro.analysis.hare_analysis import find_hare_apps
-from repro.analysis.redirect_scan import REDIRECT_PREFIXES
+from repro.analysis.redirect_scan import redirect_targets
 from repro.analysis.smali import parse_program
 from repro.engine.spec import parse_chaos
 from repro.errors import ReproError
@@ -121,6 +121,10 @@ class AnalysisStats:
     def cardinality(self, name: str) -> int:
         """Size of set ``name`` (0 when never marked)."""
         return len(self.sets.get(name, ()))
+
+    def members(self, name: str) -> Tuple[str, ...]:
+        """Sorted members of set ``name`` (empty when never marked)."""
+        return tuple(sorted(self.sets.get(name, ())))
 
     def merge(self, other: "AnalysisStats") -> "AnalysisStats":
         """Fold ``other`` in (mutating self; returns self for chaining)."""
@@ -181,16 +185,7 @@ def analyze_app(app: CorpusApp, classifier: InstallerClassifier,
     """Run every per-app pass over one app, parsing its code once."""
     program = parse_program(app.smali_text, lenient=True)
     result = classifier.classify(app, program=program)
-    targets: List[str] = []
-    if scan_redirects:
-        # One tuple-argument startswith rejects non-redirect strings in
-        # a single C call; only matches pay the per-prefix loop.
-        for value in program.string_list():
-            if value.startswith(REDIRECT_PREFIXES):
-                for prefix in REDIRECT_PREFIXES:
-                    if value.startswith(prefix):
-                        targets.append(value[len(prefix):])
-                        break
+    targets = redirect_targets(program) if scan_redirects else ()
     record = object.__new__(AppAnalysis)
     # A frozen dataclass __init__ pays one object.__setattr__ per
     # field; the direct __dict__ store is measurable at sweep scale.
@@ -201,7 +196,7 @@ def analyze_app(app: CorpusApp, classifier: InstallerClassifier,
         "uses_sdcard": result.uses_sdcard,
         "sets_world_readable": result.sets_world_readable,
         "unresolved_setter": result.unresolved_setter,
-        "redirect_targets": tuple(targets),
+        "redirect_targets": targets,
         "instructions": result.instructions,
         "unparsed_lines": result.unparsed_lines,
         "detectors": tuple(result.detectors),
@@ -584,8 +579,13 @@ class AnalysisShardSpec:
             stats.bump("images")
             stats.bump(f"vendor/{vendor}/images")
             stats.bump(f"vendor/{vendor}/apps", len(image.apps))
-            stats.bump(f"vendor/{vendor}/install_packages",
-                       len(image.install_packages_apps()))
+            install_packages = len(image.install_packages_apps())
+            stats.bump(f"vendor/{vendor}/install_packages", install_packages)
+            stats.bump(f"year/{image.year_index}/images")
+            stats.bump(f"year/{image.year_index}/install_packages",
+                       install_packages)
+            if image.flagship:
+                stats.mark("flagship/install_packages", str(install_packages))
             for app in image.apps:
                 if app.platform_signed:
                     stats.bump(f"vendor/{vendor}/platform_signed_instances")
@@ -647,7 +647,7 @@ class AnalysisShardResult:
 
 
 # ---------------------------------------------------------------------------
-# merged report + table extraction
+# merged report
 # ---------------------------------------------------------------------------
 
 
@@ -738,24 +738,23 @@ class AnalysisReport:
 
     def _render_corpus(self) -> List[str]:
         stats = self.stats
-        total = stats.count("apps")
+        counts = table3_counts(stats)
+        total = counts["total"]
         lines = [
             f"  apps analyzed           : {total}",
-            f"  installers              : {stats.count('installers')}",
-            "    potentially vulnerable: "
-            f"{stats.count('category/potentially-vulnerable')}",
-            "    potentially secure    : "
-            f"{stats.count('category/potentially-secure')}",
-            f"    unknown               : {stats.count('category/unknown')}",
+            f"  installers              : {counts['installers']}",
+            f"    potentially vulnerable: {counts['vulnerable']}",
+            f"    potentially secure    : {counts['secure']}",
+            f"    unknown               : {counts['unknown']}",
             "  not an installer        : "
             f"{stats.count('category/not-an-installer')}",
-            f"  WRITE_EXTERNAL apps     : {stats.count('write_external')}",
+            f"  WRITE_EXTERNAL apps     : {counts['write_external']}",
         ]
         if self.spec.corpus == "preinstalled":
             lines += [
-                f"  app instances           : {stats.count('instances')}",
+                f"  app instances           : {counts['instances']}",
                 "  WRITE_EXTERNAL instances: "
-                f"{stats.count('write_external_instances')}",
+                f"{counts['write_external_instances']}",
             ]
         else:
             buckets = table4_counts(stats)
@@ -803,13 +802,11 @@ class AnalysisReport:
                 f"{stats.cardinality(f'platform/{vendor}')} distinct "
                 "platform-signed package(s)")
         lines.append("  Table V (vulnerable pre-installed installers):")
-        for package in _TABLE5_PACKAGES:
+        for package, counts in table5_counts(stats).items():
             lines.append(
-                f"    {package:<28}: "
-                f"{stats.count(f'table5/{package}/images')} image(s), "
-                f"{stats.cardinality(f'table5/{package}/carriers')} "
-                "carrier(s), "
-                f"{stats.cardinality(f'table5/{package}/models')} model(s)")
+                f"    {package:<28}: {counts['images']} image(s), "
+                f"{counts['carriers']} carrier(s), "
+                f"{counts['models']} model(s)")
         return lines
 
 
@@ -817,7 +814,8 @@ AnalysisSpec.report_class = AnalysisReport
 
 
 # ---------------------------------------------------------------------------
-# table extraction (the measurement layer reads these)
+# table extraction: the only source of Tables II-VI, read by
+# repro.measurement.tables
 # ---------------------------------------------------------------------------
 
 
@@ -865,6 +863,29 @@ def table5_counts(stats: AnalysisStats) -> Dict[str, Dict[str, int]]:
             "models": stats.cardinality(f"table5/{package}/models"),
         }
         for package in _TABLE5_PACKAGES
+    }
+
+
+def table6_counts(stats: AnalysisStats) -> Dict[str, Any]:
+    """Table VI shape: per-vendor and per-year totals, flagship range.
+
+    ``vendors`` holds image/app/INSTALL_PACKAGES totals per vendor,
+    ``years`` image/INSTALL_PACKAGES totals per year index (0 = 2012),
+    ``flagship_range`` the (min, max) INSTALL_PACKAGES of flagships.
+    """
+    flagship = [int(count) for count in
+                stats.sets.get("flagship/install_packages", ())]
+    return {
+        "vendors": {spec.vendor: {
+            kind: stats.count(f"vendor/{spec.vendor}/{kind}")
+            for kind in ("images", "apps", "install_packages")}
+            for spec in ALL_SPECS},
+        "years": {index: {
+            kind: stats.count(f"year/{index}/{kind}")
+            for kind in ("images", "install_packages")}
+            for index in range(4)},
+        "flagship_range": ((min(flagship), max(flagship)) if flagship
+                           else (0, 0)),
     }
 
 

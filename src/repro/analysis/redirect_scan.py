@@ -4,91 +4,32 @@ The paper identified apps that redirect users to Google Play by
 inspecting smali for the fixed URL
 (``http://play.google.com/store/apps/details?id=``) or the schemes
 (``market://details?id=``, ``https://market.android.com/details?id=``).
-This module runs the same scan over the synthetic corpus's *code* —
-counting string constants, not trusting the generator's metadata —
-and aggregates the Table IV buckets.
+:func:`redirect_targets` runs the same scan over one parsed program's
+*code* — counting string constants, not trusting the generator's
+metadata.  :func:`repro.analysis.pipeline.analyze_app` calls it once
+per Play app, and the pipeline's merged stats carry the Table IV
+buckets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.analysis.corpus import (
-    CorpusApp,
-    MARKET_SCHEME,
-    MARKET_URL,
-    PLAY_URL,
-)
-from repro.analysis.smali import parse_program
+from repro.analysis.corpus import MARKET_SCHEME, MARKET_URL, PLAY_URL
+from repro.analysis.smali import SmaliProgram
 
 REDIRECT_PREFIXES = (PLAY_URL, MARKET_SCHEME, MARKET_URL)
 
 
-@dataclass
-class RedirectScanResult:
-    """One app's hardcoded redirect targets found in its code."""
-
-    package: str
-    targets: Tuple[str, ...]
-
-    @property
-    def count(self) -> int:
-        """Number of hardcoded URLs/schemes."""
-        return len(self.targets)
-
-    @property
-    def single_predictable_target(self) -> bool:
-        """Exactly one hardcoded target: the easy redirect-attack victim."""
-        return self.count == 1
-
-
-@dataclass
-class RedirectStudy:
-    """Aggregate of a corpus scan."""
-
-    results: List[RedirectScanResult] = field(default_factory=list)
-    corpus_size: int = 0
-
-    def apps_with_at_most(self, limit: int) -> int:
-        """Apps with 1..limit hardcoded targets (Table IV columns)."""
-        return sum(1 for result in self.results if 1 <= result.count <= limit)
-
-    def apps_with_any(self) -> int:
-        """Apps with >= 1 hardcoded target (the paper's 84.7%)."""
-        return sum(1 for result in self.results if result.count >= 1)
-
-    def fraction_with_at_most(self, limit: int) -> float:
-        """Table IV percentage for a column."""
-        return self.apps_with_at_most(limit) / self.corpus_size if self.corpus_size else 0.0
-
-    def table_iv_row(self) -> Dict[int, Tuple[int, float]]:
-        """{limit: (count, fraction)} for the paper's 1/2/4/8 columns."""
-        return {
-            limit: (self.apps_with_at_most(limit), self.fraction_with_at_most(limit))
-            for limit in (1, 2, 4, 8)
-        }
-
-    def easy_targets(self) -> List[RedirectScanResult]:
-        """Apps with exactly one hardcoded target."""
-        return [result for result in self.results if result.single_predictable_target]
-
-
-def scan_app(app: CorpusApp) -> RedirectScanResult:
-    """Scan one app's code for hardcoded redirect targets."""
-    program = parse_program(app.smali_text)
-    targets = []
-    for value in program.all_strings():
-        for prefix in REDIRECT_PREFIXES:
-            if value.startswith(prefix):
-                targets.append(value[len(prefix):])
-                break
-    return RedirectScanResult(package=app.package, targets=tuple(targets))
-
-
-def scan_corpus(apps: Sequence[CorpusApp]) -> RedirectStudy:
-    """Scan a whole corpus (Table IV is taken over the Play corpus)."""
-    study = RedirectStudy(corpus_size=len(apps))
-    for app in apps:
-        study.results.append(scan_app(app))
-    return study
+def redirect_targets(program: SmaliProgram) -> Tuple[str, ...]:
+    """The package ids of every hardcoded redirect in ``program``."""
+    targets: List[str] = []
+    # One tuple-argument startswith rejects non-redirect strings in a
+    # single C call; only matches pay the per-prefix loop.
+    for value in program.string_list():
+        if value.startswith(REDIRECT_PREFIXES):
+            for prefix in REDIRECT_PREFIXES:
+                if value.startswith(prefix):
+                    targets.append(value[len(prefix):])
+                    break
+    return tuple(targets)

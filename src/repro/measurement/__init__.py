@@ -1,4 +1,4 @@
-"""Table computation and rendering for the Section IV measurement study."""
+"""Table building and rendering for the Section IV measurement study."""
 
 from repro.measurement.tables import (
     Table2,
@@ -6,16 +6,17 @@ from repro.measurement.tables import (
     Table4,
     Table5,
     Table6,
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-    compute_table6,
+    build_table2,
+    build_table3,
+    build_table4,
+    build_table5,
+    build_table6,
+    corpus_stats,
 )
 from repro.measurement.report import render_table
 
 __all__ = [
     "Table2", "Table3", "Table4", "Table5", "Table6",
-    "compute_table2", "compute_table3", "compute_table4",
-    "compute_table5", "compute_table6", "render_table",
+    "build_table2", "build_table3", "build_table4",
+    "build_table5", "build_table6", "corpus_stats", "render_table",
 ]

@@ -1,33 +1,36 @@
-"""Compute the paper's measurement tables from corpora and fleets.
+"""Build the paper's measurement tables from the pipeline's merged stats.
 
-Each ``compute_table*`` function runs the *analysis* (classifier, code
-scan, fleet joins) over generated inputs and returns a small dataclass
-with exactly the numbers the paper's table reports, so benchmarks can
-print paper-vs-measured side by side.
+Tables II–VI are read only from the merged
+:class:`~repro.analysis.pipeline.AnalysisStats` of a
+:func:`~repro.analysis.pipeline.run_analysis` run (the pass ``repro
+analyze`` makes) through the pipeline's ``table*_counts`` helpers.
+Each ``build_table*`` takes the stats of its corpus
+(:func:`corpus_stats`: ``play`` for Tables II and IV, ``preinstalled``
+for III, ``images`` for V and VI) and returns a small dataclass with
+exactly the numbers the paper's table reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.classifier import Category, InstallerClassifier
-from repro.analysis.corpus import (
-    CorpusApp,
-    WRITE_EXTERNAL,
-    generate_play_corpus,
-    generate_preinstalled_corpus,
+from repro.analysis.pipeline import (
+    AnalysisSpec,
+    AnalysisStats,
+    run_analysis,
+    table2_counts,
+    table3_counts,
+    table4_counts,
+    table5_counts,
+    table6_counts,
 )
-from repro.analysis.factory_images import (
-    ALL_SPECS,
-    AMAZON_PKG,
-    DTIGNITE_PKG,
-    Fleet,
-    HUAWEI_STORE_PKG,
-    SPRINTZONE_PKG,
-    XIAOMI_STORE_PKG,
-)
-from repro.analysis.redirect_scan import RedirectStudy, scan_corpus
+
+
+def corpus_stats(corpus: str, seed: int = 2016) -> AnalysisStats:
+    """Merged stats of a one-shard, serial pipeline run over ``corpus``."""
+    spec = AnalysisSpec(corpus=corpus, seed=seed)
+    return run_analysis(spec, shards=1, backend="serial").stats
 
 
 # ---------------------------------------------------------------------------
@@ -85,38 +88,23 @@ class Table3(InstallerBreakdown):
     write_external_instances: int = 0
 
 
-def compute_table2(apps: Optional[Sequence[CorpusApp]] = None,
-                   seed: int = 2016) -> Table2:
-    """Classify the Play corpus and fill Table II."""
-    apps = list(apps) if apps is not None else generate_play_corpus(seed)
-    results = InstallerClassifier().classify_corpus(apps)
-    return Table2(
-        corpus_size=len(apps),
-        installers=results.installers,
-        vulnerable=results.count(Category.POTENTIALLY_VULNERABLE),
-        secure=results.count(Category.POTENTIALLY_SECURE),
-        unknown=results.count(Category.UNKNOWN),
-        write_external=sum(1 for app in apps if app.has_permission(WRITE_EXTERNAL)),
-    )
+def build_table2(stats: AnalysisStats) -> Table2:
+    """Fill Table II from the Play corpus's merged stats."""
+    return Table2(**_breakdown(table2_counts(stats)))
 
 
-def compute_table3(apps: Optional[Sequence[CorpusApp]] = None,
-                   seed: int = 2016) -> Table3:
-    """Classify the pre-installed corpus and fill Table III."""
-    apps = list(apps) if apps is not None else generate_preinstalled_corpus(seed)
-    results = InstallerClassifier().classify_corpus(apps)
-    return Table3(
-        corpus_size=len(apps),
-        installers=results.installers,
-        vulnerable=results.count(Category.POTENTIALLY_VULNERABLE),
-        secure=results.count(Category.POTENTIALLY_SECURE),
-        unknown=results.count(Category.UNKNOWN),
-        write_external=sum(1 for app in apps if app.has_permission(WRITE_EXTERNAL)),
-        total_instances=sum(app.instances for app in apps),
-        write_external_instances=sum(
-            app.instances for app in apps if app.has_permission(WRITE_EXTERNAL)
-        ),
-    )
+def build_table3(stats: AnalysisStats) -> Table3:
+    """Fill Table III from the pre-installed corpus's merged stats."""
+    counts = table3_counts(stats)
+    return Table3(**_breakdown(counts), total_instances=counts["instances"],
+                  write_external_instances=counts["write_external_instances"])
+
+
+def _breakdown(counts: Dict[str, int]) -> Dict[str, int]:
+    """The shared Table II/III fields from ``table2_counts``' keys."""
+    names = ("installers", "vulnerable", "secure", "unknown", "write_external")
+    return dict({name: counts[name] for name in names},
+                corpus_size=counts["total"])
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +122,16 @@ class Table4:
     redirecting_fraction: float
 
 
-def compute_table4(apps: Optional[Sequence[CorpusApp]] = None,
-                   seed: int = 2016) -> Table4:
-    """Scan the Play corpus code for Table IV."""
-    apps = list(apps) if apps is not None else generate_play_corpus(seed)
-    study: RedirectStudy = scan_corpus(apps)
+def build_table4(stats: AnalysisStats) -> Table4:
+    """Fill Table IV from the Play corpus's merged stats."""
+    size = stats.count("apps")
+    redirecting = stats.count("redirect/apps_with_any")
     return Table4(
-        corpus_size=len(apps),
-        buckets=study.table_iv_row(),
-        redirecting=study.apps_with_any(),
-        redirecting_fraction=study.apps_with_any() / len(apps),
+        corpus_size=size,
+        buckets={limit: (count, count / size)
+                 for limit, count in table4_counts(stats).items()},
+        redirecting=redirecting,
+        redirecting_fraction=redirecting / size,
     )
 
 
@@ -177,26 +165,18 @@ class Table5:
         return None
 
 
-TABLE5_INSTALLERS = (
-    AMAZON_PKG, DTIGNITE_PKG, XIAOMI_STORE_PKG, HUAWEI_STORE_PKG, SPRINTZONE_PKG,
-)
-
-
-def compute_table5(fleet: Fleet) -> Table5:
-    """Join the fleet against the named vulnerable installers."""
-    table = Table5()
-    for package in TABLE5_INSTALLERS:
-        images = fleet.images_with_package(package)
-        table.rows.append(
-            ImpactRow(
-                installer_package=package,
-                image_count=len(images),
-                carriers=tuple(sorted({image.carrier for image in images})),
-                vendors=tuple(sorted({image.vendor for image in images})),
-                models=len({image.model for image in images}),
-            )
+def build_table5(stats: AnalysisStats) -> Table5:
+    """Fill Table V from the images corpus's merged stats."""
+    return Table5(rows=[
+        ImpactRow(
+            installer_package=package,
+            image_count=counts["images"],
+            carriers=stats.members(f"table5/{package}/carriers"),
+            vendors=stats.members(f"table5/{package}/vendors"),
+            models=counts["models"],
         )
-    return table
+        for package, counts in table5_counts(stats).items()
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -237,36 +217,20 @@ class Table6:
         return None
 
 
-def compute_table6(fleet: Fleet) -> Table6:
-    """Aggregate INSTALL_PACKAGES prevalence per vendor."""
-    table = Table6()
-    for spec in ALL_SPECS:
-        images = fleet.by_vendor(spec.vendor)
-        table.rows.append(
-            VendorPrivilegeRow(
-                vendor=spec.vendor,
-                avg_system_apps=sum(len(image.apps) for image in images) / len(images),
-                avg_install_packages=(
-                    sum(len(image.install_packages_apps()) for image in images)
-                    / len(images)
-                ),
-            )
+def build_table6(stats: AnalysisStats) -> Table6:
+    """Fill Table VI from the images corpus's merged stats."""
+    counts = table6_counts(stats)
+    rows = [
+        VendorPrivilegeRow(
+            vendor=vendor,
+            avg_system_apps=totals["apps"] / totals["images"],
+            avg_install_packages=totals["install_packages"] / totals["images"],
         )
-    # The "doubled in three years" finding: oldest vs newest quartile.
-    oldest = _avg_ip(fleet, year_index=0)
-    newest = _avg_ip(fleet, year_index=3)
-    table.doubled_over_period = newest >= 1.9 * oldest
-    flagship_counts = [
-        len(image.install_packages_apps())
-        for image in fleet.images if image.flagship
+        for vendor, totals in counts["vendors"].items()
     ]
-    if flagship_counts:
-        table.flagship_range = (min(flagship_counts), max(flagship_counts))
-    return table
-
-
-def _avg_ip(fleet: Fleet, year_index: int) -> float:
-    images = [image for image in fleet.images if image.year_index == year_index]
-    if not images:
-        return 0.0
-    return sum(len(image.install_packages_apps()) for image in images) / len(images)
+    # The "doubled in three years" finding: oldest vs newest quartile.
+    years = counts["years"]
+    oldest = years[0]["install_packages"] / years[0]["images"]
+    newest = years[3]["install_packages"] / years[3]["images"]
+    return Table6(rows=rows, doubled_over_period=newest >= 1.9 * oldest,
+                  flagship_range=counts["flagship_range"])

@@ -164,7 +164,7 @@ def render_metrics(snapshot: Optional[Snapshot],
         line = (f"  histogram {name:{width}s} count={count} "
                 f"mean={mean:.1f} min={summary.get('min')} "
                 f"max={summary.get('max')}")
-        if count and summary.get("buckets"):
+        if count:
             p50 = summary_percentile(summary, 50)
             p95 = summary_percentile(summary, 95)
             p99 = summary_percentile(summary, 99)

@@ -18,8 +18,9 @@ a handful of integers regardless of observation count, folds
 associatively under :func:`merge_snapshots` (bucket counts just add),
 and still supports deterministic percentile estimates
 (:func:`summary_percentile`) — p50/p90/p99 from traces and fleet
-snapshots alike.  The classic ``count``/``sum``/``min``/``max`` keys
-are preserved, so pre-bucket snapshots remain loadable and mergeable.
+snapshots alike.  Every summary is written by :meth:`Histogram.summary`
+and therefore always carries ``buckets`` beside the classic
+``count``/``sum``/``min``/``max`` keys.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ class Histogram:
         """Picklable summary dict (``min``/``max`` are None when empty).
 
         ``buckets`` maps stringified bucket indices to counts (string
-        keys keep the dict JSON-clean); the classic keys are unchanged
-        so old snapshot consumers keep working.
+        keys keep the dict JSON-clean).
         """
         return {"count": self.count, "sum": self.total,
                 "min": self.min, "max": self.max,
@@ -145,13 +145,12 @@ def summary_percentile(summary: Dict[str, object],
     Nearest-rank over the log buckets: the estimate is the upper bound
     of the bucket holding the rank, clamped to the summary's exact
     ``min``/``max``.  Integer-only arithmetic keeps the estimate
-    bit-identical across platforms.  Returns None for an empty summary
-    or one recorded before buckets existed.
+    bit-identical across platforms.  Returns None for an empty summary.
     """
     count = int(summary.get("count") or 0)
-    buckets = summary.get("buckets")
-    if count <= 0 or not buckets:
+    if count <= 0:
         return None
+    buckets = summary["buckets"]
     rank = max(1, math.ceil(count * q / 100.0))
     seen = 0
     estimate = None
@@ -256,9 +255,7 @@ def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:
 
     Folding per-shard snapshots in shard-index order makes the merged
     snapshot independent of worker count and completion order.
-    Histogram bucket counts add; a summary recorded before buckets
-    existed folds as if it carried none (the classic keys still merge),
-    which keeps the fold associative for any shard grouping.
+    Histogram bucket counts add.
     """
     counters: Dict[str, int] = {}
     gauges: Dict[str, int] = {}
@@ -271,21 +268,18 @@ def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:
         for name, summary in snapshot.get("histograms", {}).items():
             merged = histograms.get(name)
             if merged is None:
-                merged = histograms[name] = dict(summary)
-                if "buckets" in merged:
-                    merged["buckets"] = dict(merged["buckets"])
+                histograms[name] = dict(
+                    summary, buckets=dict(summary["buckets"]))
                 continue
             merged["count"] += summary["count"]
             merged["sum"] += summary["sum"]
             merged["min"] = _fold_extreme(merged["min"], summary["min"], min)
             merged["max"] = _fold_extreme(merged["max"], summary["max"], max)
-            incoming = summary.get("buckets")
-            if incoming:
-                folded = dict(merged.get("buckets") or {})
-                for index, bucket_count in incoming.items():
-                    folded[index] = folded.get(index, 0) + bucket_count
-                merged["buckets"] = {index: folded[index]
-                                     for index in sorted(folded, key=int)}
+            folded = merged["buckets"]
+            for index, bucket_count in summary["buckets"].items():
+                folded[index] = folded.get(index, 0) + bucket_count
+            merged["buckets"] = {index: folded[index]
+                                 for index in sorted(folded, key=int)}
     return {
         "counters": {name: counters[name] for name in sorted(counters)},
         "gauges": {name: gauges[name] for name in sorted(gauges)},

@@ -2,8 +2,8 @@
 
 The load-bearing contract: for ANY shard/worker split, the merged
 stats, the rendered tables, and the exported trace records are
-identical to a serial run — and the serial run agrees with the
-measurement layer's existing single-process tables.
+identical to a serial run — and the serial run reproduces the paper's
+Table II–V figures.
 """
 
 import dataclasses
@@ -14,7 +14,14 @@ import pytest
 
 from repro.analysis import classifier as classifier_mod
 from repro.analysis.cache import PackStore
-from repro.analysis.factory_images import generate_fleet
+from repro.analysis.factory_images import (
+    AMAZON_PKG,
+    DTIGNITE_PKG,
+    HUAWEI_STORE_PKG,
+    SPRINTZONE_PKG,
+    XIAOMI_STORE_PKG,
+    generate_fleet,
+)
 from repro.analysis.hare_analysis import search_images
 from repro.analysis.pipeline import (
     CACHE_SCHEMA,
@@ -28,14 +35,9 @@ from repro.analysis.pipeline import (
     table3_counts,
     table4_counts,
     table5_counts,
+    table6_counts,
 )
 from repro.errors import ReproError
-from repro.measurement.tables import (
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-)
 
 
 def run_serial(spec, shards=1):
@@ -71,29 +73,24 @@ def preinstalled_report():
 
 def test_play_pipeline_matches_measurement_tables(play_report):
     counts = table2_counts(play_report.stats)
-    table2 = compute_table2()
-    assert counts["total"] == table2.corpus_size == 12750
-    assert counts["installers"] == table2.installers == 1493
-    assert counts["vulnerable"] == table2.vulnerable == 779
-    assert counts["secure"] == table2.secure == 152
-    assert counts["unknown"] == table2.unknown == 562
-    assert counts["write_external"] == table2.write_external == 8721
-    table4 = compute_table4()
+    assert counts["total"] == 12750
+    assert counts["installers"] == 1493
+    assert counts["vulnerable"] == 779
+    assert counts["secure"] == 152
+    assert counts["unknown"] == 562
+    assert counts["write_external"] == 8721
     assert table4_counts(play_report.stats) == {
-        limit: count for limit, (count, _share) in table4.buckets.items()
-    }
-    assert (play_report.stats.count("redirect/apps_with_any")
-            == table4.redirecting == 10799)
+        1: 723, 2: 1405, 4: 2090, 8: 2337}
+    assert play_report.stats.count("redirect/apps_with_any") == 10799
 
 
 def test_preinstalled_pipeline_matches_measurement_tables(preinstalled_report):
     counts = table3_counts(preinstalled_report.stats)
-    table3 = compute_table3()
-    assert counts["total"] == table3.corpus_size == 1613
-    assert counts["installers"] == table3.installers == 238
-    assert counts["vulnerable"] == table3.vulnerable == 102
-    assert counts["secure"] == table3.secure == 3
-    assert counts["unknown"] == table3.unknown == 133
+    assert counts["total"] == 1613
+    assert counts["installers"] == 238
+    assert counts["vulnerable"] == 102
+    assert counts["secure"] == 3
+    assert counts["unknown"] == 133
     assert counts["instances"] == 12050
     assert counts["write_external_instances"] == 5864
 
@@ -150,14 +147,48 @@ def images_report():
 
 
 def test_images_pipeline_matches_table5(images_report):
-    expected = {
-        row.installer_package: (row.image_count, len(row.carriers),
-                                len(row.vendors), row.models)
-        for row in compute_table5(generate_fleet(2016)).rows
-    }
-    for package, counts in table5_counts(images_report.stats).items():
+    fleet = generate_fleet(2016)
+    expected = {}
+    for package in (AMAZON_PKG, DTIGNITE_PKG, XIAOMI_STORE_PKG,
+                    HUAWEI_STORE_PKG, SPRINTZONE_PKG):
+        images = fleet.images_with_package(package)
+        expected[package] = (
+            len(images),
+            len({image.carrier for image in images}),
+            len({image.vendor for image in images}),
+            len({image.model for image in images}),
+        )
+    table5 = table5_counts(images_report.stats)
+    assert list(table5) == list(expected)
+    for package, counts in table5.items():
         assert (counts["images"], counts["carriers"], counts["vendors"],
                 counts["models"]) == expected[package]
+
+
+def test_images_pipeline_matches_table6(images_report):
+    fleet = generate_fleet(2016)
+    counts = table6_counts(images_report.stats)
+    for vendor, totals in counts["vendors"].items():
+        images = fleet.by_vendor(vendor)
+        assert totals == {
+            "images": len(images),
+            "apps": sum(len(image.apps) for image in images),
+            "install_packages": sum(len(image.install_packages_apps())
+                                    for image in images),
+        }
+    for index, totals in counts["years"].items():
+        images = [image for image in fleet.images
+                  if image.year_index == index]
+        assert totals == {
+            "images": len(images),
+            "install_packages": sum(len(image.install_packages_apps())
+                                    for image in images),
+        }
+    flagship = [len(image.install_packages_apps())
+                for image in fleet.images if image.flagship]
+    assert counts["flagship_range"] == (min(flagship), max(flagship))
+    assert sum(t["images"] for t in counts["vendors"].values()) == 1855
+    assert sum(t["images"] for t in counts["years"].values()) == 1855
 
 
 def test_images_pipeline_matches_hare_study(images_report):

@@ -2,51 +2,43 @@
 
 import pytest
 
-from repro.analysis.corpus import (
-    CorpusApp,
-    GroundTruth,
-    MARKET_SCHEME,
-    PLAY_URL,
-    generate_play_corpus,
+from repro.analysis.classifier import InstallerClassifier
+from repro.analysis.corpus import MARKET_SCHEME, PLAY_URL, PlayCorpusPlan
+from repro.analysis.pipeline import (
+    AnalysisSpec,
+    analyze_app,
+    run_analysis,
+    table4_counts,
 )
-from repro.analysis.redirect_scan import scan_app, scan_corpus
+from repro.analysis.redirect_scan import redirect_targets
+from repro.analysis.smali import parse_program
 
 
-def make_app(smali):
-    return CorpusApp(
-        package="com.hand.crafted",
-        category="TOOLS",
-        truth=GroundTruth.NON_INSTALLER,
-        declared_permissions=frozenset(),
-        smali_text=smali,
-    )
+def scan(smali):
+    return redirect_targets(parse_program(smali))
 
 
 def test_scan_finds_play_url():
-    app = make_app(
+    targets = scan(
         '.class La;\n.method m()V\n'
         f'const-string v1, "{PLAY_URL}com.target.app"\n.end method'
     )
-    result = scan_app(app)
-    assert result.count == 1
-    assert result.targets == ("com.target.app",)
-    assert result.single_predictable_target
+    assert targets == ("com.target.app",)
 
 
 def test_scan_finds_market_scheme():
-    app = make_app(
+    targets = scan(
         '.class La;\n.method m()V\n'
         f'const-string v1, "{MARKET_SCHEME}com.x"\n.end method'
     )
-    assert scan_app(app).count == 1
+    assert targets == ("com.x",)
 
 
 def test_scan_ignores_other_urls():
-    app = make_app(
+    assert scan(
         '.class La;\n.method m()V\n'
         'const-string v1, "https://example.com/page"\n.end method'
-    )
-    assert scan_app(app).count == 0
+    ) == ()
 
 
 def test_scan_counts_multiple():
@@ -54,37 +46,44 @@ def test_scan_counts_multiple():
     for index in range(5):
         lines.append(f'const-string v{index}, "{PLAY_URL}com.t{index}"')
     lines.append(".end method")
-    app = make_app("\n".join(lines))
-    result = scan_app(app)
-    assert result.count == 5
-    assert not result.single_predictable_target
+    assert scan("\n".join(lines)) == tuple(f"com.t{index}"
+                                           for index in range(5))
 
 
 @pytest.fixture(scope="module")
-def study():
-    return scan_corpus(generate_play_corpus(seed=2016))
+def play_stats():
+    return run_analysis(AnalysisSpec(corpus="play"), shards=1,
+                        backend="serial").stats
 
 
-def test_table_iv_buckets_match_paper(study):
-    buckets = study.table_iv_row()
-    assert buckets[1] == (723, pytest.approx(0.0567, abs=0.0005))
-    assert buckets[2][0] == 1405
-    assert buckets[4][0] == 2090
-    assert buckets[8][0] == 2337
+def test_table_iv_buckets_match_paper(play_stats):
+    buckets = table4_counts(play_stats)
+    assert buckets == {1: 723, 2: 1405, 4: 2090, 8: 2337}
+    assert buckets[1] / play_stats.count("apps") == pytest.approx(
+        0.0567, abs=0.0005)
 
 
-def test_redirecting_fraction_matches_847_percent(study):
-    assert study.apps_with_any() == 10799
-    assert study.apps_with_any() / study.corpus_size == pytest.approx(0.847, abs=0.001)
+def test_redirecting_fraction_matches_847_percent(play_stats):
+    assert play_stats.count("redirect/apps_with_any") == 10799
+    assert (play_stats.count("redirect/apps_with_any")
+            / play_stats.count("apps")) == pytest.approx(0.847, abs=0.001)
 
 
-def test_easy_targets_are_single_url_apps(study):
-    easy = study.easy_targets()
-    assert len(easy) == 723
-    assert all(result.count == 1 for result in easy)
+def test_easy_targets_are_single_url_apps(play_stats):
+    assert (play_stats.count("redirect_count/1")
+            == play_stats.count("redirect/single_predictable") == 723)
 
 
-def test_single_url_targets_are_predictable(study):
+def test_single_url_targets_are_predictable():
     """The one hardcoded target is a companion of the hosting app."""
-    sample = study.easy_targets()[:20]
-    assert all(result.targets[0].endswith(".companion") for result in sample)
+    classifier = InstallerClassifier()
+    sample = []
+    for app in PlayCorpusPlan(seed=2016).iter_apps():
+        record = analyze_app(app, classifier)
+        if len(record.redirect_targets) == 1:
+            sample.append(record)
+            if len(sample) == 20:
+                break
+    assert len(sample) == 20
+    assert all(record.redirect_targets[0].endswith(".companion")
+               for record in sample)

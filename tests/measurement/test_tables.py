@@ -1,12 +1,8 @@
-"""Tests for the measurement-table computations and their rendering."""
+"""Measurement tables built from pipeline stats, and their rendering."""
 
 import pytest
 
-from repro.analysis.factory_images import (
-    AMAZON_PKG,
-    DTIGNITE_PKG,
-    generate_fleet,
-)
+from repro.analysis.factory_images import AMAZON_PKG, DTIGNITE_PKG
 from repro.measurement.report import (
     pct,
     render_installer_breakdown,
@@ -16,32 +12,48 @@ from repro.measurement.report import (
     render_table6,
 )
 from repro.measurement.tables import (
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-    compute_table6,
+    build_table2,
+    build_table3,
+    build_table4,
+    build_table5,
+    build_table6,
+    corpus_stats,
 )
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    return generate_fleet(seed=2016)
+def play_stats():
+    return corpus_stats("play")
 
 
 @pytest.fixture(scope="module")
-def table2():
-    return compute_table2()
+def images_stats():
+    return corpus_stats("images")
+
+
+@pytest.fixture(scope="module")
+def table2(play_stats):
+    return build_table2(play_stats)
 
 
 @pytest.fixture(scope="module")
 def table3():
-    return compute_table3()
+    return build_table3(corpus_stats("preinstalled"))
 
 
 @pytest.fixture(scope="module")
-def table4():
-    return compute_table4()
+def table4(play_stats):
+    return build_table4(play_stats)
+
+
+@pytest.fixture(scope="module")
+def table5(images_stats):
+    return build_table5(images_stats)
+
+
+@pytest.fixture(scope="module")
+def table6(images_stats):
+    return build_table6(images_stats)
 
 
 def test_table2_shares_match_paper(table2):
@@ -73,8 +85,7 @@ def test_table4_buckets(table4):
     assert table4.redirecting_fraction == pytest.approx(0.847, abs=0.001)
 
 
-def test_table5_rows(fleet):
-    table5 = compute_table5(fleet)
+def test_table5_rows(table5):
     amazon = table5.row_for(AMAZON_PKG)
     assert amazon is not None
     assert set(amazon.carriers) == {"verizon", "uscellular"}
@@ -84,8 +95,7 @@ def test_table5_rows(fleet):
     assert table5.row_for("com.nonexistent") is None
 
 
-def test_table6_rows(fleet):
-    table6 = compute_table6(fleet)
+def test_table6_rows(table6):
     samsung = table6.row_for("samsung")
     assert samsung.ratio == pytest.approx(0.0845, abs=0.005)
     assert table6.row_for("xiaomi").ratio == pytest.approx(0.1187, abs=0.005)
@@ -123,13 +133,13 @@ def test_render_table4(table4):
     assert "84.7%" in text
 
 
-def test_render_table5(fleet):
-    text = render_table5(compute_table5(fleet))
+def test_render_table5(table5):
+    text = render_table5(table5)
     assert AMAZON_PKG in text
     assert "verizon" in text
 
 
-def test_render_table6(fleet):
-    text = render_table6(compute_table6(fleet))
+def test_render_table6(table6):
+    text = render_table6(table6)
     assert "samsung" in text
     assert "doubled over 3 years: True" in text

@@ -135,11 +135,6 @@ def test_render_metrics_appends_percentiles_for_bucketed_histograms():
     text = render_metrics(registry.snapshot())
     assert "p50=31" in text
     assert "p95=100" in text and "p99=100" in text
-    # Legacy summaries without buckets render without percentiles.
-    legacy = {"counters": {}, "gauges": {},
-              "histograms": {"old": {"count": 1, "sum": 5, "min": 5,
-                                     "max": 5}}}
-    assert "p50" not in render_metrics(legacy)
 
 
 def test_renderers_widen_columns_for_long_names():

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     empty_snapshot,
     merge_snapshots,
     snapshot_names,
-    summary_percentile,
 )
 
 
@@ -93,13 +92,6 @@ def test_histogram_percentiles_are_clamped_estimates():
     assert registry.histogram("empty").percentile(50) is None
 
 
-def test_summary_percentile_ignores_bucketless_summaries():
-    # Snapshots recorded before buckets existed still load and merge;
-    # percentile estimation degrades to None instead of guessing.
-    legacy = {"count": 3, "sum": 60, "min": 10, "max": 30}
-    assert summary_percentile(legacy, 50) is None
-
-
 def test_metrics_created_on_first_use_and_reused():
     registry = MetricsRegistry()
     assert registry.counter("c") is registry.counter("c")
@@ -180,21 +172,6 @@ def test_merge_pins_none_extremes_from_empty_shard_fold():
     both_empty = merge_snapshots([empty, empty])
     assert both_empty["histograms"]["h"]["min"] is None
     assert both_empty["histograms"]["h"]["max"] is None
-
-
-def test_merge_folds_legacy_bucketless_summaries():
-    legacy = {"counters": {}, "gauges": {},
-              "histograms": {"h": {"count": 1, "sum": 5, "min": 5,
-                                   "max": 5}}}
-    modern = {"counters": {}, "gauges": {},
-              "histograms": {"h": {"count": 1, "sum": 9, "min": 9,
-                                   "max": 9, "buckets": {"4": 1}}}}
-    merged = merge_snapshots([legacy, modern])
-    assert merged["histograms"]["h"]["count"] == 2
-    assert merged["histograms"]["h"]["buckets"] == {"4": 1}
-    # Both legacy: no buckets key appears (old shape round-trips).
-    assert "buckets" not in merge_snapshots(
-        [legacy, legacy])["histograms"]["h"]
 
 
 def test_merged_buckets_identical_for_any_shard_grouping():

@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import inspect
+import pathlib
+
 import pytest
 
 from repro.__main__ import build_parser, main
+
+RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
 
 def test_demo_command(capsys):
@@ -168,6 +173,49 @@ def test_tables_and_audit_honour_obs_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "metrics: 0 metric(s)" in out
     assert load_trace_jsonl(path) == []  # valid, empty
+
+
+def test_tables_match_committed_benchmark_results(capsys):
+    assert main(["tables"]) == 0
+    blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    names = ["table2_play_installers", "table3_preinstalled_installers",
+             "table4_redirect_targets", "table5_impact",
+             "table6_install_packages"]
+    assert len(blocks) == len(names)
+    for name, block in zip(names, blocks):
+        lines = block.splitlines()
+        committed = (RESULTS_DIR / f"{name}.txt").read_text().splitlines()
+        # Tables II and III carry a different title in the benchmark.
+        skip = 1 if name.startswith(("table2", "table3")) else 0
+        assert lines[skip:] == committed[skip:len(lines)], name
+
+
+def test_tables_seed_reaches_every_corpus(monkeypatch, capsys):
+    from repro.analysis import corpus, factory_images, pipeline
+
+    seeds = []
+
+    def spy(owner, attribute, kind):
+        original = getattr(owner, attribute)
+        signature = inspect.signature(original)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seeds.append((kind, bound.arguments["seed"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, wrapper)
+
+    spy(corpus.PlayCorpusPlan, "__init__", "play")
+    spy(corpus.PreinstalledCorpusPlan, "__init__", "preinstalled")
+    spy(factory_images, "generate_fleet", "fleet")
+    pipeline._image_plan.cache_clear()  # a memoized fleet skips generation
+    assert main(["tables", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert {kind for kind, _seed in seeds} == {"play", "preinstalled",
+                                              "fleet"}
+    assert all(seed == 3 for _kind, seed in seeds), seeds
 
 
 def test_fleet_identical_trace_for_fixed_seed(tmp_path):
