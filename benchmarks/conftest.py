@@ -12,22 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.factory_images import generate_fleet
-from repro.analysis.platform_keys import generate_appstore_catalogs
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def fleet():
-    """The 1,855-image factory fleet."""
-    return generate_fleet(seed=2016)
-
-
-@pytest.fixture(scope="session")
-def catalogs():
-    """The 1.2M-app, 33-store signature corpus."""
-    return generate_appstore_catalogs(seed=2016)
 
 
 @pytest.fixture(scope="session")

@@ -2,30 +2,16 @@
 
 import pytest
 
-from repro.analysis.hare_analysis import search_images
-from repro.measurement.report import render_table
-
-PAPER = {"hare_apps": 178, "total_cases": 27763, "avg_per_image": 23.5}
+from repro.measurement.report import render_hare
+from repro.measurement.tables import build_hare, corpus_stats
 
 
-def test_hare_prevalence(benchmark, fleet, report_sink):
-    study = benchmark.pedantic(lambda: search_images(fleet), rounds=1,
-                               iterations=1)
-    rows = [
-        ("hare-using apps (10 sample images)", PAPER["hare_apps"],
-         len(study.hare_apps)),
-        ("unique vulnerable cases", PAPER["total_cases"], study.total_cases),
-        ("average per searched image", PAPER["avg_per_image"],
-         f"{study.average_per_image:.1f}"),
-        ("searched images", 1181, len(study.cases_by_image)),
-    ]
-    report_sink("hare_prevalence", render_table(
-        "Hare permission prevalence (Section IV-B)",
-        ["metric", "paper", "measured"],
-        rows,
-    ))
+def test_hare_prevalence(benchmark, report_sink):
+    hare = benchmark.pedantic(lambda: build_hare(corpus_stats("images")),
+                              rounds=1, iterations=1)
+    report_sink("hare_prevalence", render_hare(hare))
 
-    assert len(study.hare_apps) == PAPER["hare_apps"]
-    assert study.total_cases == PAPER["total_cases"]
-    assert study.average_per_image == pytest.approx(PAPER["avg_per_image"],
-                                                    abs=0.1)
+    assert hare.apps == 178
+    assert hare.cases == 27763
+    assert hare.average_per_image == pytest.approx(23.5, abs=0.1)
+    assert hare.searched_images == 1181

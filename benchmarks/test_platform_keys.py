@@ -3,8 +3,9 @@ apps per image / in total / in appstores."""
 
 import pytest
 
-from repro.analysis.platform_keys import analyze
-from repro.measurement.report import render_table
+from repro.analysis.platform_keys import generate_appstore_catalogs
+from repro.measurement.report import render_platform_keys
+from repro.measurement.tables import build_platform_keys, corpus_stats
 
 PAPER = {
     "avg_per_image": {"samsung": 142, "huawei": 68, "xiaomi": 84},
@@ -13,34 +14,18 @@ PAPER = {
 }
 
 
-def test_platform_keys(benchmark, fleet, catalogs, report_sink):
-    study = benchmark.pedantic(
-        lambda: analyze(fleet, catalogs), rounds=1, iterations=1
+def test_platform_keys(benchmark, report_sink):
+    keys = benchmark.pedantic(
+        lambda: build_platform_keys(corpus_stats("images"),
+                                    generate_appstore_catalogs(seed=2016)),
+        rounds=1, iterations=1,
     )
-    rows = []
-    for vendor in ("samsung", "huawei", "xiaomi"):
-        rows.append((
-            vendor,
-            study.keys_per_vendor[vendor],
-            f"{study.avg_platform_signed_per_image[vendor]:.1f} "
-            f"(paper {PAPER['avg_per_image'][vendor]})",
-            f"{study.distinct_platform_packages[vendor]} "
-            f"(paper {PAPER['distinct'][vendor]})",
-            f"{study.store_signed_counts[vendor]} "
-            f"(paper {PAPER['in_stores'][vendor]})",
-        ))
-    report_sink("platform_keys", render_table(
-        "Platform key usage (Section IV-B)",
-        ["vendor", "platform keys", "signed apps/image", "distinct signed",
-         "signed apps in stores"],
-        rows,
-    ))
+    report_sink("platform_keys", render_platform_keys(keys))
 
-    assert study.keys_per_vendor == {"samsung": 1, "huawei": 1, "xiaomi": 1}
-    assert study.distinct_platform_packages == PAPER["distinct"]
-    assert study.store_signed_counts == PAPER["in_stores"]
+    assert keys.keys == {"samsung": 1, "huawei": 1, "xiaomi": 1}
+    assert keys.distinct_signed == PAPER["distinct"]
+    assert keys.signed_in_stores == PAPER["in_stores"]
     for vendor, expected in PAPER["avg_per_image"].items():
-        assert study.avg_platform_signed_per_image[vendor] == pytest.approx(
-            expected, abs=4
-        )
-    assert study.vulnerable_store_apps()  # TeamViewer is out there
+        assert keys.avg_signed_per_image[vendor] == pytest.approx(expected,
+                                                                  abs=4)
+    assert keys.vulnerable_store_apps  # TeamViewer is out there

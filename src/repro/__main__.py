@@ -158,38 +158,29 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.measurement.report import (
-        render_installer_breakdown,
-        render_table4,
-        render_table5,
-        render_table6,
-    )
-    from repro.measurement.tables import (
-        build_table2,
-        build_table3,
-        build_table4,
-        build_table5,
-        build_table6,
-        corpus_stats,
-    )
+    from repro.analysis import platform_keys
+    from repro.measurement import report, tables
 
-    # The corpora and the fleet ship calibrated at seed 2016; --seed
-    # overrides it for every table, for sensitivity runs.
+    # The corpora, the fleet and the store catalogs ship calibrated at
+    # seed 2016; --seed overrides it for every table, for sensitivity
+    # runs.
     seed = 2016 if args.seed is None else args.seed
-    play = corpus_stats("play", seed)
-    print(render_installer_breakdown("Table II (Google Play apps)",
-                                     build_table2(play)))
-    print()
-    print(render_installer_breakdown("Table III (pre-installed apps)",
-                                     build_table3(
-                                         corpus_stats("preinstalled", seed))))
-    print()
-    print(render_table4(build_table4(play)))
-    print()
-    images = corpus_stats("images", seed)
-    print(render_table5(build_table5(images)))
-    print()
-    print(render_table6(build_table6(images)))
+    play = tables.corpus_stats("play", seed)
+    preinstalled = tables.corpus_stats("preinstalled", seed)
+    images = tables.corpus_stats("images", seed)
+    catalogs = platform_keys.generate_appstore_catalogs(seed)
+    print("\n\n".join([
+        report.render_installer_breakdown("Table II (Google Play apps)",
+                                          tables.build_table2(play)),
+        report.render_installer_breakdown("Table III (pre-installed apps)",
+                                          tables.build_table3(preinstalled)),
+        report.render_table4(tables.build_table4(play)),
+        report.render_table5(tables.build_table5(images)),
+        report.render_table6(tables.build_table6(images)),
+        report.render_hare(tables.build_hare(images)),
+        report.render_platform_keys(
+            tables.build_platform_keys(images, catalogs)),
+    ]))
     # The tables are computed from static corpora, not simulator runs,
     # so there is nothing to trace; honour the flags with valid empty
     # output rather than surprising the caller.
@@ -764,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=_DEFENSE_CHOICES)
     attack.add_argument("--package", default="com.victim.app")
 
-    sub.add_parser("tables", help="regenerate Tables II-VI",
+    sub.add_parser("tables", help="regenerate Tables II-VI and Section IV-B",
                    parents=[common])
     sub.add_parser("audit", help="audit installer designs",
                    parents=[common])

@@ -16,12 +16,13 @@ then runs the paper's actual analyses over them:
   extraction per parsed app (Table IV),
 - :mod:`repro.analysis.factory_images` — vendor image fleets,
   INSTALL_PACKAGES prevalence (Tables V and VI),
-- :mod:`repro.analysis.platform_keys` — single-platform-key findings,
-- :mod:`repro.analysis.hare_analysis` — Hare permission prevalence,
+- :mod:`repro.analysis.platform_keys` — the 1.2M-app store signature
+  corpus of the platform-key finding,
 - :mod:`repro.analysis.pipeline` — every pass above as a sharded,
-  cacheable :mod:`repro.engine` workload (``repro analyze``); its
-  merged stats are the only source of Tables II–VI
-  (:mod:`repro.measurement.tables` reads them).
+  cacheable :mod:`repro.engine` workload (``repro analyze``), plus the
+  per-image Hare and platform-key passes (Section IV-B); its merged
+  stats are the only source of Tables II–VI and the Section IV-B
+  findings (:mod:`repro.measurement.tables` reads them).
 """
 
 from repro.analysis.smali import SmaliMethod, SmaliProgram, parse_program

@@ -62,9 +62,9 @@ from repro.analysis.factory_images import (
     XIAOMI_STORE_PKG,
     scaled_image_specs,
 )
-from repro.analysis.hare_analysis import find_hare_apps
 from repro.analysis.redirect_scan import redirect_targets
 from repro.analysis.smali import parse_program
+from repro.android.signing import platform_key
 from repro.engine.spec import parse_chaos
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, Snapshot, merge_snapshots
@@ -461,9 +461,22 @@ def _image_plan(seed: int, specs) -> FactoryImagePlan:
 
 @functools.lru_cache(maxsize=2)
 def _hare_permissions(seed: int, specs) -> Tuple[Tuple[str, str], ...]:
-    """(package, permission) hare pairs from the sample images."""
-    return tuple((hare.package, hare.permission)
-                 for hare in find_hare_apps(_image_plan(seed, specs).fleet()))
+    """(package, permission) hare pairs from the sample images.
+
+    The Hare study's first step: every app on a sample image that uses
+    a permission it does not define itself.  Only the *usage* is
+    extracted here; whether a search image defines the permission is
+    what the per-image pass checks.
+    """
+    fleet = _image_plan(seed, specs).fleet()
+    by_id = {image.image_id: image for image in fleet.images}
+    pairs: Dict[Tuple[str, str], None] = {}
+    for image_id in fleet.sample_image_ids:
+        for app in by_id[image_id].apps:
+            for permission in app.uses_permissions:
+                if permission not in app.defines_permissions:
+                    pairs[(app.package, permission)] = None
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -586,6 +599,8 @@ class AnalysisShardSpec:
                        install_packages)
             if image.flagship:
                 stats.mark("flagship/install_packages", str(install_packages))
+            stats.mark(f"platform_key/{vendor}",
+                       platform_key(vendor).certificate.fingerprint)
             for app in image.apps:
                 if app.platform_signed:
                     stats.bump(f"vendor/{vendor}/platform_signed_instances")
@@ -777,20 +792,19 @@ class AnalysisReport:
 
     def _render_images(self) -> List[str]:
         stats = self.stats
+        hare = hare_counts(stats)
+        searched = hare["searched_images"]
         lines = [
             f"  images analyzed         : {stats.count('images')}",
-            f"  hare apps (sample step) : {stats.cardinality('hare/apps')}",
-            f"  hare vulnerable cases   : {stats.count('hare/cases')} over "
-            f"{stats.count('hare/searched_images')} searched image(s)",
+            f"  hare apps (sample step) : {hare['apps']}",
+            f"  hare vulnerable cases   : {hare['cases']} over "
+            f"{searched} searched image(s)",
         ]
-        searched = stats.count("hare/searched_images")
         if searched:
             lines.append(
-                f"  hare cases per image    : "
-                f"{stats.count('hare/cases') / searched:.1f}")
-        for vendor_spec in ALL_SPECS:
-            vendor = vendor_spec.vendor
-            images = stats.count(f"vendor/{vendor}/images")
+                f"  hare cases per image    : {hare['cases'] / searched:.1f}")
+        for vendor, counts in platform_counts(stats).items():
+            images = counts["images"]
             if not images:
                 continue
             lines.append(
@@ -799,7 +813,7 @@ class AnalysisReport:
                 "apps/image, "
                 f"{stats.count(f'vendor/{vendor}/install_packages') / images:.1f}"
                 " INSTALL_PACKAGES/image, "
-                f"{stats.cardinality(f'platform/{vendor}')} distinct "
+                f"{counts['signed_packages']} distinct "
                 "platform-signed package(s)")
         lines.append("  Table V (vulnerable pre-installed installers):")
         for package, counts in table5_counts(stats).items():
@@ -814,8 +828,8 @@ AnalysisSpec.report_class = AnalysisReport
 
 
 # ---------------------------------------------------------------------------
-# table extraction: the only source of Tables II-VI, read by
-# repro.measurement.tables
+# table extraction: the only source of Tables II-VI and the Section IV-B
+# findings, read by repro.measurement.tables
 # ---------------------------------------------------------------------------
 
 
@@ -887,6 +901,40 @@ def table6_counts(stats: AnalysisStats) -> Dict[str, Any]:
         "flagship_range": ((min(flagship), max(flagship)) if flagship
                            else (0, 0)),
     }
+
+
+def hare_counts(stats: AnalysisStats) -> Dict[str, int]:
+    """Section IV-B Hare shape: the sample step and the image search.
+
+    ``apps`` counts (package, permission) hare pairs on the sample
+    images, ``permissions`` their distinct permissions, ``cases`` the
+    (permission, image) pairs no app on a search image defines.
+    """
+    pairs = stats.members("hare/apps")
+    return {
+        "apps": len(pairs),
+        "permissions": len({pair.split("|", 1)[1] for pair in pairs}),
+        "cases": stats.count("hare/cases"),
+        "sample_images": stats.count("hare/sample_images"),
+        "searched_images": stats.count("hare/searched_images"),
+    }
+
+
+def platform_counts(stats: AnalysisStats) -> Dict[str, Dict[str, int]]:
+    """Section IV-B platform-key shape per vendor.
+
+    ``keys`` counts the distinct platform certificates on the vendor's
+    images, ``signed_instances`` the platform-signed app instances over
+    all its images, ``signed_packages`` the distinct platform-signed
+    packages.
+    """
+    return {spec.vendor: {
+        "images": stats.count(f"vendor/{spec.vendor}/images"),
+        "keys": stats.cardinality(f"platform_key/{spec.vendor}"),
+        "signed_instances": stats.count(
+            f"vendor/{spec.vendor}/platform_signed_instances"),
+        "signed_packages": stats.cardinality(f"platform/{spec.vendor}"),
+    } for spec in ALL_SPECS}
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
-"""Platform-key usage study (Section IV-B).
+"""The appstore signature corpus of the platform-key study (Section IV-B).
 
-Two findings are reproduced:
+The paper checked the signatures of 1.2 million apps across 33 stores
+(400,000 of them Google Play): 61 / 125 / 30 apps are signed with the
+Samsung / Huawei / Xiaomi platform key — mostly MDM, remote-support,
+VPN and backup apps, including the known-vulnerable TeamViewer.  Any
+of them hands a GIA attacker a platform-signed payload.
 
-1. **One platform key per vendor.** Every factory image of a vendor
-   carries the same platform certificate; the analysis collects the
-   distinct certificates per vendor from the fleet and the per-image /
-   package-distinct platform-signed app counts.
-2. **Platform-signed apps in appstores.** From signatures of 1.2 million
-   apps across 33 stores (400,000 of them Google Play), 61 / 125 / 30
-   apps are signed with the Samsung / Huawei / Xiaomi platform key —
-   mostly MDM, remote-support, VPN and backup apps, including the
-   known-vulnerable TeamViewer.  Any of them hands a GIA attacker a
-   platform-signed payload.
+This module generates that corpus.  The per-image half of the study
+(one platform key per vendor, platform-signed apps per image) is a
+tally of the measurement pipeline's images pass;
+:func:`repro.measurement.tables.build_platform_keys` joins the two.
 
 The 1.2M-app signature table is held as numpy arrays of signer indexes
 (one per store) so the full corpus fits in a few megabytes.
@@ -20,18 +18,15 @@ The 1.2M-app signature table is held as numpy arrays of signer indexes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.android.signing import platform_key
-from repro.analysis.factory_images import ALL_SPECS, Fleet
 from repro.sim.rand import DeterministicRandom
 
-# Signer-index convention in catalog arrays.
-SAMSUNG_KEY_INDEX = 0
-HUAWEI_KEY_INDEX = 1
-XIAOMI_KEY_INDEX = 2
+# Signer-index convention in catalog arrays: each vendor's platform key,
+# then developer keys.
+PLATFORM_KEY_INDEX = {"samsung": 0, "huawei": 1, "xiaomi": 2}
 FIRST_DEVELOPER_INDEX = 3
 
 PLATFORM_SIGNED_IN_STORES = {
@@ -82,18 +77,9 @@ def generate_appstore_catalogs(seed: int = 2016) -> List[AppstoreCatalog]:
     rng = DeterministicRandom(seed).fork("appstores")
     store_names = ["google-play"] + [f"store{index:02d}" for index in range(STORE_COUNT - 1)]
     sizes = _store_sizes()
-    vendor_quota = {
-        "samsung": PLATFORM_SIGNED_IN_STORES["samsung"],
-        "huawei": PLATFORM_SIGNED_IN_STORES["huawei"],
-        "xiaomi": PLATFORM_SIGNED_IN_STORES["xiaomi"],
-    }
-    key_index = {
-        "samsung": SAMSUNG_KEY_INDEX,
-        "huawei": HUAWEI_KEY_INDEX,
-        "xiaomi": XIAOMI_KEY_INDEX,
-    }
     catalogs: List[AppstoreCatalog] = []
-    placements = _platform_placements(vendor_quota, store_names, rng)
+    placements = _platform_placements(PLATFORM_SIGNED_IN_STORES, store_names,
+                                      rng)
     for store_index, name in enumerate(store_names):
         size = sizes[store_index]
         # Developer keys: deterministic pseudo-random indexes >= 3.
@@ -103,7 +89,7 @@ def generate_appstore_catalogs(seed: int = 2016) -> List[AppstoreCatalog]:
         catalog = AppstoreCatalog(name=name, signers=signers)
         for slot, (vendor, package, category) in enumerate(placements.get(name, [])):
             position = (slot * 9973 + 17) % size
-            catalog.signers[position] = key_index[vendor]
+            catalog.signers[position] = PLATFORM_KEY_INDEX[vendor]
             catalog.platform_entries.append(
                 PlatformSignedEntry(package=package, store=name, vendor=vendor,
                                     category=category)
@@ -136,67 +122,3 @@ def _platform_placements(vendor_quota: Dict[str, int], store_names: List[str],
             store = store_names[(index * 7 + vendor_offset) % len(store_names)]
             placements[store].append((vendor, package, category))
     return placements
-
-
-# ---------------------------------------------------------------------------
-# analyses
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlatformKeyStudy:
-    """Results of the platform-key usage analysis."""
-
-    keys_per_vendor: Dict[str, int]
-    avg_platform_signed_per_image: Dict[str, float]
-    distinct_platform_packages: Dict[str, int]
-    store_signed_counts: Dict[str, int]
-    store_signed_entries: List[PlatformSignedEntry]
-
-    def vulnerable_store_apps(self) -> List[PlatformSignedEntry]:
-        """Known-vulnerable platform-signed apps in stores (TeamViewer)."""
-        return [
-            entry for entry in self.store_signed_entries
-            if entry.package == TEAMVIEWER_PACKAGE
-        ]
-
-
-def analyze(fleet: Fleet,
-            catalogs: Optional[Sequence[AppstoreCatalog]] = None) -> PlatformKeyStudy:
-    """Run the full platform-key study."""
-    keys_per_vendor: Dict[str, int] = {}
-    avg_per_image: Dict[str, float] = {}
-    distinct_packages: Dict[str, int] = {}
-    for spec in ALL_SPECS:
-        images = fleet.by_vendor(spec.vendor)
-        # Every image of a vendor is provisioned with that vendor's
-        # single platform certificate.
-        certificates: Set[str] = {
-            platform_key(image.vendor).certificate.fingerprint for image in images
-        }
-        keys_per_vendor[spec.vendor] = len(certificates)
-        avg_per_image[spec.vendor] = (
-            sum(sum(1 for app in image.apps if app.platform_signed)
-                for image in images) / len(images)
-        )
-        distinct_packages[spec.vendor] = len(
-            fleet.distinct_platform_packages(spec.vendor)
-        )
-    store_counts = {"samsung": 0, "huawei": 0, "xiaomi": 0}
-    entries: List[PlatformSignedEntry] = []
-    key_index = {
-        "samsung": SAMSUNG_KEY_INDEX,
-        "huawei": HUAWEI_KEY_INDEX,
-        "xiaomi": XIAOMI_KEY_INDEX,
-    }
-    for catalog in catalogs or ():
-        for vendor, index in key_index.items():
-            store_counts[vendor] += catalog.count_signed_by(index)
-        entries.extend(catalog.platform_entries)
-    return PlatformKeyStudy(
-        keys_per_vendor=keys_per_vendor,
-        avg_platform_signed_per_image=avg_per_image,
-        distinct_platform_packages=distinct_packages,
-        store_signed_counts=store_counts,
-        store_signed_entries=entries,
-    )

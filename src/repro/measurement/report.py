@@ -5,7 +5,9 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.measurement.tables import (
+    HareFindings,
     InstallerBreakdown,
+    PlatformKeys,
     Table4,
     Table5,
     Table6,
@@ -118,4 +120,47 @@ def render_table6(table: Table6) -> str:
     return body + (
         f"\ndoubled over 3 years: {table.doubled_over_period}; "
         f"flagship privileged apps: {low}-{high}"
+    )
+
+
+def render_hare(findings: HareFindings) -> str:
+    """Render the Hare finding beside the paper's figures."""
+    rows = [
+        (f"hare-using apps ({findings.sample_images} sample images)", 178,
+         findings.apps),
+        ("unique vulnerable cases", 27763, findings.cases),
+        ("average per searched image", 23.5,
+         f"{findings.average_per_image:.1f}"),
+        ("searched images", 1181, findings.searched_images),
+    ]
+    return render_table("Hare permission prevalence (Section IV-B)",
+                        ["metric", "paper", "measured"], rows)
+
+
+#: The paper's per-vendor (signed apps/image, distinct signed, in
+#: stores), in the order the platform-key table prints its rows.
+_PAPER_PLATFORM = {
+    "samsung": (142, 884, 61),
+    "huawei": (68, 301, 125),
+    "xiaomi": (84, 216, 30),
+}
+
+
+def render_platform_keys(table: PlatformKeys) -> str:
+    """Render the platform-key finding beside the paper's figures."""
+    rows = [
+        (
+            vendor,
+            table.keys[vendor],
+            f"{table.avg_signed_per_image[vendor]:.1f} (paper {per_image})",
+            f"{table.distinct_signed[vendor]} (paper {distinct})",
+            f"{table.signed_in_stores[vendor]} (paper {in_stores})",
+        )
+        for vendor, (per_image, distinct, in_stores) in _PAPER_PLATFORM.items()
+    ]
+    return render_table(
+        "Platform key usage (Section IV-B)",
+        ["vendor", "platform keys", "signed apps/image", "distinct signed",
+         "signed apps in stores"],
+        rows,
     )

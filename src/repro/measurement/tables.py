@@ -1,29 +1,37 @@
 """Build the paper's measurement tables from the pipeline's merged stats.
 
-Tables II–VI are read only from the merged
-:class:`~repro.analysis.pipeline.AnalysisStats` of a
+Tables II–VI and the Section IV-B findings are read only from the
+merged :class:`~repro.analysis.pipeline.AnalysisStats` of a
 :func:`~repro.analysis.pipeline.run_analysis` run (the pass ``repro
-analyze`` makes) through the pipeline's ``table*_counts`` helpers.
-Each ``build_table*`` takes the stats of its corpus
-(:func:`corpus_stats`: ``play`` for Tables II and IV, ``preinstalled``
-for III, ``images`` for V and VI) and returns a small dataclass with
-exactly the numbers the paper's table reports.
+analyze`` makes) through the pipeline's ``*_counts`` helpers.  Each
+``build_*`` takes the stats of its corpus (:func:`corpus_stats`:
+``play`` for Tables II and IV, ``preinstalled`` for III, ``images`` for
+V, VI, the Hare and the platform-key findings) and returns a small
+dataclass with exactly the numbers the paper reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.pipeline import (
     AnalysisSpec,
     AnalysisStats,
+    hare_counts,
+    platform_counts,
     run_analysis,
     table2_counts,
     table3_counts,
     table4_counts,
     table5_counts,
     table6_counts,
+)
+from repro.analysis.platform_keys import (
+    PLATFORM_KEY_INDEX,
+    TEAMVIEWER_PACKAGE,
+    AppstoreCatalog,
+    PlatformSignedEntry,
 )
 
 
@@ -234,3 +242,62 @@ def build_table6(stats: AnalysisStats) -> Table6:
     newest = years[3]["install_packages"] / years[3]["images"]
     return Table6(rows=rows, doubled_over_period=newest >= 1.9 * oldest,
                   flagship_range=counts["flagship_range"])
+
+
+# ---------------------------------------------------------------------------
+# Section IV-B — Hare permissions and platform keys
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class HareFindings:
+    """Hare-using apps on the sample images and their cross-image cases."""
+
+    apps: int
+    permissions: int
+    cases: int
+    sample_images: int
+    searched_images: int
+
+    @property
+    def average_per_image(self) -> float:
+        """Vulnerable cases per searched image (the paper's 23.5)."""
+        return self.cases / self.searched_images if self.searched_images else 0.0
+
+
+def build_hare(stats: AnalysisStats) -> HareFindings:
+    """Fill the Hare finding from the images corpus's merged stats."""
+    return HareFindings(**hare_counts(stats))
+
+
+@dataclass
+class PlatformKeys:
+    """Per-vendor platform-key figures, on its images and in the stores."""
+
+    keys: Dict[str, int]
+    avg_signed_per_image: Dict[str, float]
+    distinct_signed: Dict[str, int]
+    signed_in_stores: Dict[str, int]
+    #: Known-vulnerable platform-signed store apps (TeamViewer).
+    vulnerable_store_apps: List[PlatformSignedEntry]
+
+
+def build_platform_keys(stats: AnalysisStats,
+                        catalogs: Sequence[AppstoreCatalog]) -> PlatformKeys:
+    """Join the images corpus's merged stats with the store catalogs."""
+    counts = platform_counts(stats)
+    vendors = PLATFORM_KEY_INDEX
+    return PlatformKeys(
+        keys={vendor: counts[vendor]["keys"] for vendor in vendors},
+        avg_signed_per_image={
+            vendor: counts[vendor]["signed_instances"] / counts[vendor]["images"]
+            for vendor in vendors},
+        distinct_signed={vendor: counts[vendor]["signed_packages"]
+                         for vendor in vendors},
+        signed_in_stores={
+            vendor: sum(catalog.count_signed_by(index) for catalog in catalogs)
+            for vendor, index in vendors.items()},
+        vulnerable_store_apps=[entry for catalog in catalogs
+                               for entry in catalog.platform_entries
+                               if entry.package == TEAMVIEWER_PACKAGE],
+    )

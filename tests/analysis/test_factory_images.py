@@ -15,11 +15,6 @@ from repro.analysis.factory_images import (
 )
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    return generate_fleet(seed=2016)
-
-
 def test_image_and_model_counts_match_paper(fleet):
     by_vendor = {spec.vendor: fleet.by_vendor(spec.vendor) for spec in ALL_SPECS}
     assert len(by_vendor["samsung"]) == 1239

@@ -1,20 +1,25 @@
-"""Tests for the Hare study and the platform-key study."""
+"""Tests for the Section IV-B findings: Hare permissions and platform keys.
+
+Both findings are built from the images pass's merged stats; the
+store half of the platform-key finding joins in the appstore catalogs.
+"""
 
 import pytest
 
-from repro.analysis.factory_images import generate_fleet
-from repro.analysis.hare_analysis import find_hare_apps, search_images
 from repro.analysis.platform_keys import (
-    PLATFORM_SIGNED_IN_STORES,
     TEAMVIEWER_PACKAGE,
-    analyze,
     generate_appstore_catalogs,
+)
+from repro.measurement.tables import (
+    build_hare,
+    build_platform_keys,
+    corpus_stats,
 )
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    return generate_fleet(seed=2016)
+def images_stats():
+    return corpus_stats("images")
 
 
 @pytest.fixture(scope="module")
@@ -22,20 +27,26 @@ def catalogs():
     return generate_appstore_catalogs(seed=2016)
 
 
+@pytest.fixture(scope="module")
+def platform(images_stats, catalogs):
+    return build_platform_keys(images_stats, catalogs)
+
+
 # -- Hare ------------------------------------------------------------------------
 
 
-def test_sample_images_yield_178_hare_apps(fleet):
-    hare_apps = find_hare_apps(fleet)
-    assert len(hare_apps) == 178
-    assert len({hare.permission for hare in hare_apps}) == 178
+def test_sample_images_yield_178_hare_apps(images_stats):
+    hare = build_hare(images_stats)
+    assert hare.apps == 178
+    assert hare.permissions == 178
+    assert hare.sample_images == 10
 
 
-def test_search_finds_27763_vulnerable_cases(fleet):
-    study = search_images(fleet)
-    assert study.total_cases == 27763
-    assert study.average_per_image == pytest.approx(23.5, abs=0.1)
-    assert len(study.cases_by_image) == 1181
+def test_search_finds_27763_vulnerable_cases(images_stats):
+    hare = build_hare(images_stats)
+    assert hare.cases == 27763
+    assert hare.average_per_image == pytest.approx(23.5, abs=0.1)
+    assert hare.searched_images == 1181
 
 
 def test_every_search_image_is_samsung(fleet):
@@ -55,23 +66,21 @@ def test_hare_apps_are_platform_signed(fleet):
 # -- platform keys ------------------------------------------------------------------
 
 
-def test_one_platform_key_per_vendor(fleet):
-    study = analyze(fleet)
-    assert study.keys_per_vendor == {"samsung": 1, "xiaomi": 1, "huawei": 1}
+def test_one_platform_key_per_vendor(platform):
+    assert platform.keys == {"samsung": 1, "xiaomi": 1, "huawei": 1}
 
 
-def test_platform_package_counts(fleet):
-    study = analyze(fleet)
-    assert study.distinct_platform_packages == {
+def test_platform_package_counts(platform):
+    assert platform.distinct_signed == {
         "samsung": 884, "huawei": 301, "xiaomi": 216,
     }
 
 
-def test_avg_platform_signed_per_image(fleet):
-    study = analyze(fleet)
-    assert study.avg_platform_signed_per_image["samsung"] == pytest.approx(142, abs=4)
-    assert study.avg_platform_signed_per_image["huawei"] == pytest.approx(68, abs=2)
-    assert study.avg_platform_signed_per_image["xiaomi"] == pytest.approx(84, abs=2)
+def test_avg_platform_signed_per_image(platform):
+    average = platform.avg_signed_per_image
+    assert average["samsung"] == pytest.approx(142, abs=4)
+    assert average["huawei"] == pytest.approx(68, abs=2)
+    assert average["xiaomi"] == pytest.approx(84, abs=2)
 
 
 def test_appstore_corpus_size(catalogs):
@@ -81,14 +90,13 @@ def test_appstore_corpus_size(catalogs):
     assert catalogs[0].size == 400_000
 
 
-def test_store_signed_counts_match_paper(fleet, catalogs):
-    study = analyze(fleet, catalogs)
-    assert study.store_signed_counts == PLATFORM_SIGNED_IN_STORES
+def test_store_signed_counts_match_paper(platform):
+    assert platform.signed_in_stores == {
+        "samsung": 61, "huawei": 125, "xiaomi": 30}
 
 
-def test_teamviewer_among_platform_signed(fleet, catalogs):
-    study = analyze(fleet, catalogs)
-    vulnerable = study.vulnerable_store_apps()
+def test_teamviewer_among_platform_signed(platform):
+    vulnerable = platform.vulnerable_store_apps
     assert len(vulnerable) == 1
     assert vulnerable[0].package == TEAMVIEWER_PACKAGE
     assert vulnerable[0].vendor == "samsung"

@@ -20,9 +20,7 @@ from repro.analysis.factory_images import (
     HUAWEI_STORE_PKG,
     SPRINTZONE_PKG,
     XIAOMI_STORE_PKG,
-    generate_fleet,
 )
-from repro.analysis.hare_analysis import search_images
 from repro.analysis.pipeline import (
     CACHE_SCHEMA,
     AnalysisCache,
@@ -38,6 +36,7 @@ from repro.analysis.pipeline import (
     table6_counts,
 )
 from repro.errors import ReproError
+from repro.measurement.tables import build_hare, build_platform_keys
 
 
 def run_serial(spec, shards=1):
@@ -138,7 +137,7 @@ def test_trace_spans_use_global_app_index_as_time():
     assert all("shard" not in record for record in records)
 
 
-# -- the images corpus (hare + platform keys + Table V) ---------------------------
+# -- the images corpus (hare + platform keys + Tables V and VI) -------------------
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +145,7 @@ def images_report():
     return run_serial(AnalysisSpec(corpus="images"), shards=6)
 
 
-def test_images_pipeline_matches_table5(images_report):
-    fleet = generate_fleet(2016)
+def test_images_pipeline_matches_table5(images_report, fleet):
     expected = {}
     for package in (AMAZON_PKG, DTIGNITE_PKG, XIAOMI_STORE_PKG,
                     HUAWEI_STORE_PKG, SPRINTZONE_PKG):
@@ -165,8 +163,7 @@ def test_images_pipeline_matches_table5(images_report):
                 counts["models"]) == expected[package]
 
 
-def test_images_pipeline_matches_table6(images_report):
-    fleet = generate_fleet(2016)
+def test_images_pipeline_matches_table6(images_report, fleet):
     counts = table6_counts(images_report.stats)
     for vendor, totals in counts["vendors"].items():
         images = fleet.by_vendor(vendor)
@@ -191,12 +188,31 @@ def test_images_pipeline_matches_table6(images_report):
     assert sum(t["images"] for t in counts["years"].values()) == 1855
 
 
-def test_images_pipeline_matches_hare_study(images_report):
-    study = search_images(generate_fleet(2016))
-    assert images_report.stats.count("hare/cases") == study.total_cases == 27763
-    assert (images_report.stats.cardinality("hare/apps")
-            == len(study.hare_apps) == 178)
-    assert images_report.stats.count("hare/searched_images") == 1181
+def test_images_pipeline_matches_hare_study(images_report, fleet):
+    by_id = {image.image_id: image for image in fleet.images}
+    used = {permission for image_id in fleet.sample_image_ids
+            for app in by_id[image_id].apps
+            for permission in app.uses_permissions
+            if permission not in app.defines_permissions}
+    cases = sum(len(used - by_id[image_id].defined_permissions())
+                for image_id in fleet.search_image_ids)
+    hare = build_hare(images_report.stats)
+    assert hare.cases == cases == 27763
+    assert hare.permissions == len(used) == 178
+    assert hare.searched_images == len(fleet.search_image_ids) == 1181
+
+
+def test_images_pipeline_matches_platform_key_study(images_report, fleet):
+    platform = build_platform_keys(images_report.stats, catalogs=())
+    assert set(platform.keys) == {"samsung", "huawei", "xiaomi"}
+    for vendor in platform.keys:
+        images = fleet.by_vendor(vendor)
+        signed = sum(app.platform_signed
+                     for image in images for app in image.apps)
+        assert platform.avg_signed_per_image[vendor] == signed / len(images)
+        assert platform.distinct_signed[vendor] == len(
+            fleet.distinct_platform_packages(vendor))
+        assert platform.keys[vendor] == 1
 
 
 def test_images_sharding_is_split_invariant(images_report):

@@ -180,7 +180,7 @@ def test_tables_match_committed_benchmark_results(capsys):
     blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
     names = ["table2_play_installers", "table3_preinstalled_installers",
              "table4_redirect_targets", "table5_impact",
-             "table6_install_packages"]
+             "table6_install_packages", "hare_prevalence", "platform_keys"]
     assert len(blocks) == len(names)
     for name, block in zip(names, blocks):
         lines = block.splitlines()
@@ -191,7 +191,7 @@ def test_tables_match_committed_benchmark_results(capsys):
 
 
 def test_tables_seed_reaches_every_corpus(monkeypatch, capsys):
-    from repro.analysis import corpus, factory_images, pipeline
+    from repro.analysis import corpus, factory_images, pipeline, platform_keys
 
     seeds = []
 
@@ -210,11 +210,12 @@ def test_tables_seed_reaches_every_corpus(monkeypatch, capsys):
     spy(corpus.PlayCorpusPlan, "__init__", "play")
     spy(corpus.PreinstalledCorpusPlan, "__init__", "preinstalled")
     spy(factory_images, "generate_fleet", "fleet")
+    spy(platform_keys, "generate_appstore_catalogs", "catalogs")
     pipeline._image_plan.cache_clear()  # a memoized fleet skips generation
     assert main(["tables", "--seed", "3"]) == 0
     capsys.readouterr()
     assert {kind for kind, _seed in seeds} == {"play", "preinstalled",
-                                              "fleet"}
+                                              "fleet", "catalogs"}
     assert all(seed == 3 for _kind, seed in seeds), seeds
 
 
