@@ -52,7 +52,7 @@ from typing import List, Optional
 
 from repro.attacks.base import fingerprint_for
 from repro.core.scenario import Scenario
-from repro.engine.spec import ATTACKS, DEVICES
+from repro.engine.spec import ATTACKS, DEVICES, parse_chaos
 from repro.installers import all_installer_types, installer_by_name
 
 DEFAULT_SEED = 7
@@ -208,31 +208,18 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_profile(args: argparse.Namespace, report, command: str) -> None:
-    """Write the merged shard-profile hotspot table, if one was asked for.
+def _run_sharded(args: argparse.Namespace, spec, command: str, title: str,
+                 notes=None, **engine) -> int:
+    """Run ``spec`` on the engine and emit the command's outputs.
 
-    The table lands in ``benchmarks/results/`` next to the bench
-    baselines; the path note goes to stderr so profiled runs keep
-    their stdout contract.
+    The engine flags of :func:`_add_engine_flags` apply, plus the
+    command's own ``engine`` keywords for ``run_fleet``.  Stdout
+    carries only the report's deterministic table and, with
+    ``--metrics``, the metrics tables; ``notes(report)`` adds the
+    command's own stderr lines before the shard-profile hotspot table
+    and the trace export.
     """
-    if not args.profile_shards:
-        return
-    from pathlib import Path
-
-    from repro.obs.runtime import write_hotspots
-
-    blobs = [shard.profile for shard in report.shards
-             if getattr(shard, "profile", None)]
-    out = args.profile_out or str(
-        Path("benchmarks") / "results" / f"HOTSPOTS_{command}.txt")
-    path = write_hotspots(out, blobs)
-    print(f"profile: {len(blobs)} shard profile(s) -> {path}",
-          file=sys.stderr)
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.engine import (
-        CampaignSpec,
         ConsoleProgress,
         MetricsProgress,
         NullProgress,
@@ -241,7 +228,41 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     from repro.obs import render_metrics, write_trace_jsonl
 
-    observe = bool(args.trace or args.metrics)
+    progress = NullProgress() if args.quiet else ConsoleProgress()
+    engine_metrics = None
+    if args.metrics:
+        engine_metrics = MetricsProgress()
+        progress = TeeProgress(progress, engine_metrics)
+    report = run_fleet(spec, shards=args.shards, workers=args.workers,
+                       backend=args.backend, progress=progress,
+                       telemetry=args.telemetry,
+                       profile_shards=args.profile_shards, **engine)
+    print(report.render())
+    if notes is not None:
+        notes(report)
+    if args.profile_shards:
+        from pathlib import Path
+
+        from repro.obs.runtime import write_hotspots
+
+        blobs = [shard.profile for shard in report.shards if shard.profile]
+        out = args.profile_out or str(
+            Path("benchmarks") / "results" / f"HOTSPOTS_{command}.txt")
+        path = write_hotspots(out, blobs)
+        print(f"profile: {len(blobs)} shard profile(s) -> {path}",
+              file=sys.stderr)
+    if args.trace:
+        count = write_trace_jsonl(args.trace, report.trace_records())
+        print(f"trace: {count} record(s) -> {args.trace}", file=sys.stderr)
+    if args.metrics:
+        print(render_metrics(report.metrics, title=f"{title} metrics"))
+        print(engine_metrics.render())
+    return 0
+
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.engine import CampaignSpec
+
     spec = CampaignSpec(
         installs=args.installs,
         installer=args.installer,
@@ -250,17 +271,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         device=args.device,
         seed=_seed_of(args),
         chaos=args.chaos,
-        observe=observe,
+        observe=bool(args.trace or args.metrics),
         keep_outcomes=args.keep_outcomes,
         watch_queue_depth=args.watch_depth,
         watch_drain_interval_ns=args.watch_drain_ns,
         watch_coalesce=args.watch_coalesce,
     )
-    progress = NullProgress() if args.quiet else ConsoleProgress()
-    engine_metrics = None
-    if args.metrics:
-        engine_metrics = MetricsProgress()
-        progress = TeeProgress(progress, engine_metrics)
     checkpoint = None
     if args.checkpoint:
         from repro.errors import ReproError
@@ -273,88 +289,49 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "--checkpoint needs an explicit --shards count so the "
                 "journal's shard layout is stable across resumes")
         checkpoint = ShardJournal(args.checkpoint, spec, args.shards)
-    report = run_fleet(
-        spec,
-        shards=args.shards,
-        workers=args.workers,
-        backend=args.backend,
-        shard_timeout=args.shard_timeout,
-        max_retries=args.retries,
-        progress=progress,
-        checkpoint=checkpoint,
-        telemetry=args.telemetry,
-        profile_shards=args.profile_shards,
-    )
-    print(report.render())
-    _emit_profile(args, report, "fleet")
-    if args.trace:
-        count = write_trace_jsonl(args.trace, report.trace_records())
-        print(f"trace: {count} record(s) -> {args.trace}", file=sys.stderr)
-    if args.metrics:
-        print(render_metrics(report.metrics, title="fleet metrics"))
-        print(engine_metrics.render())
-    return 0
+    return _run_sharded(args, spec, "fleet", "fleet",
+                        shard_timeout=args.shard_timeout,
+                        max_retries=args.retries, checkpoint=checkpoint)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.pipeline import AnalysisSpec, run_analysis
-    from repro.engine import (
-        ConsoleProgress,
-        MetricsProgress,
-        NullProgress,
-        TeeProgress,
-    )
-    from repro.obs import render_metrics, write_trace_jsonl
+    from repro.analysis.pipeline import AnalysisSpec
+    from repro.errors import ReproError
 
-    observe = bool(args.trace or args.metrics)
+    if parse_chaos(args.chaos)[0] == "hang":
+        # A hung worker is only reaped by a shard timeout, which
+        # analyze does not offer: the run would wait for the hang.
+        raise ReproError(
+            f"--chaos {args.chaos!r}: analyze has no --shard-timeout, so "
+            "a hung shard would never be reaped; use crash: or error:")
     spec = AnalysisSpec(
         corpus=args.corpus,
         apps=args.apps,
         # The corpora are calibrated at their own default seed (2016),
         # unlike the simulator commands' seed 7.
         seed=2016 if args.seed is None else args.seed,
-        observe=observe,
+        observe=bool(args.trace or args.metrics),
         chaos=args.chaos,
         cache_dir=args.cache,
     )
-    progress = NullProgress() if args.quiet else ConsoleProgress()
-    engine_metrics = None
-    if args.metrics:
-        engine_metrics = MetricsProgress()
-        progress = TeeProgress(progress, engine_metrics)
-    report = run_analysis(
-        spec,
-        shards=args.shards,
-        workers=args.workers,
-        backend=args.backend,
-        progress=progress,
-        telemetry=args.telemetry,
-        profile_shards=args.profile_shards,
-    )
-    # Stdout carries only the deterministic tables (CI byte-compares
-    # it across shard/worker splits); wall-clock, telemetry and
-    # cache-state lines go to stderr.
-    print(report.render())
-    print(f"wall: {report.wall_seconds:.2f}s "
-          f"({report.throughput:.0f}/s, workers={report.workers}, "
-          f"backend={report.backend})", file=sys.stderr)
-    if args.telemetry and report.telemetry:
-        from repro.obs.runtime import TelemetryRollup
 
-        print("telemetry: "
-              + TelemetryRollup.from_dict(report.telemetry).render(),
-              file=sys.stderr)
-    _emit_profile(args, report, "analyze")
-    if args.cache:
-        print(f"cache: {report.cache_hits} hit(s), "
-              f"{report.cache_misses} analyzed", file=sys.stderr)
-    if args.trace:
-        count = write_trace_jsonl(args.trace, report.trace_records())
-        print(f"trace: {count} record(s) -> {args.trace}", file=sys.stderr)
-    if args.metrics:
-        print(render_metrics(report.metrics, title="analysis metrics"))
-        print(engine_metrics.render())
-    return 0
+    def notes(report) -> None:
+        # Wall-clock, telemetry and cache-state lines stay off stdout,
+        # which CI byte-compares across shard/worker splits.
+        print(f"wall: {report.wall_seconds:.2f}s "
+              f"({report.throughput:.0f}/s, workers={report.workers}, "
+              f"backend={report.backend})", file=sys.stderr)
+        if args.telemetry and report.telemetry:
+            from repro.obs.runtime import TelemetryRollup
+
+            print("telemetry: "
+                  + TelemetryRollup.from_dict(report.telemetry).render(),
+                  file=sys.stderr)
+        if args.cache:
+            print(f"cache: {report.cache_hits} hit(s), "
+                  f"{report.cache_misses} analyzed", file=sys.stderr)
+
+    return _run_sharded(args, spec, "analyze", "analysis", notes)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -706,8 +683,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    """Wall-clock accounting flags shared by ``fleet`` and ``analyze``."""
+def _add_engine_flags(parser: argparse.ArgumentParser,
+                      chaos_modes: str) -> None:
+    """Engine flags shared by ``fleet`` and ``analyze``: shard layout,
+    backend, failure injection, progress and wall-clock accounting."""
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count (default: one per worker)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: cores, max 4)")
+    parser.add_argument("--backend", default="auto",
+                        choices=["auto", "process", "serial"])
+    parser.add_argument("--chaos", default=None, metavar="MODE:I,J",
+                        help="failure injection for pool workers "
+                             f"({chaos_modes} + shard indices)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress progress lines")
     parser.add_argument("--telemetry", action="store_true",
                         help="sample per-shard CPU/RSS/wall usage and "
                              "report the rollup beside the "
@@ -783,19 +773,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--watch-coalesce", action="store_true",
                        help="drop a watch event when it duplicates the "
                             "newest queued one (inotify-style merge)")
-    fleet.add_argument("--shards", type=int, default=None,
-                       help="shard count (default: one per worker)")
-    fleet.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 4)")
-    fleet.add_argument("--backend", default="auto",
-                       choices=["auto", "process", "serial"])
     fleet.add_argument("--shard-timeout", type=float, default=None,
                        help="per-shard timeout in seconds")
     fleet.add_argument("--retries", type=int, default=2,
                        help="pool retries per shard before serial fallback")
-    fleet.add_argument("--chaos", default=None, metavar="MODE:I,J",
-                       help="failure injection for pool workers "
-                            "(crash:|hang:|error: + shard indices)")
     fleet.add_argument("--keep-outcomes", type=int, default=None,
                        metavar="N",
                        help="retain at most N per-run outcome records "
@@ -805,9 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journal completed shards to DIR so a "
                             "killed run resumes bit-identically "
                             "(requires an explicit --shards)")
-    fleet.add_argument("--quiet", action="store_true",
-                       help="suppress progress lines")
-    _add_telemetry_flags(fleet)
+    _add_engine_flags(fleet, "crash:|hang:|error:")
 
     from repro.analysis.pipeline import ANALYSIS_CORPORA
 
@@ -824,22 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "--corpus images, N factory images — at "
                               "the paper's trait rates (default: paper "
                               "size)")
-    analyze.add_argument("--shards", type=int, default=None,
-                         help="shard count (default: one per worker)")
-    analyze.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 4)")
-    analyze.add_argument("--backend", default="auto",
-                         choices=["auto", "process", "serial"])
     analyze.add_argument("--cache", metavar="DIR", default=None,
                          help="content-addressed analysis cache: re-runs "
                               "only re-analyze apps whose code or "
                               "consulted detector versions changed")
-    analyze.add_argument("--chaos", default=None, metavar="MODE:I,J",
-                         help="failure injection for pool workers "
-                              "(crash:|hang:|error: + shard indices)")
-    analyze.add_argument("--quiet", action="store_true",
-                         help="suppress progress lines")
-    _add_telemetry_flags(analyze)
+    _add_engine_flags(analyze, "crash:|error:")
 
     from repro.fuzz.oracles import oracle_names
 

@@ -13,13 +13,16 @@ shard *statically analyzes* a contiguous slice of a streaming corpus:
 - ``images`` shards run the hare and platform-key passes per factory
   image over the Section IV-B fleet, and tally Tables V and VI.
 
-Every shard folds into an :class:`AnalysisStats` — counters that add
-and string sets that union, associatively, in shard-index order — so
-the merged result is bit-identical for any shard/worker split, the
-same determinism contract the install engine carries.  Trace records
-use the app's *global index* as the simulated-time axis and are never
-shard-tagged, so the exported JSONL is byte-identical across splits
-too.
+The engine owns the shard protocol — partition, execute, result,
+merge — for both kinds; this module supplies only what differs: how a
+slice runs (:meth:`AnalysisShardSpec.run`), how its stats merge, and
+how the report renders.  Every shard folds into an
+:class:`AnalysisStats` — counters that add and string sets that union,
+associatively, in shard-index order — so the merged result is
+bit-identical for any shard/worker split, the same determinism
+contract the install engine carries.  Trace records use the app's
+*global index* as the simulated-time axis and are never shard-tagged,
+so the exported JSONL is byte-identical across splits too.
 
 A content-addressed cache (key = sha256 of the smali text) makes
 re-runs incremental: each entry records the *detector versions its
@@ -33,10 +36,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.cache import DEFAULT_ROTATE_RECORDS, PackStore
 from repro.analysis.classifier import (
@@ -65,10 +66,9 @@ from repro.analysis.factory_images import (
 from repro.analysis.redirect_scan import redirect_targets
 from repro.analysis.smali import parse_program
 from repro.android.signing import platform_key
-from repro.engine.spec import parse_chaos
+from repro.engine.merge import ShardedReport
+from repro.engine.spec import ShardSlice, parse_chaos, partition
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry, Snapshot, merge_snapshots
-from repro.obs.trace import TraceRecorder
 
 #: Bump on incompatible cache-entry layout changes.
 CACHE_SCHEMA = 1
@@ -362,7 +362,7 @@ def fold_analysis(stats: AnalysisStats, record: AppAnalysis,
 
 
 # ---------------------------------------------------------------------------
-# spec / shard / result — the engine's second workload kind
+# spec / shard — the engine's second workload kind
 # ---------------------------------------------------------------------------
 
 
@@ -384,9 +384,6 @@ class AnalysisSpec:
     observe: bool = False
     chaos: Optional[str] = None
     cache_dir: Optional[str] = None
-
-    #: Report type the executor assembles for this spec.
-    report_class: ClassVar[type] = None  # set below, after AnalysisReport
 
     def __post_init__(self) -> None:
         if self.corpus not in ANALYSIS_CORPORA:
@@ -438,19 +435,10 @@ class AnalysisSpec:
 
     def shard(self, count: int) -> List["AnalysisShardSpec"]:
         """Partition ``[0, size)`` into ``count`` contiguous shards."""
-        if count < 1:
-            raise ReproError(f"shard count must be >= 1, got {count}")
-        parse_chaos(self.chaos, shard_count=count)
+        slices = partition(self, self.size, count)
         self.plan()  # fail on an infeasible spec before any work runs
-        base, extra = divmod(self.size, count)
-        shards, start = [], 0
-        for index in range(count):
-            stop = start + base + (1 if index < extra else 0)
-            shards.append(AnalysisShardSpec(
-                campaign=self, index=index, count=count,
-                start=start, stop=stop))
-            start = stop
-        return shards
+        return [AnalysisShardSpec(self, index, count, start, stop)
+                for index, (start, stop) in enumerate(slices)]
 
 
 @functools.lru_cache(maxsize=2)
@@ -480,50 +468,29 @@ def _hare_permissions(seed: int, specs) -> Tuple[Tuple[str, str], ...]:
 
 
 @dataclass(frozen=True)
-class AnalysisShardSpec:
-    """One contiguous slice ``[start, stop)`` of the analysis workload.
-
-    The field is called ``campaign`` so the executor's chaos-injection
-    and retry plumbing (which reads ``shard.campaign.chaos``) works on
-    analysis shards unchanged.
-    """
+class AnalysisShardSpec(ShardSlice):
+    """One contiguous slice ``[start, stop)`` of the analysis workload."""
 
     campaign: AnalysisSpec
-    index: int
-    count: int
-    start: int
-    stop: int
 
-    def execute(self) -> "AnalysisShardResult":
-        """Run this shard in the current process (the engine's unit)."""
-        started = time.perf_counter()
-        spec = self.campaign
-        recorder = TraceRecorder() if spec.observe else None
-        metrics = MetricsRegistry() if spec.observe else None
-        stats = AnalysisStats()
-        if spec.corpus == "images":
-            self._execute_images(stats, recorder, metrics)
-            hits = misses = 0
-        else:
-            hits, misses = self._execute_apps(stats, recorder, metrics)
-        return AnalysisShardResult(
-            shard_index=self.index,
-            start=self.start,
-            stop=self.stop,
-            stats=stats,
-            wall_seconds=time.perf_counter() - started,
-            backend="serial",
-            trace=recorder.records() if recorder is not None else None,
-            metrics=metrics.snapshot() if metrics is not None else None,
-            cache_hits=hits,
-            cache_misses=misses,
-        )
+    def run(self, recorder, metrics) -> Tuple[AnalysisStats, Dict[str, int]]:
+        """Fold the slice's apps or images into fresh stats."""
+        if self.campaign.corpus == "images":
+            return self._execute_images(recorder, metrics), {}
+        return self._execute_apps(recorder, metrics)
 
     # -- per-app passes (classifier + redirect scan) --------------------------
 
-    def _execute_apps(self, stats: AnalysisStats, recorder, metrics
-                      ) -> Tuple[int, int]:
+    def _execute_apps(self, recorder, metrics
+                      ) -> Tuple[AnalysisStats, Dict[str, int]]:
+        """The app passes; the counters are the cache's hits and misses.
+
+        Those depend on what a previous run left in the cache
+        directory, while the stats, trace and metrics must stay
+        bit-identical whether the cache was cold or warm.
+        """
         spec = self.campaign
+        stats = AnalysisStats()
         plan = spec.plan()
         classifier = InstallerClassifier()
         cache = (AnalysisCache(spec.cache_dir)
@@ -571,13 +538,13 @@ class AnalysisShardSpec:
         finally:
             if cache is not None:
                 cache.close()
-        return hits, misses
+        return stats, {"cache_hits": hits, "cache_misses": misses}
 
     # -- per-image passes (hare + platform keys, Section IV-B) ----------------
 
-    def _execute_images(self, stats: AnalysisStats, recorder,
-                        metrics) -> None:
+    def _execute_images(self, recorder, metrics) -> AnalysisStats:
         spec = self.campaign
+        stats = AnalysisStats()
         plan = _image_plan(spec.seed, spec.image_specs())
         fleet = plan.fleet()
         hare_pairs = _hare_permissions(spec.seed, spec.image_specs())
@@ -631,34 +598,7 @@ class AnalysisShardSpec:
                 metrics.counter("analysis/images").inc()
                 metrics.histogram("analysis/apps_per_image").observe(
                     len(image.apps))
-
-
-@dataclass
-class AnalysisShardResult:
-    """What one analysis shard produced (mirrors ShardResult's shape).
-
-    ``cache_hits``/``cache_misses`` live beside the deterministic stats,
-    not inside them: hit counts depend on what a previous run left in
-    the cache directory, while ``stats``/``trace``/``metrics`` must stay
-    bit-identical whether the cache was cold or warm.
-    """
-
-    shard_index: int
-    start: int
-    stop: int
-    stats: AnalysisStats
-    wall_seconds: float
-    attempts: int = 1
-    backend: str = "serial"
-    trace: Optional[List[Dict[str, Any]]] = None
-    metrics: Optional[Snapshot] = None
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Wall-clock side channel (see :mod:`repro.obs.runtime`), filled
-    #: by the executor when telemetry/profiling is enabled; never part
-    #: of the deterministic stats/trace/metrics.
-    telemetry: Optional[Dict[str, Any]] = None
-    profile: Optional[bytes] = None
+        return stats
 
 
 # ---------------------------------------------------------------------------
@@ -667,50 +607,15 @@ class AnalysisShardResult:
 
 
 @dataclass
-class AnalysisReport:
-    """Merged analysis stats plus run-level aggregates."""
+class AnalysisReport(ShardedReport):
+    """The measurement-study report (``repro analyze``)."""
 
     spec: AnalysisSpec
-    shards: List[AnalysisShardResult] = field(default_factory=list)
     stats: AnalysisStats = field(default_factory=AnalysisStats)
-    wall_seconds: float = 0.0
-    workers: int = 1
-    backend: str = "serial"
-    metrics: Optional[Snapshot] = None
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock plane: fold of per-shard telemetry payloads, None
-    #: when telemetry was off (see :mod:`repro.obs.runtime`).
-    telemetry: Optional[Dict[str, Any]] = None
 
     @classmethod
-    def from_shards(cls, spec: AnalysisSpec,
-                    shards: List[AnalysisShardResult],
-                    wall_seconds: float, workers: int, backend: str,
-                    counters: Optional[Dict[str, int]] = None,
-                    ) -> "AnalysisReport":
-        from repro.obs.runtime import fold_shard_telemetry
-
-        ordered = sorted(shards, key=lambda shard: shard.shard_index)
-        snapshots = [shard.metrics for shard in ordered
-                     if shard.metrics is not None]
-        tallied = dict(counters or {})
-        tallied["cache_hits"] = sum(s.cache_hits for s in ordered)
-        tallied["cache_misses"] = sum(s.cache_misses for s in ordered)
-        telemetry = fold_shard_telemetry(ordered)
-        if telemetry is not None:
-            telemetry["retries"] = sum(
-                max(0, shard.attempts - 1) for shard in ordered)
-        return cls(
-            spec=spec,
-            shards=ordered,
-            stats=merge_analysis_stats(shard.stats for shard in ordered),
-            wall_seconds=wall_seconds,
-            workers=workers,
-            backend=backend,
-            metrics=merge_snapshots(snapshots) if snapshots else None,
-            counters=tallied,
-            telemetry=telemetry,
-        )
+    def from_shards(cls, spec, shards, **run) -> "AnalysisReport":
+        return cls._fold(merge_analysis_stats, spec, shards, **run)
 
     @property
     def cache_hits(self) -> int:
@@ -721,11 +626,6 @@ class AnalysisReport:
     def cache_misses(self) -> int:
         """Apps actually (re-)analyzed this run."""
         return self.counters.get("cache_misses", 0)
-
-    @property
-    def throughput(self) -> float:
-        """Apps (or images) per wall-clock second."""
-        return self.stats.runs / self.wall_seconds if self.wall_seconds else 0.0
 
     def trace_records(self) -> List[Dict[str, Any]]:
         """All shard records, shard-index order, *not* shard-tagged.
@@ -824,6 +724,7 @@ class AnalysisReport:
         return lines
 
 
+#: The report type the executor assembles for this spec kind.
 AnalysisSpec.report_class = AnalysisReport
 
 
@@ -948,20 +849,12 @@ def run_analysis(spec: AnalysisSpec, shards: Optional[int] = None,
                  profile_shards: bool = False) -> AnalysisReport:
     """Run a sharded analysis and return the merged report.
 
-    A thin wrapper over :class:`~repro.engine.executor.FleetExecutor`
-    — the analysis workload rides the same pool, retry, chaos,
-    progress and wall-clock telemetry machinery as install campaigns
-    (``telemetry``/``profile_shards`` as in
-    :func:`repro.engine.executor.run_fleet`).
+    The analysis workload rides the same pool, retry, chaos, progress
+    and wall-clock telemetry machinery as install campaigns: this is
+    :func:`repro.engine.executor.run_fleet` with the same arguments.
     """
-    from repro.engine.executor import FleetExecutor
-    from repro.engine.progress import NullProgress
+    from repro.engine.executor import run_fleet
 
-    executor = FleetExecutor(workers=workers, backend=backend,
-                             progress=progress or NullProgress(),
-                             telemetry=telemetry,
-                             profile_shards=profile_shards)
-    try:
-        return executor.run(spec, shards=shards)
-    finally:
-        executor.close()
+    return run_fleet(spec, shards=shards, workers=workers, backend=backend,
+                     progress=progress, telemetry=telemetry,
+                     profile_shards=profile_shards)

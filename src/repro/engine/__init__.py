@@ -6,9 +6,10 @@ device in one process to a sharded fleet across a worker pool, with a
 hard determinism contract: one top-level seed produces bit-identical
 merged stats for any shard count and worker count.
 
-- :mod:`repro.engine.spec` — picklable campaign/shard specs.
+- :mod:`repro.engine.spec` — picklable campaign/shard specs and the
+  shard protocol every workload kind shares (slice, execute, result).
 - :mod:`repro.engine.executor` — worker pool, retries, serial fallback.
-- :mod:`repro.engine.merge` — associative stat merging + fleet aggregates.
+- :mod:`repro.engine.merge` — the shared report merge + fleet aggregates.
 - :mod:`repro.engine.progress` — progress/throughput hooks.
 """
 
@@ -25,8 +26,7 @@ from repro.engine.executor import (
 from repro.engine.merge import (
     FleetReport,
     OutcomeRecord,
-    ShardResult,
-    compact_stats,
+    ShardedReport,
     merge_stats,
     wilson_interval,
 )
@@ -42,6 +42,8 @@ from repro.engine.spec import (
     CHAOS_MODES,
     DEVICES,
     CampaignSpec,
+    ShardResult,
+    ShardSlice,
     ShardSpec,
     parse_chaos,
 )
@@ -59,10 +61,11 @@ __all__ = [
     "NullProgress",
     "OutcomeRecord",
     "ShardResult",
+    "ShardSlice",
     "ShardSpec",
+    "ShardedReport",
     "TeeProgress",
     "WarmPool",
-    "compact_stats",
     "default_workers",
     "drain_queue",
     "merge_stats",

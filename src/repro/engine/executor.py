@@ -21,10 +21,12 @@ The pool is either **resident** or **scoped to one run**:
 Either way a crashed or timed-out worker is restarted in place and its
 shard retried.
 
-Any spec with ``shard(count)``, ``chaos`` and a ``report_class`` whose
-``from_shards`` merges the results can ride the engine; each of its
-shards carries ``index`` and ``campaign`` and runs itself with
-``execute()``.  :class:`~repro.engine.spec.CampaignSpec` and
+The shard protocol is written once, for every workload kind: a
+spec's ``shard(count)`` returns :class:`~repro.engine.spec.ShardSlice`
+subclasses, each runs itself with ``execute()`` into a
+:class:`~repro.engine.spec.ShardResult`, and the spec's
+``report_class`` (a :class:`~repro.engine.merge.ShardedReport`) merges
+them.  :class:`~repro.engine.spec.CampaignSpec` and
 :class:`~repro.analysis.pipeline.AnalysisSpec` are the two kinds.
 
 Results merge in shard-index order regardless of completion order, so
@@ -43,9 +45,9 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.engine.merge import FleetReport, ShardResult
+from repro.engine.merge import ShardedReport
 from repro.engine.progress import FleetProgress, NullProgress
-from repro.engine.spec import CampaignSpec, ShardSpec, parse_chaos
+from repro.engine.spec import ShardResult, ShardSlice, parse_chaos
 from repro.errors import ReproError
 
 _OK = "ok"
@@ -68,7 +70,7 @@ def default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def run_shard(shard: ShardSpec, telemetry: bool = False,
+def run_shard(shard: ShardSlice, telemetry: bool = False,
               profile: bool = False) -> ShardResult:
     """Execute one shard in this process (the serial backend's unit).
 
@@ -357,7 +359,7 @@ class WarmPool:
 
     # -- scheduling ------------------------------------------------------------
 
-    def submit(self, ticket: int, shard: ShardSpec, telemetry: bool = False,
+    def submit(self, ticket: int, shard: ShardSlice, telemetry: bool = False,
                profile: bool = False) -> None:
         """Hand ``shard`` to an idle worker under key ``ticket``.
 
@@ -503,8 +505,8 @@ class FleetExecutor:
 
     # -- public API -----------------------------------------------------------
 
-    def run(self, spec: CampaignSpec, shards: Optional[int] = None,
-            checkpoint=None) -> FleetReport:
+    def run(self, spec, shards: Optional[int] = None,
+            checkpoint=None) -> ShardedReport:
         """Run ``spec`` across the pool and return the merged report.
 
         ``checkpoint`` is an optional shard-completion journal (duck
@@ -583,7 +585,7 @@ class FleetExecutor:
             on_result(result)
         self.progress.on_shard_done(result, len(results), total)
 
-    def _run_fallback(self, fallback: List[ShardSpec],
+    def _run_fallback(self, fallback: List[ShardSlice],
                       attempts: Dict[int, int],
                       results: Dict[int, ShardResult], total: int,
                       counters: Dict[str, int], on_result) -> None:
@@ -600,7 +602,7 @@ class FleetExecutor:
 
     # -- serial backend -------------------------------------------------------
 
-    def _run_serial(self, shard_specs: List[ShardSpec],
+    def _run_serial(self, shard_specs: List[ShardSlice],
                     results: Dict[int, ShardResult], total: int,
                     on_result=None) -> None:
         for shard in shard_specs:
@@ -611,15 +613,15 @@ class FleetExecutor:
 
     # -- process backend ------------------------------------------------------
 
-    def _run_process(self, pool: WarmPool, shard_specs: List[ShardSpec],
+    def _run_process(self, pool: WarmPool, shard_specs: List[ShardSlice],
                      results: Dict[int, ShardResult], total: int,
                      counters: Dict[str, int], on_result=None) -> None:
         """Schedule shards onto ``pool``: retry, police, fall back."""
-        pending: Deque[ShardSpec] = deque(shard_specs)
+        pending: Deque[ShardSlice] = deque(shard_specs)
         attempts: Dict[int, int] = {shard.index: 0 for shard in shard_specs}
-        by_index: Dict[int, ShardSpec] = {shard.index: shard
+        by_index: Dict[int, ShardSlice] = {shard.index: shard
                                           for shard in shard_specs}
-        fallback: List[ShardSpec] = []
+        fallback: List[ShardSlice] = []
         while pending or pool.busy():
             while pending and pool.has_idle():
                 shard = pending.popleft()
@@ -653,7 +655,7 @@ class FleetExecutor:
         remaining = soonest + self.shard_timeout - time.monotonic()
         return max(0.0, min(_IDLE_WAIT_SECONDS, remaining))
 
-    def _retry(self, pending, fallback, attempts, shard: ShardSpec,
+    def _retry(self, pending, fallback, attempts, shard: ShardSlice,
                reason: str, counters: Dict[str, int], kind: str) -> None:
         counters[kind] += 1
         self.progress.on_shard_retry(shard, attempts[shard.index], reason)
@@ -664,13 +666,13 @@ class FleetExecutor:
             fallback.append(shard)
 
 
-def run_fleet(spec: CampaignSpec, shards: Optional[int] = None,
+def run_fleet(spec, shards: Optional[int] = None,
               workers: Optional[int] = None, backend: str = "auto",
               shard_timeout: Optional[float] = None, max_retries: int = 2,
               progress: Optional[FleetProgress] = None,
               checkpoint=None, telemetry: bool = False,
-              profile_shards: bool = False) -> FleetReport:
-    """One-call fleet execution (the ``python -m repro fleet`` engine)."""
+              profile_shards: bool = False) -> ShardedReport:
+    """One-call engine run (behind ``repro fleet`` and ``repro analyze``)."""
     with FleetExecutor(
         workers=workers,
         backend=backend,

@@ -1,55 +1,31 @@
-"""Deterministic merging of shard results into fleet-level stats.
+"""Deterministic merging of shard results into one report.
 
-Shard workers return :class:`ShardResult` objects whose stats carry
-slim, picklable :class:`OutcomeRecord` entries (an ``InstallOutcome``
-minus its transaction trace).  The merge folds shard stats *in shard
-order* with the associative :meth:`CampaignStats.merge`, so the merged
-stats of a fixed seed are bit-identical no matter how many shards or
-workers produced them.  Wall-clock timing is inherently nondeterministic
-and is therefore reported beside the stats, never inside them.
+Shard workers return :class:`~repro.engine.spec.ShardResult` objects;
+for install campaigns their stats carry slim, picklable
+:class:`OutcomeRecord` entries (an ``InstallOutcome`` minus its
+transaction trace).  :class:`ShardedReport` folds shard stats *in shard
+order* with the kind's associative merge (:func:`merge_stats` here), so
+the merged stats of a fixed seed are bit-identical no matter how many
+shards or workers produced them.  Wall-clock timing is inherently
+nondeterministic and is therefore reported beside the stats, never
+inside them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.campaign import CampaignStats
 from repro.core.outcomes import OutcomeRecord
-from repro.engine.spec import CampaignSpec
+from repro.engine.spec import CampaignSpec, ShardResult
 from repro.obs.metrics import Snapshot, merge_snapshots
 
 __all__ = [
-    "FleetReport", "OutcomeRecord", "ShardResult", "compact_stats",
+    "FleetReport", "OutcomeRecord", "ShardResult", "ShardedReport",
     "merge_stats", "wilson_interval",
 ]
-
-
-def compact_stats(stats: CampaignStats) -> CampaignStats:
-    """Copy ``stats`` with outcomes reduced to :class:`OutcomeRecord`.
-
-    Shard workers call this before pickling results back to the
-    parent: transaction traces reference live simulator objects and
-    are both heavy and irrelevant to fleet aggregates.
-    """
-    compact = CampaignStats(
-        runs=stats.runs,
-        installs_completed=stats.installs_completed,
-        hijacks=stats.hijacks,
-        clean_installs=stats.clean_installs,
-        errors=stats.errors,
-        alarms=stats.alarms,
-        blocked=stats.blocked,
-        alarmed_runs=stats.alarmed_runs,
-        blocked_runs=stats.blocked_runs,
-    )
-    for outcome in stats.outcomes:
-        if isinstance(outcome, OutcomeRecord):
-            compact.outcomes.append(outcome)
-        else:
-            compact.outcomes.append(OutcomeRecord.from_outcome(outcome))
-    return compact
 
 
 def merge_stats(parts: Iterable[CampaignStats]) -> CampaignStats:
@@ -79,46 +55,23 @@ def wilson_interval(successes: int, trials: int,
 
 
 @dataclass
-class ShardResult:
-    """What one shard execution produced.
+class ShardedReport:
+    """Merged stats plus run-level aggregates of one engine run.
 
-    ``trace``/``metrics`` are populated only when the campaign spec has
-    ``observe=True``: the shard's simulated-time trace records and its
-    metrics snapshot (both deterministic for a fixed shard spec —
-    wall-clock stays in ``wall_seconds``, beside them).
+    The part every workload kind shares: the shard results in
+    shard-index order, the stats folded in that order, the fold of the
+    per-shard metrics snapshots (None unless the spec had
+    ``observe=True``), and ``counters`` — the executor's
+    retry/timeout/crash/fallback tallies plus the sum of the shards'
+    own counters.  Counters depend on wall-clock scheduling or on state
+    a previous run left behind, so they live beside the deterministic
+    stats and metrics, never inside them.  A kind subclasses this with
+    a one-line ``from_shards`` naming its stats fold, and its renderer.
     """
 
-    shard_index: int
-    start: int
-    stop: int
-    stats: CampaignStats
-    wall_seconds: float
-    attempts: int = 1
-    backend: str = "process"
-    trace: Optional[List[Dict[str, Any]]] = None
-    metrics: Optional[Snapshot] = None
-    #: Wall-clock plane only (see :mod:`repro.obs.runtime`): a
-    #: ``ShardTelemetry.to_dict()`` payload when the run had telemetry
-    #: enabled, and an optional marshaled cProfile blob.  Neither ever
-    #: feeds the deterministic merge above.
-    telemetry: Optional[Dict[str, Any]] = None
-    profile: Optional[bytes] = None
-
-
-@dataclass
-class FleetReport:
-    """Merged stats plus fleet-level aggregates of one engine run.
-
-    ``metrics`` is the fold of the per-shard snapshots in shard-index
-    order (None unless the spec had ``observe=True``); ``counters``
-    holds the executor's retry/timeout/crash/fallback tallies, which
-    depend on wall-clock scheduling and therefore live beside the
-    deterministic metrics, never inside them.
-    """
-
-    spec: CampaignSpec
+    spec: Any
     shards: List[ShardResult] = field(default_factory=list)
-    stats: CampaignStats = field(default_factory=CampaignStats)
+    stats: Any = None
     wall_seconds: float = 0.0
     workers: int = 1
     backend: str = "serial"
@@ -131,15 +84,19 @@ class FleetReport:
     telemetry: Optional[Dict[str, Any]] = None
 
     @classmethod
-    def from_shards(cls, spec: CampaignSpec, shards: List[ShardResult],
-                    wall_seconds: float, workers: int, backend: str,
-                    counters: Optional[Dict[str, int]] = None,
-                    ) -> "FleetReport":
+    def _fold(cls, merge: Callable[[Iterable[Any]], Any], spec: Any,
+              shards: List[ShardResult], wall_seconds: float, workers: int,
+              backend: str, counters: Optional[Dict[str, int]] = None):
+        """Build the report: ``merge`` folds the shard stats in order."""
         from repro.obs.runtime import fold_shard_telemetry
 
         ordered = sorted(shards, key=lambda shard: shard.shard_index)
         snapshots = [shard.metrics for shard in ordered
                      if shard.metrics is not None]
+        tallied = dict(counters or {})
+        for shard in ordered:
+            for name, value in shard.counters.items():
+                tallied[name] = tallied.get(name, 0) + value
         telemetry = fold_shard_telemetry(ordered)
         if telemetry is not None:
             telemetry["retries"] = sum(
@@ -147,14 +104,31 @@ class FleetReport:
         return cls(
             spec=spec,
             shards=ordered,
-            stats=merge_stats(shard.stats for shard in ordered),
+            stats=merge(shard.stats for shard in ordered),
             wall_seconds=wall_seconds,
             workers=workers,
             backend=backend,
             metrics=merge_snapshots(snapshots) if snapshots else None,
-            counters=dict(counters or {}),
+            counters=tallied,
             telemetry=telemetry,
         )
+
+    @property
+    def throughput(self) -> float:
+        """Work units (installs, apps or images) per wall-clock second."""
+        return self.stats.runs / self.wall_seconds if self.wall_seconds else 0.0
+
+
+@dataclass
+class FleetReport(ShardedReport):
+    """The install-campaign report (``repro fleet``)."""
+
+    spec: CampaignSpec
+    stats: CampaignStats = field(default_factory=CampaignStats)
+
+    @classmethod
+    def from_shards(cls, spec, shards, **run) -> "FleetReport":
+        return cls._fold(merge_stats, spec, shards, **run)
 
     def trace_records(self) -> List[Dict[str, Any]]:
         """All shard trace records in shard-index order, shard-tagged.
@@ -188,11 +162,6 @@ class FleetReport:
     def alarm_ci(self) -> Tuple[float, float]:
         """95% Wilson interval on the per-run alarm probability."""
         return wilson_interval(self.stats.alarmed_runs, self.stats.runs)
-
-    @property
-    def throughput(self) -> float:
-        """Installs per wall-clock second across the whole fleet."""
-        return self.stats.runs / self.wall_seconds if self.wall_seconds else 0.0
 
     def shard_timing(self) -> Tuple[float, float, float]:
         """(min, mean, max) shard wall-clock seconds."""

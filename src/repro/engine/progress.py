@@ -13,8 +13,8 @@ import time
 from typing import IO, TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from repro.engine.merge import FleetReport, ShardResult
-    from repro.engine.spec import CampaignSpec, ShardSpec
+    from repro.engine.merge import FleetReport
+    from repro.engine.spec import CampaignSpec, ShardResult, ShardSpec
 
 
 class FleetProgress:
@@ -93,7 +93,7 @@ class MetricsProgress(FleetProgress):
         self.shards_done += 1
         if result.wall_seconds > 0:
             self.throughputs.append(result.stats.runs / result.wall_seconds)
-        payload = getattr(result, "telemetry", None)
+        payload = result.telemetry
         if payload:
             if self.telemetry is None:
                 from repro.obs.runtime import TelemetryRollup

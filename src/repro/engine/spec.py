@@ -22,9 +22,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import asdict, dataclass
-from typing import (TYPE_CHECKING, Any, Callable, ClassVar, Dict, List,
-                    Optional, Tuple, Type)
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.android.device import (
     DeviceProfile,
@@ -42,13 +41,10 @@ from repro.core.campaign import Campaign, CampaignStats
 from repro.core.scenario import VALID_DEFENSES, Scenario
 from repro.errors import ReproError
 from repro.installers import installer_by_name
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Snapshot
 from repro.obs.trace import TraceRecorder
 from repro.sim.events import DEFAULT_DRAIN_INTERVAL_NS, WatchLimits
 from repro.sim.rand import DeterministicRandom
-
-if TYPE_CHECKING:  # merge imports this module for CampaignSpec
-    from repro.engine.merge import ShardResult
 
 #: Attacks a spec may name.  ``None`` means a defense-only / benign run.
 ATTACKS: Dict[str, Optional[Type[MaliciousApp]]] = {
@@ -134,6 +130,26 @@ def parse_chaos(chaos: Optional[str],
                     f"invalid chaos spec {chaos!r}: shard index {index} "
                     f"is out of range for {shard_count} shard(s)")
     return (mode, tuple(indices))
+
+
+def partition(spec: Any, size: int, count: int) -> List[Tuple[int, int]]:
+    """Split ``[0, size)`` into ``count`` contiguous ``(start, stop)`` slices.
+
+    The slices are balanced to within one unit.  Validates what every
+    workload kind shares: the shard count, and ``spec.chaos`` against
+    it (the count is only known here, so this rejects chaos indices
+    that would silently never fire).
+    """
+    if count < 1:
+        raise ReproError(f"shard count must be >= 1, got {count}")
+    parse_chaos(spec.chaos, shard_count=count)
+    base, extra = divmod(size, count)
+    slices, start = [], 0
+    for index in range(count):
+        stop = start + base + (1 if index < extra else 0)
+        slices.append((start, stop))
+        start = stop
+    return slices
 
 
 @dataclass(frozen=True)
@@ -345,40 +361,99 @@ class CampaignSpec:
         which would make results depend on the shard layout, so such
         campaigns refuse to shard.
         """
-        if count < 1:
-            raise ReproError(f"shard count must be >= 1, got {count}")
-        # The shard count is only known here: reject chaos indices that
-        # would silently never fire.
-        parse_chaos(self.chaos, shard_count=count)
+        slices = partition(self, self.installs, count)
         if count > 1 and self.attack != "none" and not self.rearm_between:
             raise ReproError(
                 "a one-shot attacker (rearm_between=False) arms once per "
                 "shard; run it unsharded to keep results well-defined")
-        base, extra = divmod(self.installs, count)
-        shards, start = [], 0
-        for index in range(count):
-            stop = start + base + (1 if index < extra else 0)
-            shards.append(ShardSpec(
-                campaign=self,
-                index=index,
-                count=count,
-                start=start,
-                stop=stop,
-                seed=self.child_seed(index),
-            ))
-            start = stop
-        return shards
+        return [ShardSpec(self, index, count, start, stop,
+                          seed=self.child_seed(index))
+                for index, (start, stop) in enumerate(slices)]
+
+
+@dataclass
+class ShardResult:
+    """What one shard execution produced, for every workload kind.
+
+    ``stats`` is the kind's mergeable tally (``CampaignStats`` or
+    ``AnalysisStats``).  ``trace``/``metrics`` are populated only when
+    the spec has ``observe=True``: the shard's simulated-time trace
+    records and its metrics snapshot (both deterministic for a fixed
+    shard spec — wall-clock stays in ``wall_seconds``, beside them).
+    ``counters`` are tallies that may differ between runs of the same
+    spec (the analysis cache's hits and misses); the report sums them
+    beside the deterministic stats, never inside.
+    """
+
+    shard_index: int
+    start: int
+    stop: int
+    stats: Any
+    wall_seconds: float
+    attempts: int = 1
+    backend: str = "process"
+    trace: Optional[List[Dict[str, Any]]] = None
+    metrics: Optional[Snapshot] = None
+    counters: Dict[str, int] = field(default_factory=dict)
+    #: Wall-clock plane only (see :mod:`repro.obs.runtime`): a
+    #: ``ShardTelemetry.to_dict()`` payload when the run had telemetry
+    #: enabled, and an optional marshaled cProfile blob.  Neither ever
+    #: feeds the deterministic merge.
+    telemetry: Optional[Dict[str, Any]] = None
+    profile: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
-class ShardSpec:
-    """One shard's slice of a campaign: global installs [start, stop)."""
+class ShardSlice:
+    """One contiguous slice ``[start, stop)`` of a sharded workload.
 
-    campaign: CampaignSpec
+    The engine's unit for every workload kind: the executor ships a
+    slice to a worker (reading ``campaign.chaos`` for failure
+    injection) and calls :meth:`execute`.  A kind subclasses this and
+    implements only :meth:`run`.
+    """
+
+    campaign: Any
     index: int
     count: int
     start: int
     stop: int
+
+    def run(self, recorder: Optional[TraceRecorder],
+            metrics: Optional[MetricsRegistry]
+            ) -> Tuple[Any, Dict[str, int]]:
+        """Run the slice; ``(stats, counters)`` for the result."""
+        raise NotImplementedError
+
+    def execute(self) -> ShardResult:
+        """Run this shard in the current process (the engine's unit).
+
+        When the spec has ``observe=True`` the result also carries the
+        shard's trace records and metrics snapshot.
+        """
+        started = time.perf_counter()
+        observe = self.campaign.observe
+        recorder = TraceRecorder() if observe else None
+        metrics = MetricsRegistry() if observe else None
+        stats, counters = self.run(recorder, metrics)
+        return ShardResult(
+            shard_index=self.index,
+            start=self.start,
+            stop=self.stop,
+            stats=stats,
+            wall_seconds=time.perf_counter() - started,
+            backend="serial",
+            trace=recorder.records() if recorder is not None else None,
+            metrics=metrics.snapshot() if metrics is not None else None,
+            counters=counters,
+        )
+
+
+@dataclass(frozen=True)
+class ShardSpec(ShardSlice):
+    """One shard's slice of a campaign: global installs [start, stop)."""
+
+    campaign: CampaignSpec
     seed: int
 
     @property
@@ -435,22 +510,12 @@ class ShardSpec:
             packages.append(package)
         return packages
 
-    def execute(self) -> "ShardResult":
-        """Run this shard in the current process (the engine's unit).
+    def run(self, recorder, metrics) -> Tuple[CampaignStats, Dict[str, int]]:
+        """Provision a fresh device, publish the slice, run its installs.
 
-        Provisions a fresh device, publishes the shard's slice of the
-        global workload, runs the installs, and returns compacted
-        (picklable, trace-free) stats.  When the campaign spec has
-        ``observe=True`` the result also carries the shard's trace
-        records and metrics snapshot (simulated-time only, so both are
-        deterministic for a fixed shard spec).
+        Returns compacted (picklable, trace-free) stats and no counters.
         """
-        from repro.engine.merge import ShardResult  # import cycle
-
-        started = time.perf_counter()
         spec = self.campaign
-        recorder = TraceRecorder() if spec.observe else None
-        metrics = MetricsRegistry() if spec.observe else None
         scenario = self.build_scenario(recorder=recorder, metrics=metrics)
         packages = self.publish_workload(scenario)
         # Compact at record time: outcomes are projected to trace-free
@@ -463,16 +528,7 @@ class ShardSpec:
             arm_attacker=spec.arm_attacker,
             rearm_between=spec.rearm_between,
         )
-        return ShardResult(
-            shard_index=self.index,
-            start=self.start,
-            stop=self.stop,
-            stats=campaign.stats,
-            wall_seconds=time.perf_counter() - started,
-            backend="serial",
-            trace=recorder.records() if recorder is not None else None,
-            metrics=metrics.snapshot() if metrics is not None else None,
-        )
+        return campaign.stats, {}
 
 
 #: The scenario attribute holding each defense object, by spec name.

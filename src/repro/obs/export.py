@@ -12,8 +12,9 @@ in memory.
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import ReproError
 from repro.obs.metrics import Snapshot, summary_percentile
@@ -44,6 +45,51 @@ def write_trace_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)
     return payload.count("\n")
+
+
+def append_jsonl(path: Union[str, os.PathLike], record: Dict[str, Any],
+                 durable: bool = False) -> None:
+    """Append ``record`` to an append-only JSONL log as one canonical line.
+
+    A writer killed mid-append leaves a torn last line with no newline;
+    a record appended straight after it would share that line and be
+    dropped with it by :func:`read_jsonl`.  So the record starts on a
+    fresh line whenever the file does not end in one.  ``durable``
+    fsyncs.
+    """
+    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    with open(path, "a+b") as handle:
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                line = "\n" + line
+        handle.write(line.encode("utf-8"))
+        if durable:
+            handle.flush()
+            os.fsync(handle.fileno())
+
+
+def read_jsonl(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
+    """Every intact record of an append-only JSONL log, in order.
+
+    Torn lines (a writer killed mid-append) and lines that are not JSON
+    objects are skipped rather than poisoning recovery; a missing file
+    reads as empty.
+    """
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return []
+    records = []
+    with handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # blank, or torn by a kill
+            if isinstance(record, dict):
+                records.append(record)
+    return records
 
 
 def iter_trace_jsonl(path: str) -> Iterator[Dict[str, Any]]:

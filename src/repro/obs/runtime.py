@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.errors import ReproError
+from repro.obs.export import append_jsonl, read_jsonl
 
 try:  # POSIX-only; Windows ships without resource
     import resource as _resource_module
@@ -294,10 +295,9 @@ class TelemetryRollup:
 def fold_shard_telemetry(shards: Iterable[Any]) -> Optional[Dict[str, Any]]:
     """Fold ``shard.telemetry`` dicts from shard results into one rollup.
 
-    Duck-typed over :class:`~repro.engine.merge.ShardResult` and
-    :class:`~repro.analysis.pipeline.AnalysisShardResult` alike (and
-    tolerant of results unpickled from pre-telemetry checkpoints that
-    lack the attribute).  Returns None when no shard carried telemetry,
+    Duck-typed over :class:`~repro.engine.spec.ShardResult` of either
+    workload kind (and over objects lacking the attribute, which count
+    as carrying none).  Returns None when no shard carried telemetry,
     so reports stay byte-identical when the feature is off.
     """
     rollup = TelemetryRollup()
@@ -357,21 +357,8 @@ class FlightRecorder:
     # -- persistence ----------------------------------------------------------
 
     def _reload(self) -> None:
-        """Load the sidecar tail into the ring (torn last line dropped)."""
-        if not self.path.exists():
-            return
-        events: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write from a kill: drop, keep reading
-                if isinstance(event, dict):
-                    events.append(event)
+        """Load the sidecar tail into the ring (torn lines dropped)."""
+        events = read_jsonl(self.path)
         self._file_lines = len(events)
         for event in events[-self.capacity:]:
             self._ring.append(event)
@@ -392,9 +379,7 @@ class FlightRecorder:
         self._file_lines = len(self._ring)
 
     def _append_line(self, event: Dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        append_jsonl(self.path, event)
         self._file_lines += 1
         if self._file_lines > self.capacity * _FLIGHT_COMPACT_FACTOR:
             self._compact()

@@ -12,7 +12,7 @@ attributes, never wall-clock readings, so the trace of a fixed seed is
 byte-identical across runs, worker counts and backends — the same
 determinism contract :mod:`repro.engine` gives for merged stats.
 Wall-clock timing stays beside the trace (in
-:class:`~repro.engine.merge.ShardResult` / ``FleetReport`` fields),
+:class:`~repro.engine.spec.ShardResult` / ``FleetReport`` fields),
 exactly like :mod:`repro.engine.merge` treats statistics.
 
 The default recorder everywhere is the :data:`NULL_RECORDER` singleton:

@@ -1,7 +1,7 @@
 """Shard-completion journal and on-disk job store for ``repro serve``.
 
 :class:`ShardJournal` is the campaign service's crash-survival story:
-every completed shard's :class:`~repro.engine.merge.ShardResult` is
+every completed shard's :class:`~repro.engine.spec.ShardResult` is
 written to a content-addressed file the moment it lands, with a
 manifest naming which shards are done.  A killed campaign resumed from
 the journal re-runs only the missing shards, and because per-shard
@@ -24,13 +24,13 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.engine.merge import ShardResult
-from repro.engine.spec import CampaignSpec
+from repro.engine.spec import CampaignSpec, ShardResult
 from repro.errors import ReproError
+from repro.obs.export import append_jsonl, read_jsonl
 
 #: Bumped when the journal layout or the pickle payload shape changes;
 #: a journal written by another version is refused, never misread.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 _MANIFEST = "manifest.json"
 
@@ -256,32 +256,16 @@ class JobStore:
 
     def append_journal(self, record: Dict[str, Any]) -> None:
         """Append one event record (``submit``/``done``/...) durably."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.journal_path, record, durable=True)
 
     def read_journal(self) -> List[Dict[str, Any]]:
         """Every journal record in append order (empty when absent).
 
-        A torn final line (daemon killed mid-append) is dropped rather
-        than poisoning recovery.
+        A torn line (daemon killed mid-append) is dropped rather than
+        poisoning recovery; the next append starts on a fresh line, so
+        it never takes a later record down with it.
         """
-        path = self.journal_path
-        if not path.exists():
-            return []
-        records = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-        return records
+        return read_jsonl(self.journal_path)
 
     # -- results ---------------------------------------------------------------
 

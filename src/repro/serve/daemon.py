@@ -331,7 +331,7 @@ class CampaignService:
         with self._lock:
             job.progress = (done, total)
             self.metrics.counter("serve/shards_completed").inc()
-            payload = getattr(result, "telemetry", None)
+            payload = result.telemetry
             if payload:
                 rollup = self._job_rollups.setdefault(job.job_id,
                                                       TelemetryRollup())

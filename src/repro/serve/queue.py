@@ -83,7 +83,7 @@ class Job:
         self.summary = stats_counters(report.stats)
         self.counters = dict(report.counters)
         self.progress = (len(report.shards), len(report.shards))
-        folded = getattr(report, "telemetry", None)
+        folded = report.telemetry
         if folded:
             merged = dict(folded)
             if self.telemetry:  # keep the scheduler's queue-wait fold

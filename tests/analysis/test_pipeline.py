@@ -35,8 +35,14 @@ from repro.analysis.pipeline import (
     table5_counts,
     table6_counts,
 )
+from repro.engine import multiprocessing_usable
 from repro.errors import ReproError
 from repro.measurement.tables import build_hare, build_platform_keys
+
+
+needs_multiprocessing = pytest.mark.skipif(
+    not multiprocessing_usable(),
+    reason="multiprocessing unavailable in this environment")
 
 
 def run_serial(spec, shards=1):
@@ -110,6 +116,23 @@ def test_process_backend_equals_serial():
     pooled = run_analysis(spec, shards=5, workers=2, backend="process")
     assert pooled.stats.identity_tuple() == serial.stats.identity_tuple()
     assert pooled.render() == serial.render()
+
+
+@needs_multiprocessing
+def test_crashing_worker_retries_to_serial_stats_and_counts_cache_once(
+        tmp_path):
+    spec = AnalysisSpec(corpus="play", apps=400, chaos="crash:1",
+                        cache_dir=str(tmp_path))
+    clean = run_serial(AnalysisSpec(corpus="play", apps=400), shards=1)
+    crashed = run_analysis(spec, shards=4, workers=2, backend="process")
+    assert crashed.stats.identity_tuple() == clean.stats.identity_tuple()
+    assert crashed.counters["crashes"] >= 1
+    # Hits and misses come from the one attempt that finished, never
+    # from the crashed attempts of the same shard.
+    assert crashed.cache_hits + crashed.cache_misses == 400
+    warm = run_analysis(dataclasses.replace(spec, chaos=None), shards=4,
+                        workers=2, backend="process")
+    assert (warm.cache_hits, warm.cache_misses) == (400, 0)
 
 
 # -- trace byte-identity across splits --------------------------------------------

@@ -137,6 +137,7 @@ def test_compact_stats_project_outcomes_at_record_time():
                              trace=heavy_trace, elapsed_ns=42)
     stats.record(outcome, [])
     assert stats.runs == 1
+    assert stats.installs_completed == 1
     record = stats.outcomes[0]
     assert isinstance(record, OutcomeRecord)
     # The retained record must not pin the trace (that is the memory
@@ -144,6 +145,11 @@ def test_compact_stats_project_outcomes_at_record_time():
     assert not hasattr(record, "trace")
     assert record.elapsed_ns == 42
     assert record.clean_install
+    # Idempotent: an already-projected record is retained as is.
+    again = CampaignStats(compact=True)
+    again.record(record, [])
+    assert again == stats
+    assert again.outcomes[0] is record
 
 
 def test_keep_outcomes_caps_retained_records_not_counters():

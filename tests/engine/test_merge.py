@@ -3,12 +3,10 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import CampaignStats
-from repro.core.outcomes import InstallOutcome
 from repro.engine.merge import (
     FleetReport,
     OutcomeRecord,
     ShardResult,
-    compact_stats,
     merge_stats,
     wilson_interval,
 )
@@ -92,24 +90,6 @@ def test_merge_stats_folds_a_sequence():
     merged = merge_stats(parts)
     assert merged.runs == 4
     assert merge_stats([]) == CampaignStats()
-
-
-def test_compact_stats_strips_traces_and_preserves_counters():
-    stats = CampaignStats()
-    outcome = InstallOutcome(requested_package="com.a", installed=True,
-                             installed_certificate_owner="dev",
-                             elapsed_ns=77)
-    stats.record(outcome, [])
-    compact = compact_stats(stats)
-    assert compact.runs == stats.runs == 1
-    assert compact.installs_completed == 1
-    record = compact.outcomes[0]
-    assert isinstance(record, OutcomeRecord)
-    assert record.requested_package == "com.a"
-    assert record.elapsed_ns == 77
-    assert not hasattr(record, "trace")
-    # Idempotent on already-compacted stats.
-    assert compact_stats(compact) == compact
 
 
 def test_wilson_interval_bounds_and_known_value():

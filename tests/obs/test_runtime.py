@@ -166,6 +166,18 @@ def test_flight_reload_drops_a_torn_last_line(tmp_path):
     assert [e["kind"] for e in reloaded.events()] == ["submit"]
 
 
+def test_flight_recover_after_a_torn_line_survives_the_next_reload(tmp_path):
+    path = tmp_path / "flight.jsonl"
+    flight = FlightRecorder(capacity=8, path=path)
+    flight.record("submit", job="job-1")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "torn-by-sigki')  # no newline, no close
+    FlightRecorder(capacity=8, path=path).record("recover", requeued=1)
+    third = FlightRecorder(capacity=8, path=path)
+    assert [(e["seq"], e["kind"]) for e in third.events()] == [
+        (1, "submit"), (2, "recover")]
+
+
 def test_flight_file_compacts_instead_of_growing_forever(tmp_path):
     path = tmp_path / "flight.jsonl"
     flight = FlightRecorder(capacity=4, path=path)

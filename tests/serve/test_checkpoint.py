@@ -118,3 +118,15 @@ def test_job_journal_survives_a_torn_final_line(tmp_path):
         handle.write('{"event": "sub')  # killed mid-append
     records = store.read_journal()
     assert [r["event"] for r in records] == ["submit", "end"]
+
+
+def test_job_journal_append_after_a_torn_line_is_not_swallowed(tmp_path):
+    store = JobStore(tmp_path)
+    store.append_journal({"event": "submit", "job_id": "job-000001"})
+    with open(store.journal_path, "a", encoding="utf-8") as handle:
+        handle.write('{"event": "sub')  # killed mid-append
+    # The restarted daemon acknowledges a new submit: it must survive
+    # the next restart's read.
+    store.append_journal({"event": "submit", "job_id": "job-000002"})
+    records = store.read_journal()
+    assert [r["job_id"] for r in records] == ["job-000001", "job-000002"]

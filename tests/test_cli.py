@@ -260,6 +260,16 @@ def test_fleet_zero_installs_is_fine(capsys):
 # -- analyze ------------------------------------------------------------------
 
 
+def test_analyze_rejects_hang_chaos_without_a_shard_timeout(capsys):
+    # analyze has no --shard-timeout, so a hung worker would never be
+    # reaped: the run must refuse up front instead of waiting forever.
+    assert main(["analyze", "--corpus", "play", "--apps", "40",
+                 "--chaos", "hang:1", "--shards", "2", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "error: --chaos 'hang:1'" in err
+    assert "--shard-timeout" in err
+
+
 def test_analyze_stdout_identical_across_splits(capsys):
     outputs = []
     for extra in (["--shards", "1"], ["--shards", "4"]):
