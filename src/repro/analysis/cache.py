@@ -6,10 +6,10 @@ file opens instead of one per app:
 ``seg-<digest>.pack``
     A segment: fixed 16-byte header (magic, format version, record
     count) followed by length-prefixed records.  Each record is
-    ``u32 payload length + 32-byte sha256(payload) + payload`` where
-    the payload is canonical JSON (sorted keys, compact separators).
-    Reads re-hash the payload and treat any mismatch as a miss, so a
-    torn or corrupted record can never surface as a cache hit.
+    ``u32 payload length + 32-byte sha256(payload) + payload`` (a
+    :mod:`repro.durable` frame) of canonical JSON (sorted keys, compact
+    separators).  Reads re-hash the payload and treat any mismatch as
+    a miss, so a torn or corrupted record can never surface as a hit.
 
 ``seg-<digest>.idx``
     The segment's fanout index: header, a 256-entry cumulative fanout
@@ -22,8 +22,8 @@ file opens instead of one per app:
 Writers encode each payload to its canonical bytes once, at ``put``,
 and buffer those bytes; ``flush()`` only frames them into a whole
 segment (the pipeline flushes once per shard, and ``put`` rotates
-automatically past a record cap).  Segment and index files are staged
-to a temp name and ``os.replace``d into place, and segment names are
+automatically past a record cap).  Segment and index files go through
+a best-effort (not fsynced) ``atomic_write``, and segment names are
 derived from the content digest — concurrent shards never collide and
 re-flushing identical content is idempotent.  Because a segment is
 never rewritten in place, a reader may map it: a replaced file keeps
@@ -41,15 +41,15 @@ import json
 import mmap
 import os
 import struct
-import tempfile
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from repro.durable import FRAME, atomic_write, frame, iter_frames, read_frame
 
 SEGMENT_MAGIC = b"RPK1"
 INDEX_MAGIC = b"RPX1"
 PACK_FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIQ")       # magic, version, record count
-_RECORD_PREFIX = struct.Struct("<I")   # payload length
 _INDEX_ENTRY = struct.Struct("<QI")    # payload offset, payload length
 _FANOUT = struct.Struct("<256I")
 
@@ -127,14 +127,10 @@ class _Segment:
             except (OSError, ValueError):  # ValueError: empty file
                 return None
             self._map = view
-        start = offset - _KEY_BYTES
-        end = offset + length
-        if start < 0 or end > len(view):  # torn tail
+        verified = read_frame(view, offset - FRAME.size)
+        if verified is None or verified[1] != offset + length:
             return None
-        payload = view[offset:end]
-        if hashlib.sha256(payload).digest() != view[start:offset]:
-            return None
-        return _decode_payload(payload)
+        return _decode_payload(verified[0])
 
     def iter_payloads(self) -> Iterator[dict]:
         """Records in file order (skipping any that fail verification)."""
@@ -198,8 +194,7 @@ def _scan_segment(path: str) -> Optional[_Segment]:
 def _rebuild_from_segment(path: str) -> Optional[_Segment]:
     """Walk a segment's records directly (missing or corrupt ``.idx``).
 
-    Stops cleanly at the first torn record, indexing the intact
-    prefix.
+    Indexes every intact record and stops cleanly at a torn one.
     """
     try:
         with open(path, "rb") as handle:
@@ -207,28 +202,16 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
     except OSError:
         return None
     try:
-        magic, version, count = _HEADER.unpack_from(blob, 0)
+        magic, version, _count = _HEADER.unpack_from(blob, 0)
     except struct.error:
         return None
     if magic != SEGMENT_MAGIC or version != PACK_FORMAT_VERSION:
         return None
     records: List[Tuple[bytes, int, int]] = []
-    offset = _HEADER.size
-    size = len(blob)
-    for _ in range(count):
-        if offset + _RECORD_PREFIX.size + _KEY_BYTES > size:
-            break
-        (length,) = _RECORD_PREFIX.unpack_from(blob, offset)
-        payload_at = offset + _RECORD_PREFIX.size + _KEY_BYTES
-        if payload_at + length > size:
-            break
-        digest = blob[offset + _RECORD_PREFIX.size:payload_at]
-        payload = blob[payload_at:payload_at + length]
-        if hashlib.sha256(payload).digest() == digest:
-            raw_key = _raw_key((_decode_payload(payload) or {}).get("key"))
-            if len(raw_key) == _KEY_BYTES:
-                records.append((raw_key, payload_at, length))
-        offset = payload_at + length
+    for payload, end in iter_frames(blob, _HEADER.size):
+        raw_key = _raw_key((_decode_payload(payload) or {}).get("key"))
+        if len(raw_key) == _KEY_BYTES:
+            records.append((raw_key, end - len(payload), len(payload)))
     fanout, keys, entries = _build_index(records)
     return _Segment(path, len(records), fanout, keys, entries)
 
@@ -300,16 +283,13 @@ class PackStore:
         running = hashlib.sha256()
         for key in sorted(self._buffer):
             payload = self._buffer[key]
-            digest = hashlib.sha256(payload).digest()
-            offset = (_HEADER.size + len(body)
-                      + _RECORD_PREFIX.size + _KEY_BYTES)
-            body += _RECORD_PREFIX.pack(len(payload))
-            body += digest
-            body += payload
-            running.update(digest)
+            record = frame(payload)
+            running.update(FRAME.unpack_from(record)[1])
+            body += record
             raw_key = _raw_key(key)
             if len(raw_key) == _KEY_BYTES:
-                records.append((raw_key, offset, len(payload)))
+                records.append((raw_key, _HEADER.size + len(body)
+                                - len(payload), len(payload)))
         count = len(records)
         stem = os.path.join(self.root, f"seg-{running.hexdigest()[:16]}")
         segment_path = stem + ".pack"
@@ -317,8 +297,8 @@ class PackStore:
         fanout, keys, entries = _build_index(records)
         index_blob = (_HEADER.pack(INDEX_MAGIC, PACK_FORMAT_VERSION, count)
                       + _FANOUT.pack(*fanout) + keys + entries)
-        self._atomic_write(segment_path, header + bytes(body))
-        self._atomic_write(stem + ".idx", index_blob)
+        atomic_write(segment_path, header + bytes(body), durable=False)
+        atomic_write(stem + ".idx", index_blob, durable=False)
         retired = self._segments.get(segment_path)
         if retired is not None:  # identical content re-flushed
             retired.close()
@@ -326,20 +306,6 @@ class PackStore:
             segment_path, count, fanout, keys, entries)
         self._buffer.clear()
         return segment_path
-
-    def _atomic_write(self, path: str, blob: bytes) -> None:
-        handle = tempfile.NamedTemporaryFile(
-            "wb", dir=self.root, prefix=".tmp-", delete=False)
-        try:
-            with handle:
-                handle.write(blob)
-            os.replace(handle.name, path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
 
     def close(self) -> None:
         """Release every segment mapping (does not flush the buffer)."""

@@ -28,9 +28,9 @@ Four pieces:
 - :class:`FlightRecorder` — a bounded ring buffer of structured ops
   events (submit/schedule/start/finish/crash/checkpoint/recover) with
   overflow counting.  Optionally file-backed: each event is appended
-  to a JSONL sidecar and reloaded on construction, so the recorder
-  survives a SIGKILL and the restarted daemon still knows what its
-  predecessor was doing.
+  to a :mod:`repro.durable` record log and reloaded on construction,
+  so the recorder survives a SIGKILL and the restarted daemon still
+  knows what its predecessor was doing.
 - Prometheus text exposition — :func:`render_prometheus` renders a
   metrics snapshot plus telemetry rollups in exposition format 0.0.4;
   :func:`validate_exposition` is the syntax checker CI scrapes a live
@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
+from repro.durable import RecordLog, atomic_write, frame
 from repro.errors import ReproError
-from repro.obs.export import append_jsonl, read_jsonl
+from repro.obs.export import canonical_json
 
 try:  # POSIX-only; Windows ships without resource
     import resource as _resource_module
@@ -317,7 +318,7 @@ def fold_shard_telemetry(shards: Iterable[Any]) -> Optional[Dict[str, Any]]:
 FLIGHT_CAPACITY = 256
 
 #: File-backed recorders compact the sidecar once it holds this many
-#: times the ring capacity in lines.
+#: times the ring capacity in records.
 _FLIGHT_COMPACT_FACTOR = 8
 
 
@@ -331,12 +332,12 @@ class FlightRecorder:
     appends ``{"seq", "t", "kind", **fields}``; once ``capacity``
     events are held the oldest drops and ``dropped`` increments.
 
-    With a ``path``, every event is also appended to a JSONL sidecar
-    (flushed, not fsynced — telemetry must never slow the job path) and
-    the constructor reloads the tail, so a SIGKILLed daemon's successor
-    still sees the pre-kill events plus its own ``recover``.  The
-    sidecar is compacted back to ring contents when it grows past
-    ``capacity * 8`` lines, keeping it bounded too.
+    With a ``path``, every event is also appended to a best-effort
+    record-log sidecar (not fsynced — telemetry must never slow the job
+    path) and the constructor reloads the tail, so a SIGKILLed daemon's
+    successor still sees the pre-kill events plus its own ``recover``.
+    The sidecar is rewritten to the ring once it holds ``capacity * 8``
+    records; a disk that refuses a write costs history, never the daemon.
     """
 
     def __init__(self, capacity: int = FLIGHT_CAPACITY,
@@ -350,39 +351,36 @@ class FlightRecorder:
         self.dropped = 0
         self._seq = 0
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self._file_lines = 0
+        self._file_records = 0
         if self.path is not None:
             self._reload()
 
     # -- persistence ----------------------------------------------------------
 
     def _reload(self) -> None:
-        """Load the sidecar tail into the ring (torn lines dropped)."""
-        events = read_jsonl(self.path)
-        self._file_lines = len(events)
+        """Load the sidecar tail into the ring (torn records dropped)."""
+        self._log = RecordLog(self.path, durable=False)
+        events = [json.loads(payload) for payload in self._log.records()]
+        self._file_records = len(events)
         for event in events[-self.capacity:]:
             self._ring.append(event)
         self.recorded = len(events)
         self.dropped = max(0, len(events) - self.capacity)
         self._seq = max((int(e.get("seq", 0)) for e in events), default=0)
-        if self._file_lines > self.capacity * _FLIGHT_COMPACT_FACTOR:
-            self._compact()
+        try:
+            self._compact_if_full()
+        except OSError:
+            pass  # a full disk must not stop the daemon from starting
 
-    def _compact(self) -> None:
-        """Rewrite the sidecar with just the ring contents."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for event in self._ring:
-                handle.write(json.dumps(event, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-        os.replace(tmp, self.path)
-        self._file_lines = len(self._ring)
-
-    def _append_line(self, event: Dict[str, Any]) -> None:
-        append_jsonl(self.path, event)
-        self._file_lines += 1
-        if self._file_lines > self.capacity * _FLIGHT_COMPACT_FACTOR:
-            self._compact()
+    def _compact_if_full(self) -> None:
+        """Rewrite the sidecar with just the ring once it outgrows it."""
+        if self._file_records <= self.capacity * _FLIGHT_COMPACT_FACTOR:
+            return
+        blob = b"".join(frame(canonical_json(event).encode())
+                        for event in self._ring)
+        atomic_write(self.path, blob, durable=False)
+        self._log = RecordLog(self.path, durable=False)
+        self._file_records = len(self._ring)
 
     # -- recording ------------------------------------------------------------
 
@@ -399,7 +397,9 @@ class FlightRecorder:
         self.recorded += 1
         if self.path is not None:
             try:
-                self._append_line(event)
+                self._log.append(canonical_json(event).encode())
+                self._file_records += 1
+                self._compact_if_full()
             except OSError:
                 pass  # a full disk must never take the daemon down
         return event

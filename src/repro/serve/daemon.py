@@ -28,11 +28,12 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.durable import atomic_write
 from repro.engine.executor import FleetExecutor
 from repro.engine.progress import FleetProgress, NullProgress
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
-from repro.obs.export import write_trace_jsonl
+from repro.obs.export import trace_to_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
     FlightRecorder,
@@ -283,7 +284,8 @@ class CampaignService:
         if spec.observe:
             trace_path = self.store.trace_path(job.job_id)
             trace_path.parent.mkdir(parents=True, exist_ok=True)
-            write_trace_jsonl(str(trace_path), report.trace_records())
+            atomic_write(trace_path, trace_to_jsonl(
+                report.trace_records()).encode(), durable=False)
         with self._lock:
             job.finish(report)
             self.store.write_result(job.job_id, {

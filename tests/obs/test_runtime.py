@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from repro.durable import RecordLog, frame
 from repro.errors import ReproError
+from repro.obs import runtime as runtime_mod
 from repro.obs.runtime import (
     FLIGHT_CAPACITY,
     FlightRecorder,
@@ -141,7 +143,7 @@ def test_flight_events_filter_by_kind_and_stamp_sequence():
 
 
 def test_flight_file_survives_a_reload(tmp_path):
-    path = tmp_path / "flight.jsonl"
+    path = tmp_path / "flight.log"
     first = FlightRecorder(capacity=8, path=path)
     first.record("submit", job="job-1")
     first.record("finish", job="job-1")
@@ -156,22 +158,27 @@ def test_flight_file_survives_a_reload(tmp_path):
     assert third._seq == 3  # sequence continues across restarts
 
 
+def _tear(path):
+    """Append half a frame: a recorder SIGKILLed mid-append."""
+    torn = frame(b'{"kind":"torn-by-sigkill","seq":99}')
+    with open(path, "ab") as handle:
+        handle.write(torn[:len(torn) // 2])
+
+
 def test_flight_reload_drops_a_torn_last_line(tmp_path):
-    path = tmp_path / "flight.jsonl"
+    path = tmp_path / "flight.log"
     flight = FlightRecorder(capacity=8, path=path)
     flight.record("submit", job="job-1")
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "torn-by-sigki')  # no newline, no close
+    _tear(path)
     reloaded = FlightRecorder(capacity=8, path=path)
     assert [e["kind"] for e in reloaded.events()] == ["submit"]
 
 
 def test_flight_recover_after_a_torn_line_survives_the_next_reload(tmp_path):
-    path = tmp_path / "flight.jsonl"
+    path = tmp_path / "flight.log"
     flight = FlightRecorder(capacity=8, path=path)
     flight.record("submit", job="job-1")
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "torn-by-sigki')  # no newline, no close
+    _tear(path)
     FlightRecorder(capacity=8, path=path).record("recover", requeued=1)
     third = FlightRecorder(capacity=8, path=path)
     assert [(e["seq"], e["kind"]) for e in third.events()] == [
@@ -179,18 +186,35 @@ def test_flight_recover_after_a_torn_line_survives_the_next_reload(tmp_path):
 
 
 def test_flight_file_compacts_instead_of_growing_forever(tmp_path):
-    path = tmp_path / "flight.jsonl"
+    path = tmp_path / "flight.log"
     flight = FlightRecorder(capacity=4, path=path)
     for index in range(100):
         flight.record("tick", index=index)
     # The sidecar compacts once it outgrows capacity * factor, so 100
-    # events never leave more than one factor's worth of lines behind,
-    # and a restart still sees exactly the ring tail.
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) <= 4 * 8
+    # events never leave more than one factor's worth of records
+    # behind, and a restart still sees exactly the ring tail.
+    assert len(RecordLog(path, durable=False).records()) <= 4 * 8
     reloaded = FlightRecorder(capacity=4, path=path)
     assert [e["index"] for e in reloaded.events()] == [96, 97, 98, 99]
     assert FLIGHT_CAPACITY >= 4  # default capacity is far larger
+
+
+def test_flight_reload_survives_a_disk_that_refuses_compaction(
+        tmp_path, monkeypatch):
+    path = tmp_path / "flight.log"
+    log = RecordLog(path, durable=False)
+    log.append(*(json.dumps({"seq": seq, "kind": "tick"}).encode()
+                 for seq in range(1, 41)))  # 40 > capacity * 8
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(runtime_mod, "atomic_write", full_disk)
+    flight = FlightRecorder(capacity=4, path=path)
+    assert [e["seq"] for e in flight.events()] == [37, 38, 39, 40]
+    assert flight.recorded == 40 and flight.dropped == 36
+    flight.record("recover")  # the rewrite fails again; record still works
+    assert flight.events()[-1]["seq"] == 41
 
 
 # -- Prometheus exposition --------------------------------------------------
