@@ -33,10 +33,10 @@ Commands
 - ``top``      — live ops view over the daemon: health, queue depth,
   per-job shard rates and ETAs, refreshed every ``--interval``.
 
-``fleet`` and ``analyze`` accept ``--telemetry`` (per-shard wall-clock
-CPU/RSS accounting, reported beside the deterministic output) and
-``--profile-shards`` (cProfile per shard, merged into one hotspot
-table under ``benchmarks/results/``).
+``fleet`` and ``analyze`` always report per-shard wall-clock CPU/RSS
+telemetry beside the deterministic output (``analyze`` on stderr), and
+accept ``--profile-shards`` (cProfile per shard, merged into one
+hotspot table under ``benchmarks/results/``).
 
 Every simulation command accepts ``--seed`` for reproducible runs; the
 ``trace`` family is a pure function of its input files, so its output
@@ -219,23 +219,12 @@ def _run_sharded(args: argparse.Namespace, spec, command: str, title: str,
     command's own stderr lines before the shard-profile hotspot table
     and the trace export.
     """
-    from repro.engine import (
-        ConsoleProgress,
-        MetricsProgress,
-        NullProgress,
-        TeeProgress,
-        run_fleet,
-    )
+    from repro.engine import ConsoleProgress, NullProgress, run_fleet
     from repro.obs import render_metrics, write_trace_jsonl
 
     progress = NullProgress() if args.quiet else ConsoleProgress()
-    engine_metrics = None
-    if args.metrics:
-        engine_metrics = MetricsProgress()
-        progress = TeeProgress(progress, engine_metrics)
     report = run_fleet(spec, shards=args.shards, workers=args.workers,
                        backend=args.backend, progress=progress,
-                       telemetry=args.telemetry,
                        profile_shards=args.profile_shards, **engine)
     print(report.render())
     if notes is not None:
@@ -256,7 +245,7 @@ def _run_sharded(args: argparse.Namespace, spec, command: str, title: str,
         print(f"trace: {count} record(s) -> {args.trace}", file=sys.stderr)
     if args.metrics:
         print(render_metrics(report.metrics, title=f"{title} metrics"))
-        print(engine_metrics.render())
+        print(report.render_engine())
     return 0
 
 
@@ -321,12 +310,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"wall: {report.wall_seconds:.2f}s "
               f"({report.throughput:.0f}/s, workers={report.workers}, "
               f"backend={report.backend})", file=sys.stderr)
-        if args.telemetry and report.telemetry:
-            from repro.obs.runtime import TelemetryRollup
+        from repro.obs.runtime import TelemetryRollup
 
-            print("telemetry: "
-                  + TelemetryRollup.from_dict(report.telemetry).render(),
-                  file=sys.stderr)
+        print("telemetry: "
+              + TelemetryRollup.from_dict(report.telemetry).render(),
+              file=sys.stderr)
         if args.cache:
             print(f"cache: {report.cache_hits} hit(s), "
                   f"{report.cache_misses} analyzed", file=sys.stderr)
@@ -562,12 +550,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 f"job {args.job} has no stored result at {path} "
                 f"(not finished yet?)")
         result = json.loads(path.read_text(encoding="utf-8"))
-        telemetry = result.get("telemetry")
-        if not telemetry:
-            raise ReproError(
-                f"job {args.job} carries no telemetry (daemon ran "
-                f"with telemetry disabled?)")
-        text = render_prometheus(job_rollups={args.job: telemetry})
+        text = render_prometheus(job_rollups={args.job: result["telemetry"]})
     else:
         # Default (and explicit --serve): scrape the live daemon.
         text = _client_of(args).metrics()
@@ -686,7 +669,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _add_engine_flags(parser: argparse.ArgumentParser,
                       chaos_modes: str) -> None:
     """Engine flags shared by ``fleet`` and ``analyze``: shard layout,
-    backend, failure injection, progress and wall-clock accounting."""
+    backend, failure injection, progress and shard profiling."""
     parser.add_argument("--shards", type=int, default=None,
                         help="shard count (default: one per worker)")
     parser.add_argument("--workers", type=int, default=None,
@@ -698,10 +681,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser,
                              f"({chaos_modes} + shard indices)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress lines")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="sample per-shard CPU/RSS/wall usage and "
-                             "report the rollup beside the "
-                             "deterministic output")
     parser.add_argument("--profile-shards", action="store_true",
                         help="cProfile every shard and merge the stats "
                              "into one hotspot table under "

@@ -845,7 +845,7 @@ def platform_counts(stats: AnalysisStats) -> Dict[str, Dict[str, int]]:
 
 def run_analysis(spec: AnalysisSpec, shards: Optional[int] = None,
                  workers: Optional[int] = None, backend: str = "auto",
-                 progress=None, telemetry: bool = False,
+                 progress=None,
                  profile_shards: bool = False) -> AnalysisReport:
     """Run a sharded analysis and return the merged report.
 
@@ -856,5 +856,4 @@ def run_analysis(spec: AnalysisSpec, shards: Optional[int] = None,
     from repro.engine.executor import run_fleet
 
     return run_fleet(spec, shards=shards, workers=workers, backend=backend,
-                     progress=progress, telemetry=telemetry,
-                     profile_shards=profile_shards)
+                     progress=progress, profile_shards=profile_shards)

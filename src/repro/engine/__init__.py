@@ -33,9 +33,7 @@ from repro.engine.merge import (
 from repro.engine.progress import (
     ConsoleProgress,
     FleetProgress,
-    MetricsProgress,
     NullProgress,
-    TeeProgress,
 )
 from repro.engine.spec import (
     ATTACKS,
@@ -57,14 +55,12 @@ __all__ = [
     "FleetExecutor",
     "FleetProgress",
     "FleetReport",
-    "MetricsProgress",
     "NullProgress",
     "OutcomeRecord",
     "ShardResult",
     "ShardSlice",
     "ShardSpec",
     "ShardedReport",
-    "TeeProgress",
     "WarmPool",
     "default_workers",
     "drain_queue",

@@ -16,7 +16,8 @@ The pool is either **resident** or **scoped to one run**:
   keeps one pool alive across campaigns, so fork/import/artifact-cache
   warm-up is paid once per worker instead of once per campaign;
 - otherwise (one-shot CLI runs) each :meth:`FleetExecutor.run` opens a
-  pool of ``min(workers, shards)`` processes and closes it on return.
+  pool of ``min(workers, shards left to run)`` processes and closes it
+  on return.
 
 Either way a crashed or timed-out worker is restarted in place and its
 shard retried.
@@ -70,43 +71,28 @@ def default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def run_shard(shard: ShardSlice, telemetry: bool = False,
-              profile: bool = False) -> ShardResult:
+def run_shard(shard: ShardSlice, profile: bool = False) -> ShardResult:
     """Execute one shard in this process (the serial backend's unit).
 
-    With ``telemetry=True`` the execution is bracketed by a
-    :class:`repro.obs.runtime.TelemetryProbe` (rusage + perf_counter_ns)
-    and the result carries a ``telemetry`` payload on the wall-clock
-    side channel; with ``profile=True`` it additionally runs under
-    cProfile and carries the marshaled profile blob.  Both default off,
-    and the disabled path makes zero extra clock/rusage calls (pinned
-    by ``tests/engine/test_telemetry.py``).  Neither ever touches the
-    shard's deterministic stats/trace/metrics.
+    The result always carries its wall-clock telemetry (see
+    :meth:`ShardSlice.execute`); with ``profile=True`` the shard also
+    runs under cProfile and the result carries the marshaled profile
+    blob.  Neither ever touches the shard's deterministic
+    stats/trace/metrics.
     """
-    if not (telemetry or profile):
+    if not profile:
         return shard.execute()
-    probe = None
-    profiler = None
-    if telemetry:
-        from repro.obs.runtime import TelemetryProbe
+    import cProfile
 
-        probe = TelemetryProbe.start()
-    if profile:
-        import cProfile
+    from repro.obs.runtime import profile_blob
 
-        profiler = cProfile.Profile()
-        profiler.enable()
+    profiler = cProfile.Profile()
+    profiler.enable()
     try:
         result = shard.execute()
     finally:
-        if profiler is not None:
-            profiler.disable()
-    if probe is not None:
-        result.telemetry = probe.finish(shard.index).to_dict()
-    if profiler is not None:
-        from repro.obs.runtime import profile_blob
-
-        result.profile = profile_blob(profiler)
+        profiler.disable()
+    result.profile = profile_blob(profiler)
     return result
 
 
@@ -188,8 +174,8 @@ def _warm_worker_entry(task_queue, result_queue) -> None:
     workers honour it, so the serial fallback always recovers.  The
     worker stays alive between tasks, so module imports and the
     content-addressed artifact caches built by earlier shards carry
-    over to later ones.  Tasks are ``(seq, shard, telemetry,
-    profile)``; messages are ``(seq, status, payload)``.
+    over to later ones.  Tasks are ``(seq, shard, profile)``; messages
+    are ``(seq, status, payload)``.
 
     A worker orphaned by a hard-killed parent (SIGKILL skips
     :meth:`WarmPool.close`) notices the reparenting on its next idle
@@ -205,7 +191,7 @@ def _warm_worker_entry(task_queue, result_queue) -> None:
             continue
         if task is None:
             break
-        seq, shard, telemetry, profile = task
+        seq, shard, profile = task
         try:
             mode, indices = parse_chaos(shard.campaign.chaos)
             if shard.index in indices and mode == "crash":
@@ -214,7 +200,7 @@ def _warm_worker_entry(task_queue, result_queue) -> None:
                 time.sleep(3600)
             if shard.index in indices and mode == "error":
                 raise RuntimeError(f"injected error in shard {shard.index}")
-            result = run_shard(shard, telemetry=telemetry, profile=profile)
+            result = run_shard(shard, profile=profile)
             result.backend = "process"
             result_queue.put((seq, _OK, result))
         except BaseException as exc:  # pragma: no cover - failure-mode paths
@@ -359,13 +345,12 @@ class WarmPool:
 
     # -- scheduling ------------------------------------------------------------
 
-    def submit(self, ticket: int, shard: ShardSlice, telemetry: bool = False,
+    def submit(self, ticket: int, shard: ShardSlice,
                profile: bool = False) -> None:
         """Hand ``shard`` to an idle worker under key ``ticket``.
 
-        ``telemetry``/``profile`` ride along with the task so the
-        worker brackets execution with the rusage probe / cProfile
-        (see :func:`run_shard`); both default off.
+        ``profile`` rides along with the task so the worker runs the
+        shard under cProfile (see :func:`run_shard`).
         """
         if self._closed:
             raise ReproError("warm pool is closed")
@@ -373,7 +358,7 @@ class WarmPool:
             raise ReproError("no idle warm worker; poll() first")
         slot = self._idle.pop()
         seq = next(self._seq)
-        self._workers[slot].task_queue.put((seq, shard, telemetry, profile))
+        self._workers[slot].task_queue.put((seq, shard, profile))
         self._running[seq] = (ticket, slot, time.monotonic())
 
     def poll(self, timeout: float = _IDLE_WAIT_SECONDS
@@ -453,8 +438,7 @@ class FleetExecutor:
     def __init__(self, workers: Optional[int] = None, backend: str = "auto",
                  shard_timeout: Optional[float] = None, max_retries: int = 2,
                  progress: Optional[FleetProgress] = None,
-                 warm: bool = False, telemetry: bool = False,
-                 profile_shards: bool = False) -> None:
+                 warm: bool = False, profile_shards: bool = False) -> None:
         if backend not in BACKENDS:
             raise ReproError(
                 f"unknown backend {backend!r}; valid: {BACKENDS}")
@@ -471,10 +455,6 @@ class FleetExecutor:
         #: (the serve daemon's mode).  The pool is created lazily on the
         #: first pooled run and must be released with :meth:`close`.
         self.warm = warm
-        #: Wall-clock plane switches (see :mod:`repro.obs.runtime`):
-        #: both default off, and the off path adds zero clock/rusage
-        #: calls to shard execution.
-        self.telemetry = telemetry
         self.profile_shards = profile_shards
         self._pool: Optional[WarmPool] = None
 
@@ -524,14 +504,15 @@ class FleetExecutor:
             restored = checkpoint.restore(spec, len(shard_specs))
         todo = [shard for shard in shard_specs
                 if shard.index not in restored]
+        total = len(shard_specs)
         backend = self._resolve_backend()
-        workers = 1 if backend == "serial" else min(self.workers,
-                                                    len(todo) or 1)
+        # The report names the run's layout, not the shards left, so a
+        # resumed run reports what an uninterrupted one would.
+        workers = 1 if backend == "serial" else min(self.workers, total)
         if self.warm and backend == "process":
             # The resident pool keeps its full complement: idle workers
             # stay warm for the next campaign instead of being resized.
             workers = self.workers
-        total = len(shard_specs)
         self.progress.on_fleet_start(spec, total, workers, backend)
         counters = {"retries": 0, "timeouts": 0, "crashes": 0,
                     "errors": 0, "fallbacks": 0, "restored": len(restored)}
@@ -546,7 +527,7 @@ class FleetExecutor:
             self._run_process(self._ensure_pool(), todo, results, total,
                               counters, on_result)
         elif todo:
-            with WarmPool(workers) as pool:
+            with WarmPool(min(workers, len(todo))) as pool:
                 self._run_process(pool, todo, results, total, counters,
                                   on_result)
         report = type(spec).report_class.from_shards(
@@ -594,8 +575,7 @@ class FleetExecutor:
             counters["fallbacks"] += 1
             attempts[shard.index] += 1
             self.progress.on_shard_start(shard, attempts[shard.index])
-            result = run_shard(shard, telemetry=self.telemetry,
-                               profile=self.profile_shards)
+            result = run_shard(shard, profile=self.profile_shards)
             result.attempts = attempts[shard.index]
             result.backend = "serial-fallback"
             self._finish(result, results, total, on_result)
@@ -607,8 +587,7 @@ class FleetExecutor:
                     on_result=None) -> None:
         for shard in shard_specs:
             self.progress.on_shard_start(shard, 1)
-            result = run_shard(shard, telemetry=self.telemetry,
-                               profile=self.profile_shards)
+            result = run_shard(shard, profile=self.profile_shards)
             self._finish(result, results, total, on_result)
 
     # -- process backend ------------------------------------------------------
@@ -627,8 +606,7 @@ class FleetExecutor:
                 shard = pending.popleft()
                 attempts[shard.index] += 1
                 self.progress.on_shard_start(shard, attempts[shard.index])
-                pool.submit(shard.index, shard, telemetry=self.telemetry,
-                            profile=self.profile_shards)
+                pool.submit(shard.index, shard, profile=self.profile_shards)
             events = pool.poll(self._warm_wait_timeout(pool))
             events += pool.reap_timeouts(self.shard_timeout)
             for ticket, status, payload in events:
@@ -670,8 +648,7 @@ def run_fleet(spec, shards: Optional[int] = None,
               workers: Optional[int] = None, backend: str = "auto",
               shard_timeout: Optional[float] = None, max_retries: int = 2,
               progress: Optional[FleetProgress] = None,
-              checkpoint=None, telemetry: bool = False,
-              profile_shards: bool = False) -> ShardedReport:
+              checkpoint=None, profile_shards: bool = False) -> ShardedReport:
     """One-call engine run (behind ``repro fleet`` and ``repro analyze``)."""
     with FleetExecutor(
         workers=workers,
@@ -679,7 +656,6 @@ def run_fleet(spec, shards: Optional[int] = None,
         shard_timeout=shard_timeout,
         max_retries=max_retries,
         progress=progress,
-        telemetry=telemetry,
         profile_shards=profile_shards,
     ) as executor:
         return executor.run(spec, shards=shards, checkpoint=checkpoint)

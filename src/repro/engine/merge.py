@@ -21,6 +21,7 @@ from repro.core.campaign import CampaignStats
 from repro.core.outcomes import OutcomeRecord
 from repro.engine.spec import CampaignSpec, ShardResult
 from repro.obs.metrics import Snapshot, merge_snapshots
+from repro.obs.runtime import TelemetryRollup
 
 __all__ = [
     "FleetReport", "OutcomeRecord", "ShardResult", "ShardedReport",
@@ -77,30 +78,31 @@ class ShardedReport:
     backend: str = "serial"
     metrics: Optional[Snapshot] = None
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock plane: the associative fold of per-shard telemetry
-    #: (:func:`repro.obs.runtime.fold_shard_telemetry`), None when the
-    #: run had telemetry disabled.  Reported beside the deterministic
-    #: stats/metrics, never inside them.
-    telemetry: Optional[Dict[str, Any]] = None
+    #: Wall-clock plane: the :class:`~repro.obs.runtime.TelemetryRollup`
+    #: of every shard's telemetry, its ``retries`` read from
+    #: ``counters``.  Reported beside the deterministic stats/metrics,
+    #: never inside them.
+    telemetry: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def _fold(cls, merge: Callable[[Iterable[Any]], Any], spec: Any,
               shards: List[ShardResult], wall_seconds: float, workers: int,
               backend: str, counters: Optional[Dict[str, int]] = None):
-        """Build the report: ``merge`` folds the shard stats in order."""
-        from repro.obs.runtime import fold_shard_telemetry
+        """Build the report: ``merge`` folds the shard stats in order.
 
+        The one fold of a run: stats, metrics snapshots, counters and
+        wall-clock telemetry all merge here, in shard-index order.
+        """
         ordered = sorted(shards, key=lambda shard: shard.shard_index)
         snapshots = [shard.metrics for shard in ordered
                      if shard.metrics is not None]
         tallied = dict(counters or {})
+        rollup = TelemetryRollup()
         for shard in ordered:
             for name, value in shard.counters.items():
                 tallied[name] = tallied.get(name, 0) + value
-        telemetry = fold_shard_telemetry(ordered)
-        if telemetry is not None:
-            telemetry["retries"] = sum(
-                max(0, shard.attempts - 1) for shard in ordered)
+            rollup.add(shard.telemetry)
+        rollup.retries = tallied.get("retries", 0)
         return cls(
             spec=spec,
             shards=ordered,
@@ -110,13 +112,31 @@ class ShardedReport:
             backend=backend,
             metrics=merge_snapshots(snapshots) if snapshots else None,
             counters=tallied,
-            telemetry=telemetry,
+            telemetry=rollup.to_dict(),
         )
 
     @property
     def throughput(self) -> float:
         """Work units (installs, apps or images) per wall-clock second."""
         return self.stats.runs / self.wall_seconds if self.wall_seconds else 0.0
+
+    def render_engine(self) -> str:
+        """One-line engine summary (the ``--metrics`` wall-clock line).
+
+        Shard starts are the attempts summed over every shard, restored
+        ones included; ``retried`` is ``counters["retries"]``.
+        """
+        rates = [shard.stats.runs / shard.wall_seconds
+                 for shard in self.shards if shard.wall_seconds > 0]
+        if rates:
+            shard_rate = (f"shard installs/s min {min(rates):.0f} / "
+                          f"mean {sum(rates) / len(rates):.0f} / "
+                          f"max {max(rates):.0f}")
+        else:
+            shard_rate = "no shard throughput recorded"
+        starts = sum(shard.attempts for shard in self.shards)
+        return (f"engine: {starts} shard start(s), {len(self.shards)} done, "
+                f"{self.counters.get('retries', 0)} retried; {shard_rate}")
 
 
 @dataclass
@@ -176,7 +196,7 @@ class FleetReport(ShardedReport):
         lo, hi = self.hijack_ci
         alo, ahi = self.alarm_ci
         tmin, tmean, tmax = self.shard_timing()
-        retried = sum(1 for shard in self.shards if shard.attempts > 1)
+        retried = self.counters.get("retries", 0)
         lines = [
             f"fleet: {stats.runs} installs over {len(self.shards)} shard(s), "
             f"{self.workers} worker(s), backend={self.backend}",
@@ -195,12 +215,9 @@ class FleetReport(ShardedReport):
             f"({self.throughput:.0f} installs/s)",
             f"  shard time : min {tmin:.2f}s / mean {tmean:.2f}s / "
             f"max {tmax:.2f}s" + (f"  ({retried} retried)" if retried else ""),
+            "  telemetry  : "
+            + TelemetryRollup.from_dict(self.telemetry).render(),
         ]
-        if self.telemetry:
-            from repro.obs.runtime import TelemetryRollup
-
-            lines.append("  telemetry  : "
-                         + TelemetryRollup.from_dict(self.telemetry).render())
         if self.counters.get("restored"):
             lines.append(
                 f"  resumed    : {self.counters['restored']} shard(s) "

@@ -43,87 +43,6 @@ class NullProgress(FleetProgress):
     """Silent default."""
 
 
-class TeeProgress(FleetProgress):
-    """Broadcast every hook to several observers in order."""
-
-    def __init__(self, *observers: FleetProgress) -> None:
-        self.observers = list(observers)
-
-    def on_fleet_start(self, spec, shard_count, workers, backend) -> None:
-        for observer in self.observers:
-            observer.on_fleet_start(spec, shard_count, workers, backend)
-
-    def on_shard_start(self, shard, attempt) -> None:
-        for observer in self.observers:
-            observer.on_shard_start(shard, attempt)
-
-    def on_shard_done(self, result, done, total) -> None:
-        for observer in self.observers:
-            observer.on_shard_done(result, done, total)
-
-    def on_shard_retry(self, shard, attempt, reason) -> None:
-        for observer in self.observers:
-            observer.on_shard_retry(shard, attempt, reason)
-
-    def on_fleet_done(self, report) -> None:
-        for observer in self.observers:
-            observer.on_fleet_done(report)
-
-
-class MetricsProgress(FleetProgress):
-    """Engine-side throughput/fault accounting.
-
-    Everything here derives from wall-clock scheduling (per-shard
-    throughput, retries observed), so it is reported *beside* the
-    deterministic :mod:`repro.obs` snapshots, mirroring how
-    :class:`~repro.engine.merge.FleetReport` separates the two planes.
-    """
-
-    def __init__(self) -> None:
-        self.shards_started = 0
-        self.shards_done = 0
-        self.retries = 0
-        self.throughputs: list = []  # installs/s per finished shard
-        self.telemetry = None  # TelemetryRollup once a result carries one
-
-    def on_shard_start(self, shard, attempt) -> None:
-        self.shards_started += 1
-
-    def on_shard_done(self, result, done, total) -> None:
-        self.shards_done += 1
-        if result.wall_seconds > 0:
-            self.throughputs.append(result.stats.runs / result.wall_seconds)
-        payload = result.telemetry
-        if payload:
-            if self.telemetry is None:
-                from repro.obs.runtime import TelemetryRollup
-
-                self.telemetry = TelemetryRollup()
-            self.telemetry.add(payload)
-
-    def on_shard_retry(self, shard, attempt, reason) -> None:
-        self.retries += 1
-        if self.telemetry is not None:
-            self.telemetry.retries += 1
-
-    def render(self) -> str:
-        """One-line engine summary (wall-clock plane)."""
-        if self.throughputs:
-            lo = min(self.throughputs)
-            hi = max(self.throughputs)
-            mean = sum(self.throughputs) / len(self.throughputs)
-            shard_rate = (f"shard installs/s min {lo:.0f} / "
-                          f"mean {mean:.0f} / max {hi:.0f}")
-        else:
-            shard_rate = "no shard throughput recorded"
-        line = (f"engine: {self.shards_started} shard start(s), "
-                f"{self.shards_done} done, {self.retries} retried; "
-                f"{shard_rate}")
-        if self.telemetry is not None:
-            line += f"\nengine: telemetry {self.telemetry.render()}"
-        return line
-
-
 class ConsoleProgress(FleetProgress):
     """Line-per-event progress with running throughput."""
 

@@ -42,6 +42,7 @@ from repro.core.scenario import VALID_DEFENSES, Scenario
 from repro.errors import ReproError
 from repro.installers import installer_by_name
 from repro.obs.metrics import MetricsRegistry, Snapshot
+from repro.obs.runtime import ShardTelemetry, rusage_now
 from repro.obs.trace import TraceRecorder
 from repro.sim.events import DEFAULT_DRAIN_INTERVAL_NS, WatchLimits
 from repro.sim.rand import DeterministicRandom
@@ -379,7 +380,9 @@ class ShardResult:
     ``AnalysisStats``).  ``trace``/``metrics`` are populated only when
     the spec has ``observe=True``: the shard's simulated-time trace
     records and its metrics snapshot (both deterministic for a fixed
-    shard spec — wall-clock stays in ``wall_seconds``, beside them).
+    shard spec).  ``wall_seconds`` and ``telemetry`` (a
+    ``ShardTelemetry.to_dict()`` payload, see :mod:`repro.obs.runtime`)
+    are the wall-clock plane, read from one clock pair, beside them.
     ``counters`` are tallies that may differ between runs of the same
     spec (the analysis cache's hits and misses); the report sums them
     beside the deterministic stats, never inside.
@@ -390,16 +393,14 @@ class ShardResult:
     stop: int
     stats: Any
     wall_seconds: float
+    telemetry: Dict[str, Any]
     attempts: int = 1
     backend: str = "process"
     trace: Optional[List[Dict[str, Any]]] = None
     metrics: Optional[Snapshot] = None
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock plane only (see :mod:`repro.obs.runtime`): a
-    #: ``ShardTelemetry.to_dict()`` payload when the run had telemetry
-    #: enabled, and an optional marshaled cProfile blob.  Neither ever
-    #: feeds the deterministic merge.
-    telemetry: Optional[Dict[str, Any]] = None
+    #: A marshaled cProfile blob with ``--profile-shards``; never feeds
+    #: the deterministic merge.
     profile: Optional[bytes] = None
 
 
@@ -428,20 +429,27 @@ class ShardSlice:
     def execute(self) -> ShardResult:
         """Run this shard in the current process (the engine's unit).
 
-        When the spec has ``observe=True`` the result also carries the
-        shard's trace records and metrics snapshot.
+        Always samples one rusage pair and one clock pair around the
+        shard: the clock pair is both ``wall_seconds`` and the
+        telemetry's ``wall_ns``.  When the spec has ``observe=True``
+        the result also carries the shard's trace records and metrics
+        snapshot.
         """
-        started = time.perf_counter()
+        before = rusage_now()
+        started = time.perf_counter_ns()
         observe = self.campaign.observe
         recorder = TraceRecorder() if observe else None
         metrics = MetricsRegistry() if observe else None
         stats, counters = self.run(recorder, metrics)
+        wall_ns = time.perf_counter_ns() - started
+        telemetry = ShardTelemetry.since(self.index, wall_ns, before)
         return ShardResult(
             shard_index=self.index,
             start=self.start,
             stop=self.stop,
             stats=stats,
-            wall_seconds=time.perf_counter() - started,
+            wall_seconds=wall_ns / 1e9,
+            telemetry=telemetry.to_dict(),
             backend="serial",
             trace=recorder.records() if recorder is not None else None,
             metrics=metrics.snapshot() if metrics is not None else None,

@@ -79,15 +79,13 @@ from repro.obs.metrics import (
 from repro.obs.runtime import (
     FlightRecorder,
     ShardTelemetry,
-    TelemetryProbe,
     TelemetryRollup,
-    fold_shard_telemetry,
     host_metadata,
     merged_hotspots,
     profile_blob,
     prometheus_name,
     render_prometheus,
-    telemetry_available,
+    rusage_now,
     validate_exposition,
     write_hotspots,
 )
@@ -108,7 +106,6 @@ __all__ = [
     "RecordDelta",
     "ShardTelemetry",
     "SpanNode",
-    "TelemetryProbe",
     "TelemetryRollup",
     "TraceDiff",
     "TraceProfile",
@@ -121,7 +118,6 @@ __all__ = [
     "critical_path",
     "diff_traces",
     "empty_snapshot",
-    "fold_shard_telemetry",
     "host_metadata",
     "iter_trace_jsonl",
     "layer_of",
@@ -140,11 +136,11 @@ __all__ = [
     "render_prometheus",
     "render_trace_summary",
     "render_windows",
+    "rusage_now",
     "save_baseline",
     "snapshot_names",
     "summary_percentile",
     "summary_percentiles",
-    "telemetry_available",
     "trace_to_jsonl",
     "validate_exposition",
     "validate_records",

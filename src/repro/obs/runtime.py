@@ -5,21 +5,19 @@ Everything in :mod:`repro.obs.metrics` and :mod:`repro.obs.trace` is
 much real CPU a shard burned, how big a worker's RSS grew, or what the
 serve daemon was doing when it was SIGKILLed.  This module is the
 other clock: a strictly separated wall-clock plane that rides **beside**
-the deterministic artifacts and is never folded into them — golden
-traces, merged stats and metric snapshots stay byte/bit-identical
-whether telemetry is on or off (pinned by
-``tests/engine/test_telemetry.py``).
+the deterministic artifacts and is never folded into them — every
+shard samples it, and golden traces, merged stats and metric snapshots
+stay byte/bit-identical (pinned by ``tests/engine/test_golden.py``).
 
 Four pieces:
 
-- :class:`ShardTelemetry` / :class:`TelemetryProbe` — per-shard
-  resource accounting.  A worker samples ``resource.getrusage`` and
-  ``time.perf_counter_ns`` around shard execution and ships a small
-  picklable record back on a side channel next to the shard result.
-  With telemetry disabled the probe is never constructed, so the fast
-  path makes **zero** rusage/clock calls (every clock read goes
-  through the module-level :func:`_clock_ns`/:func:`_rusage` hooks,
-  which tests monkeypatch-count to prove it).
+- :class:`ShardTelemetry` — per-shard resource accounting.
+  :meth:`~repro.engine.spec.ShardSlice.execute` takes one
+  ``time.perf_counter_ns`` and one :func:`rusage_now` pair around every
+  shard, always, and ships the delta back as a small picklable record
+  next to the shard result; the clock pair is also the result's
+  ``wall_seconds``.  A ``getrusage`` costs about a microsecond, so
+  there is no switch to turn it off.
 - :class:`TelemetryRollup` — the associative fold of shard telemetry
   into per-job and per-service aggregates (CPU seconds, max RSS, wall
   time, shard/retry counts).  ``add`` and ``merge`` are associative
@@ -66,42 +64,22 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 __all__ = [
     "FlightRecorder",
     "ShardTelemetry",
-    "TelemetryProbe",
     "TelemetryRollup",
-    "fold_shard_telemetry",
     "host_metadata",
     "merged_hotspots",
     "profile_blob",
     "prometheus_name",
     "render_prometheus",
-    "telemetry_available",
+    "rusage_now",
     "validate_exposition",
 ]
 
 
-# ---------------------------------------------------------------------------
-# clock / rusage access points
-# ---------------------------------------------------------------------------
-#
-# Every wall-clock or rusage read the telemetry plane makes goes through
-# these two module functions.  That is the disabled-fast-path contract:
-# tests monkeypatch them with counting stubs and assert zero calls when
-# telemetry is off — a regression that sneaks a clock read into the
-# default path fails loudly.
-
-def _clock_ns() -> int:
-    """The telemetry plane's clock (``time.perf_counter_ns``)."""
-    return time.perf_counter_ns()
-
-
-def _rusage():
-    """The telemetry plane's rusage sampler (RUSAGE_SELF)."""
+def rusage_now():
+    """This process's rusage (RUSAGE_SELF); None without ``resource``."""
+    if _resource_module is None:  # pragma: no cover - non-POSIX
+        return None
     return _resource_module.getrusage(_resource_module.RUSAGE_SELF)
-
-
-def telemetry_available() -> bool:
-    """Can this platform sample rusage at all?"""
-    return _resource_module is not None
 
 
 def _max_rss_kb(ru_maxrss: int) -> int:
@@ -168,40 +146,23 @@ class ShardTelemetry:
             max_rss_kb=int(payload.get("max_rss_kb", 0)),
         )
 
-
-class TelemetryProbe:
-    """Samples the clock and rusage around one shard execution.
-
-    Constructed only when telemetry is enabled; construction takes the
-    start samples, :meth:`finish` takes the end samples and returns the
-    delta as a :class:`ShardTelemetry`.  On platforms without
-    ``resource`` the CPU/RSS fields are zero but wall time still works.
-    """
-
-    __slots__ = ("_start_ns", "_start_rusage")
-
-    def __init__(self) -> None:
-        self._start_rusage = _rusage() if telemetry_available() else None
-        self._start_ns = _clock_ns()
-
     @classmethod
-    def start(cls) -> "TelemetryProbe":
-        """Begin sampling (alias for construction, reads better)."""
-        return cls()
+    def since(cls, shard_index: int, wall_ns: int,
+              start) -> "ShardTelemetry":
+        """Usage from rusage sample ``start`` (:func:`rusage_now`) to now.
 
-    def finish(self, shard_index: int) -> ShardTelemetry:
-        """End sampling; the delta since :meth:`start`."""
-        wall_ns = _clock_ns() - self._start_ns
-        if self._start_rusage is None:  # pragma: no cover - non-POSIX
-            return ShardTelemetry(shard_index=shard_index, wall_ns=wall_ns,
-                                  cpu_user_s=0.0, cpu_system_s=0.0,
-                                  max_rss_kb=0)
-        end = _rusage()
-        return ShardTelemetry(
+        ``wall_ns`` is the caller's own clock delta over the same span.
+        Without ``resource`` the CPU/RSS fields are zero.
+        """
+        if start is None:  # pragma: no cover - non-POSIX
+            return cls(shard_index=shard_index, wall_ns=wall_ns,
+                       cpu_user_s=0.0, cpu_system_s=0.0, max_rss_kb=0)
+        end = rusage_now()
+        return cls(
             shard_index=shard_index,
             wall_ns=wall_ns,
-            cpu_user_s=end.ru_utime - self._start_rusage.ru_utime,
-            cpu_system_s=end.ru_stime - self._start_rusage.ru_stime,
+            cpu_user_s=end.ru_utime - start.ru_utime,
+            cpu_system_s=end.ru_stime - start.ru_stime,
             max_rss_kb=_max_rss_kb(end.ru_maxrss),
         )
 
@@ -217,9 +178,10 @@ class TelemetryRollup:
     Sums add, the RSS high-water mark takes the max, and shard counts
     accumulate, so ``a.merge(b)`` equals folding the union of their
     inputs in any order — the same contract as
-    :func:`repro.obs.metrics.merge_snapshots`.  ``retries`` and
-    ``queue_wait_s`` are folded in by the scheduler (they are facts
-    about scheduling, not about any one shard's execution).
+    :func:`repro.obs.metrics.merge_snapshots`.  ``retries`` (the
+    executor's ``counters["retries"]``) and ``queue_wait_s`` are set by
+    whoever owns the scheduling: they are facts about scheduling, not
+    about any one shard's execution.
     """
 
     shards: int = 0
@@ -291,22 +253,6 @@ class TelemetryRollup:
                 f"{self.cpu_system_s:.2f}s sys, "
                 f"max rss {self.max_rss_kb / 1024.0:.1f} MB, "
                 f"shard wall {self.wall_s:.2f}s over {self.shards} shard(s)")
-
-
-def fold_shard_telemetry(shards: Iterable[Any]) -> Optional[Dict[str, Any]]:
-    """Fold ``shard.telemetry`` dicts from shard results into one rollup.
-
-    Duck-typed over :class:`~repro.engine.spec.ShardResult` of either
-    workload kind (and over objects lacking the attribute, which count
-    as carrying none).  Returns None when no shard carried telemetry,
-    so reports stay byte-identical when the feature is off.
-    """
-    rollup = TelemetryRollup()
-    for shard in shards:
-        payload = getattr(shard, "telemetry", None)
-        if payload:
-            rollup.add(payload)
-    return rollup.to_dict() if rollup.shards else None
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +481,7 @@ def _rollup_family(exposition: _Exposition, rollup: Dict[str, Any],
     exposition.sample("repro_telemetry_max_rss_kilobytes",
                       int(rollup.get("max_rss_kb", 0)), labels)
     exposition.declare("repro_telemetry_retries_total", "counter",
-                       "Shard attempts beyond the first")
+                       "Failed shard attempts re-queued to the pool")
     exposition.sample("repro_telemetry_retries_total",
                       int(rollup.get("retries", 0)), labels)
 

@@ -31,7 +31,7 @@ from repro.obs.export import canonical_json
 
 #: Bumped when the journal layout or the pickle payload shape changes;
 #: a journal written by another version is refused, never misread.
-JOURNAL_VERSION = 3
+JOURNAL_VERSION = 4
 
 
 def _refuse_legacy(path: Path) -> None:

@@ -72,16 +72,18 @@ _SCHEDULER_IDLE_S = 0.25
 class _JobProgress(FleetProgress):
     """Engine progress adapter: shard completions become stream frames.
 
-    Folds each landed shard into a running merged-stats view (arrival
-    order — a transient view; the final report re-merges in shard-index
-    order, which is the deterministic one) and forwards it to the
-    service's subscribers.
+    Folds each landed shard into a running merged-stats view and into
+    the job's telemetry rollup (arrival order — a transient view; the
+    final report re-merges in shard-index order, which is the
+    deterministic one) and forwards both to the service's subscribers.
     """
 
-    def __init__(self, service: "CampaignService", job: Job) -> None:
+    def __init__(self, service: "CampaignService", job: Job,
+                 queue_wait: float) -> None:
         self.service = service
         self.job = job
         self._merged = None
+        self._rollup = TelemetryRollup(queue_wait_s=queue_wait)
 
     def on_shard_done(self, result, done: int, total: int) -> None:
         from repro.core.campaign import CampaignStats
@@ -89,8 +91,10 @@ class _JobProgress(FleetProgress):
         if self._merged is None:
             self._merged = CampaignStats()
         self._merged = self._merged.merge(result.stats)
+        self._rollup.add(result.telemetry)
         self.service._on_shard_done(self.job, result, done, total,
-                                    stats_counters(self._merged))
+                                    stats_counters(self._merged),
+                                    self._rollup.to_dict())
 
 
 class CampaignService:
@@ -98,23 +102,18 @@ class CampaignService:
 
     def __init__(self, state_dir, workers: Optional[int] = None,
                  backend: str = "auto", seed: int = 0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 telemetry: bool = True) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.store = JobStore(state_dir)
         self.queue = JobQueue(seed)
-        #: Shard workers sample rusage/perf_counter_ns around each
-        #: shard by default in service mode: the daemon is exactly the
-        #: long-lived operational context the telemetry plane exists
-        #: for.  ``telemetry=False`` restores the zero-overhead path.
-        self.telemetry = telemetry
         self.executor = FleetExecutor(workers=workers, backend=backend,
-                                      warm=True, telemetry=telemetry)
+                                      warm=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Bounded ops-event ring, file-backed in the state dir so the
         #: recent event history survives a SIGKILL/restart cycle.
         self.flight = FlightRecorder(path=self.store.flight_path())
+        #: Service-wide telemetry: every shard this process saw, plus
+        #: each job's queue wait and finished jobs' retries.
         self._rollup = TelemetryRollup()
-        self._job_rollups: Dict[str, TelemetryRollup] = {}
         self._lock = threading.RLock()
         self._listeners: Dict[str, List[Callable[[Dict[str, Any]], None]]] = {}
         self._started_at = time.monotonic()
@@ -249,23 +248,23 @@ class CampaignService:
         spec = job.spec
         shard_count = (job.shards if job.shards is not None
                        else self.executor.workers)
-        journal = ShardJournal(self.store.checkpoint_dir(job.job_id),
-                               spec, shard_count)
         restarts_before = self.pool_restarts()
         queue_wait = (max(0.0, time.monotonic() - job.submitted_at)
                       if job.submitted_at else 0.0)
-        with self._lock:
-            self.metrics.gauge("serve/queue_depth_peak").set(
-                self.queue.depth())
-            self.flight.record("start", job=job.job_id, shards=shard_count,
-                               queue_wait_s=round(queue_wait, 3))
-            if self.telemetry:
-                rollup = self._job_rollups.setdefault(job.job_id,
-                                                      TelemetryRollup())
-                rollup.queue_wait_s += queue_wait
-                self._rollup.queue_wait_s += queue_wait
-        self.executor.progress = _JobProgress(self, job)
         try:
+            # Everything from here on ends the job: a failure before
+            # the run (journal, flight sidecar) is a failed job too,
+            # never a dead scheduler.
+            journal = ShardJournal(self.store.checkpoint_dir(job.job_id),
+                                   spec, shard_count)
+            with self._lock:
+                self.metrics.gauge("serve/queue_depth_peak").set(
+                    self.queue.depth())
+                self.flight.record("start", job=job.job_id,
+                                   shards=shard_count,
+                                   queue_wait_s=round(queue_wait, 3))
+                self._rollup.queue_wait_s += queue_wait
+            self.executor.progress = _JobProgress(self, job, queue_wait)
             report = self.executor.run(spec, shards=shard_count,
                                        checkpoint=journal)
         except Exception as exc:
@@ -288,6 +287,9 @@ class CampaignService:
                 report.trace_records()).encode(), durable=False)
         with self._lock:
             job.finish(report)
+            job.telemetry = dict(report.telemetry,
+                                 queue_wait_s=round(queue_wait, 6))
+            self._rollup.retries += report.counters.get("retries", 0)
             self.store.write_result(job.job_id, {
                 "job_id": job.job_id,
                 "state": job.state,
@@ -329,25 +331,21 @@ class CampaignService:
             self.metrics.counter("serve/worker_restarts").inc(delta)
 
     def _on_shard_done(self, job: Job, result, done: int, total: int,
-                       merged_counters: Dict[str, int]) -> None:
+                       merged_counters: Dict[str, int],
+                       job_telemetry: Dict[str, Any]) -> None:
+        payload = result.telemetry
         with self._lock:
             job.progress = (done, total)
+            job.telemetry = job_telemetry
+            self._rollup.add(payload)
             self.metrics.counter("serve/shards_completed").inc()
-            payload = result.telemetry
-            if payload:
-                rollup = self._job_rollups.setdefault(job.job_id,
-                                                      TelemetryRollup())
-                rollup.add(payload)
-                self._rollup.add(payload)
-                job.telemetry = rollup.to_dict()
-                self.metrics.histogram("serve/shard_wall_ms").observe(
-                    max(0, int(payload.get("wall_ns", 0)) // 1_000_000))
-                self.metrics.histogram("serve/shard_cpu_ms").observe(
-                    max(0, int((float(payload.get("cpu_user_s", 0.0))
-                                + float(payload.get("cpu_system_s", 0.0)))
-                               * 1000)))
-                self.metrics.histogram("serve/shard_rss_kb").observe(
-                    max(0, int(payload.get("max_rss_kb", 0))))
+            self.metrics.histogram("serve/shard_wall_ms").observe(
+                payload["wall_ns"] // 1_000_000)
+            self.metrics.histogram("serve/shard_cpu_ms").observe(
+                int((payload["cpu_user_s"] + payload["cpu_system_s"])
+                    * 1000))
+            self.metrics.histogram("serve/shard_rss_kb").observe(
+                payload["max_rss_kb"])
             self.flight.record("checkpoint", job=job.job_id,
                                shard=result.shard_index, done=done,
                                total=total)
@@ -438,9 +436,9 @@ class CampaignService:
             rollup = (self._rollup.to_dict()
                       if self._rollup.shards or self._rollup.queue_wait_s
                       else None)
-            job_rollups = {job_id: fold.to_dict()
-                           for job_id, fold in self._job_rollups.items()
-                           if fold.shards}
+            job_rollups = {job.job_id: job.telemetry
+                           for job in self.queue.ordered()
+                           if job.telemetry}
             gauges = {
                 "serve/uptime_seconds":
                     round(time.monotonic() - self._started_at, 3),
@@ -459,14 +457,6 @@ class CampaignService:
         """The flight recorder's ring (the ``flight`` op's payload)."""
         with self._lock:
             return self.flight.snapshot()
-
-    def job_telemetry(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """One job's wall-clock rollup (live or final), if any."""
-        with self._lock:
-            fold = self._job_rollups.get(job_id)
-            if fold is not None and fold.shards:
-                return fold.to_dict()
-            return self.queue.get(job_id).telemetry
 
     def close(self) -> None:
         """Shut the warm pool down deterministically (idempotent)."""
@@ -662,7 +652,7 @@ class ServeDaemon:
 
 def run_daemon(state_dir, socket_path=None, host=None, port=None,
                workers: Optional[int] = None, backend: str = "auto",
-               seed: int = 0, telemetry: bool = True,
+               seed: int = 0,
                on_ready: Optional[Callable[["ServeDaemon"], None]] = None
                ) -> int:
     """Build, recover and run a daemon until shutdown (the CLI engine).
@@ -674,7 +664,7 @@ def run_daemon(state_dir, socket_path=None, host=None, port=None,
     import signal
 
     service = CampaignService(state_dir, workers=workers, backend=backend,
-                              seed=seed, telemetry=telemetry)
+                              seed=seed)
     requeued = service.recover()
     daemon = ServeDaemon(service, socket_path=socket_path, host=host,
                          port=port)

@@ -47,8 +47,8 @@ class Job:
     #: Executor fault/restore counters of the finished run.
     counters: Dict[str, int] = field(default_factory=dict)
     #: Wall-clock telemetry rollup of the job's shards (live while
-    #: running, final on completion); None with telemetry off.  Rides
-    #: beside the deterministic summary/counters, never inside them.
+    #: running, the report's on completion); None until a shard lands.
+    #: Rides beside the deterministic summary/counters, never inside.
     telemetry: Optional[Dict[str, Any]] = None
     #: Monotonic submission time (service-local, never serialized):
     #: the scheduler derives queue-wait from it.
@@ -83,13 +83,6 @@ class Job:
         self.summary = stats_counters(report.stats)
         self.counters = dict(report.counters)
         self.progress = (len(report.shards), len(report.shards))
-        folded = report.telemetry
-        if folded:
-            merged = dict(folded)
-            if self.telemetry:  # keep the scheduler's queue-wait fold
-                merged["queue_wait_s"] = self.telemetry.get(
-                    "queue_wait_s", 0.0)
-            self.telemetry = merged
 
 
 class JobQueue:

@@ -5,7 +5,9 @@ reference fleet (200 installs, seed 7, 4 shards, serial backend)
 *before* the hot-path optimization pass; this test re-runs the same
 fleet and demands byte-identical trace JSONL and bit-identical merged
 metric snapshots.  Any "optimization" that changes scheduling order,
-metric values, or trace content fails here first.
+metric values, or trace content fails here first.  Every shard also
+samples its wall-clock telemetry (always on), so these runs pin that
+the sampling never perturbs the deterministic artifacts.
 
 That reference fleet is benign: no device in it has a file watcher, so
 it never builds or delivers a filesystem event.  Two more goldens pin

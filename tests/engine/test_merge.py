@@ -11,6 +11,7 @@ from repro.engine.merge import (
     wilson_interval,
 )
 from repro.engine.spec import CampaignSpec
+from repro.obs.runtime import ShardTelemetry
 
 
 def _record(index: int, hijacked: bool = False,
@@ -40,6 +41,12 @@ def _stats_from_flags(flags) -> CampaignStats:
         if record.error is not None:
             stats.errors += 1
     return stats
+
+
+def _telemetry(index: int, wall_seconds: float) -> dict:
+    return ShardTelemetry(shard_index=index, wall_ns=int(wall_seconds * 1e9),
+                          cpu_user_s=wall_seconds, cpu_system_s=0.0,
+                          max_rss_kb=1024).to_dict()
 
 
 flags_lists = st.lists(
@@ -109,10 +116,10 @@ def test_fleet_report_aggregates():
     shards = [
         ShardResult(shard_index=1, start=2, stop=4,
                     stats=_stats_from_flags([(True, False), (False, False)]),
-                    wall_seconds=2.0),
+                    wall_seconds=2.0, telemetry=_telemetry(1, 2.0)),
         ShardResult(shard_index=0, start=0, stop=2,
                     stats=_stats_from_flags([(False, False), (False, False)]),
-                    wall_seconds=1.0),
+                    wall_seconds=1.0, telemetry=_telemetry(0, 1.0)),
     ]
     report = FleetReport.from_shards(spec, shards, wall_seconds=2.0,
                                      workers=2, backend="process")
@@ -128,3 +135,4 @@ def test_fleet_report_aggregates():
     text = report.render()
     assert "4 installs" in text
     assert "95% CI" in text
+    assert "shard wall 3.00s over 2 shard(s)" in text

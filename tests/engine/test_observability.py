@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.executor import multiprocessing_usable, run_fleet, run_shard
 from repro.engine.merge import FleetReport, ShardResult, wilson_interval
-from repro.engine.progress import MetricsProgress, TeeProgress
 from repro.engine.spec import CampaignSpec, parse_chaos
 from repro.errors import ReproError
 from repro.obs.export import trace_to_jsonl
@@ -162,22 +161,25 @@ def test_clean_run_has_zero_fault_counters():
 
 @needs_multiprocessing
 def test_injected_error_shows_up_in_counters_and_render():
-    progress = MetricsProgress()
     spec = CampaignSpec(installs=4, seed=5, chaos="error:1")
-    report = run_fleet(spec, shards=2, workers=2, max_retries=0,
-                       progress=progress)
+    report = run_fleet(spec, shards=2, workers=2, max_retries=0)
     assert report.counters["errors"] == 1
     assert report.counters["fallbacks"] == 1
     assert report.counters["retries"] == 0  # retries exhausted at 0
     assert "faults" in report.render()
     assert "1 error(s)" in report.render()
-    assert progress.retries == 1
-    assert "1 retried" in progress.render()
+    assert "0 retried" in report.render_engine()
 
 
-def test_tee_progress_broadcasts_to_all_observers():
-    first, second = MetricsProgress(), MetricsProgress()
-    run_fleet(CampaignSpec(installs=2, seed=3), shards=2,
-              backend="serial", progress=TeeProgress(first, second))
-    assert first.shards_done == second.shards_done == 2
-    assert first.throughputs and second.throughputs
+@needs_multiprocessing
+def test_every_surface_shows_the_one_retry_count():
+    spec = CampaignSpec(installs=4, seed=5, chaos="error:1")
+    report = run_fleet(spec, shards=2, workers=2, max_retries=1)
+    # one pool re-queue; the second failure is a serial rescue
+    assert report.counters["retries"] == 1
+    assert report.counters["fallbacks"] == 1
+    assert report.telemetry["retries"] == 1
+    assert "1 retried;" in report.render_engine()
+    rendered = report.render()
+    assert "(1 retried)" in rendered
+    assert "1 retried, 1 serial fallback(s)" in rendered

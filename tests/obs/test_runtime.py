@@ -1,8 +1,7 @@
 """The wall-clock plane: telemetry rollups, flight ring, exposition.
 
 Everything here is about :mod:`repro.obs.runtime` in isolation — the
-determinism interaction (goldens stay byte-identical with telemetry
-on, the disabled path samples nothing) lives in
+engine interaction (one clock per shard, one fold per report) lives in
 ``tests/engine/test_telemetry.py``.
 """
 
@@ -18,14 +17,13 @@ from repro.obs.runtime import (
     FLIGHT_CAPACITY,
     FlightRecorder,
     ShardTelemetry,
-    TelemetryProbe,
     TelemetryRollup,
-    fold_shard_telemetry,
     host_metadata,
     merged_hotspots,
     profile_blob,
     prometheus_name,
     render_prometheus,
+    rusage_now,
     validate_exposition,
     write_hotspots,
 )
@@ -40,11 +38,11 @@ def shard(index, wall_ns=1000, user=0.5, system=0.1, rss=2048):
 # -- probe / telemetry ------------------------------------------------------
 
 def test_probe_measures_a_real_delta():
-    probe = TelemetryProbe.start()
+    start = rusage_now()
     sum(range(50000))  # burn a little CPU
-    sample = probe.finish(3)
+    sample = ShardTelemetry.since(3, 1, start)
     assert sample.shard_index == 3
-    assert sample.wall_ns > 0
+    assert sample.wall_ns == 1
     assert sample.cpu_user_s >= 0.0
     assert sample.max_rss_kb > 0
 
@@ -96,18 +94,6 @@ def test_rollup_round_trips_and_renders():
     assert "cpu 1.50s user" in text
     assert "20.0 MB" in text
     assert "4 shard(s)" in text
-
-
-def test_fold_shard_telemetry_tolerates_missing_attributes():
-    class WithTelemetry:
-        telemetry = shard(0).to_dict()
-
-    class Legacy:  # unpickled from a pre-telemetry checkpoint
-        pass
-
-    assert fold_shard_telemetry([Legacy(), Legacy()]) is None
-    folded = fold_shard_telemetry([WithTelemetry(), Legacy()])
-    assert folded["shards"] == 1
 
 
 def test_host_metadata_names_the_interpreter():

@@ -12,6 +12,8 @@ import threading
 
 import pytest
 
+from repro.__main__ import main
+from repro.engine.executor import multiprocessing_usable
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
 from repro.obs.runtime import validate_exposition
@@ -22,6 +24,9 @@ from repro.serve.protocol import parse_submission, submit_campaign_request
 needs_unix_sockets = pytest.mark.skipif(
     not hasattr(socket_module, "AF_UNIX"),
     reason="unix sockets unavailable on this platform")
+needs_multiprocessing = pytest.mark.skipif(
+    not multiprocessing_usable(),
+    reason="multiprocessing unavailable in this environment")
 
 
 @pytest.fixture
@@ -96,19 +101,56 @@ def test_exposition_reports_current_and_peak_queue_depth(tmp_path):
         service.close()
 
 
-def test_telemetry_off_service_still_exposes_counters(tmp_path):
-    service = CampaignService(tmp_path, workers=1, backend="serial",
-                              telemetry=False)
+@needs_multiprocessing
+def test_every_retry_surface_reads_the_executor_count(tmp_path, capsys):
+    service = CampaignService(tmp_path, workers=2, backend="process")
     try:
-        job = run_one_job(service)
-        assert job.telemetry is None
-        text = service.prometheus()
-        validate_exposition(text)
-        assert "repro_serve_jobs_completed_total 1" in text
-        assert "repro_telemetry_shards_total" not in text
-        assert service.health()["telemetry"] is None
+        job = service.submit(parse_submission(submit_campaign_request(
+            CampaignSpec(installs=8, seed=3, chaos="error:1"), shards=2)))
+        service.execute(service.try_pop())
+        assert job.state == "done"
+        # two pool re-queues (max_retries=2), then a serial rescue
+        retries = job.counters["retries"]
+        assert retries == 2
+        assert job.counters["fallbacks"] == 1
+        assert job.telemetry["retries"] == retries
+        live = service.prometheus()
+        scope = f'{{job="{job.job_id}",scope="job"}}'
+        assert f"repro_telemetry_retries_total{scope} {retries}" in live
+        assert (f'repro_telemetry_retries_total{{scope="service"}} '
+                f"{retries}") in live
     finally:
         service.close()
+    assert main(["metrics", "--job", job.job_id,
+                 "--state-dir", str(tmp_path)]) == 0
+    offline = capsys.readouterr().out
+    assert f"repro_telemetry_retries_total{scope} {retries}" in offline
+
+
+@needs_unix_sockets
+def test_a_failure_before_the_run_fails_the_job_not_the_scheduler(
+        live_daemon):
+    client, _, service = live_daemon
+    record = service.flight.record
+    refused = []
+
+    def refuse_first_start(kind, **fields):
+        if kind == "start" and not refused:
+            refused.append(fields["job"])
+            raise OSError("flight sidecar refused the write")
+        return record(kind, **fields)
+
+    service.flight.record = refuse_first_start
+    first = client.submit_campaign(CampaignSpec(installs=10, seed=1))
+    failed = client.wait(first["job_id"], timeout=20)
+    assert failed["state"] == "failed"
+    assert "OSError" in failed["error"]
+    second = client.submit_campaign(CampaignSpec(installs=10, seed=2))
+    assert client.wait(second["job_id"], timeout=20)["state"] == "done"
+    ends = [(entry["job_id"], entry["state"])
+            for entry in service.store.read_journal()
+            if entry.get("event") == "end"]
+    assert ends == [(first["job_id"], "failed"), (second["job_id"], "done")]
 
 
 # -- flight op --------------------------------------------------------------

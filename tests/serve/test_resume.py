@@ -18,7 +18,9 @@ import pathlib
 
 import pytest
 
+from repro.__main__ import main
 from repro.engine import CampaignSpec, FleetExecutor, NullProgress
+from repro.engine.executor import multiprocessing_usable
 from repro.obs import write_trace_jsonl
 from repro.serve.checkpoint import ShardJournal
 
@@ -103,6 +105,25 @@ def test_a_completed_journal_resumes_without_rerunning(tmp_path):
                                                     spec, 4))
     assert resumed.counters["restored"] == 4
     assert resumed.stats.counter_tuple() == baseline.stats.counter_tuple()
+
+
+@pytest.mark.skipif(not multiprocessing_usable(),
+                    reason="multiprocessing unavailable in this environment")
+def test_resumed_cli_fleet_prints_the_uninterrupted_header(tmp_path, capsys):
+    args = ["fleet", "--installs", "400", "--shards", "8", "--workers", "2",
+            "--backend", "process", "--seed", "3", "--quiet"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out.splitlines()
+    checkpoint = tmp_path / "ck"
+    assert main([*args, "--checkpoint", str(checkpoint)]) == 0
+    capsys.readouterr()
+    log = checkpoint / "shards.log"
+    log.write_bytes(log.read_bytes()[:-7])  # tear the last shard's frame
+    assert main([*args, "--checkpoint", str(checkpoint)]) == 0
+    resumed = capsys.readouterr().out.splitlines()
+    assert "  resumed    : 7 shard(s) restored from checkpoint" in resumed
+    # one shard left to run, yet the header names the run's layout
+    assert resumed[:8] == clean[:8]
 
 
 def test_daemon_recovery_resumes_a_killed_job(tmp_path):

@@ -152,7 +152,8 @@ def test_fleet_trace_and_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fleet metrics:" in out
     assert "counter   campaign/runs" in out
-    assert "engine: 2 shard start(s), 2 done" in out
+    assert "engine: 2 shard start(s), 2 done, 0 retried;" in out
+    assert "telemetry  : cpu" in out
     records = load_trace_jsonl(path)
     assert records
     assert all("shard" in record for record in records)

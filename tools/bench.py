@@ -100,21 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
                              "analysis cache; recorded as baseline "
                              "metadata (the gate still compares the "
                              "cold, cache-free wall clock)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="run the timed fleets with per-shard "
-                             "telemetry sampling on (measures the "
-                             "probe's own overhead)")
     return parser
 
 
 def time_fleet(spec: CampaignSpec, shards: int, backend: str,
-               repeat: int, telemetry: bool = False) -> list:
+               repeat: int) -> list:
     """Best-of-N timing of the reference fleet (seconds per repeat)."""
     runs = []
     for _ in range(max(1, repeat)):
         started = time.perf_counter()
         report = run_fleet(spec, shards=shards, backend=backend,
-                           progress=NullProgress(), telemetry=telemetry)
+                           progress=NullProgress())
         runs.append(time.perf_counter() - started)
         if report.stats.runs != spec.installs:
             raise ReproError(
@@ -124,7 +120,7 @@ def time_fleet(spec: CampaignSpec, shards: int, backend: str,
 
 
 def time_analysis(apps: int, shards: int, backend: str, seed: int,
-                  repeat: int, telemetry: bool = False) -> list:
+                  repeat: int) -> list:
     """Best-of-N timing of the sharded analysis pipeline."""
     from repro.analysis.pipeline import AnalysisSpec, run_analysis
 
@@ -132,8 +128,7 @@ def time_analysis(apps: int, shards: int, backend: str, seed: int,
     runs = []
     for _ in range(max(1, repeat)):
         started = time.perf_counter()
-        report = run_analysis(spec, shards=shards, backend=backend,
-                              telemetry=telemetry)
+        report = run_analysis(spec, shards=shards, backend=backend)
         runs.append(time.perf_counter() - started)
         if report.stats.runs != apps:
             raise ReproError(
@@ -142,8 +137,8 @@ def time_analysis(apps: int, shards: int, backend: str, seed: int,
     return runs
 
 
-def time_analysis_warm(apps: int, shards: int, backend: str, seed: int,
-                       telemetry: bool = False) -> dict:
+def time_analysis_warm(apps: int, shards: int, backend: str,
+                       seed: int) -> dict:
     """Cold-populate + warm re-run timings through a fresh pack cache.
 
     The warm run must serve every app from the cache (0 analyzed) and
@@ -160,12 +155,10 @@ def time_analysis_warm(apps: int, shards: int, backend: str, seed: int,
         spec = AnalysisSpec(corpus="play", apps=apps, seed=seed,
                             cache_dir=cache_dir)
         started = time.perf_counter()
-        cold = run_analysis(spec, shards=shards, backend=backend,
-                            telemetry=telemetry)
+        cold = run_analysis(spec, shards=shards, backend=backend)
         cold_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        warm = run_analysis(spec, shards=shards, backend=backend,
-                            telemetry=telemetry)
+        warm = run_analysis(spec, shards=shards, backend=backend)
         warm_seconds = time.perf_counter() - started
         hits = warm.counters.get("cache_hits", 0)
         misses = warm.counters.get("cache_misses", 0)
@@ -272,18 +265,16 @@ def main(argv=None) -> int:
             lines.append(
                 f"bench {bench_name}: {size} {unit}, "
                 f"{args.shards} shard(s), "
-                f"backend={args.backend}, seed={args.seed}"
-                + (", telemetry=on" if args.telemetry else ""))
+                f"backend={args.backend}, seed={args.seed}")
         exit_code = 0
         warm_info = None
         if args.write or args.compare:
             if args.analyze:
                 runs = time_analysis(args.apps, args.shards, args.backend,
-                                     args.seed, args.repeat,
-                                     telemetry=args.telemetry)
+                                     args.seed, args.repeat)
             else:
                 runs = time_fleet(spec, args.shards, args.backend,
-                                  args.repeat, telemetry=args.telemetry)
+                                  args.repeat)
             best = min(runs)
             measured = best * (1.0 + args.inject_slowdown)
             lines += [
@@ -293,8 +284,7 @@ def main(argv=None) -> int:
             ]
             if args.warm and args.analyze:
                 warm_info = time_analysis_warm(
-                    args.apps, args.shards, args.backend, args.seed,
-                    telemetry=args.telemetry)
+                    args.apps, args.shards, args.backend, args.seed)
                 lines.append(
                     f"  warm     : {warm_info['warm_seconds']:.3f}s "
                     f"({warm_info['warm_throughput']:.0f} {unit}/s from "
@@ -318,7 +308,6 @@ def main(argv=None) -> int:
                 # the regression gate compares wall_seconds only, so the
                 # block never affects a pass/fail verdict.
                 meta={"seed": args.seed, "unit": unit,
-                      "telemetry": bool(args.telemetry),
                       # Cache-path evidence only: the regression gate
                       # compares the cold, cache-free wall_seconds.
                       **({"warm": warm_info} if warm_info else {}),
