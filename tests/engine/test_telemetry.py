@@ -1,22 +1,28 @@
 """Telemetry rides beside the deterministic plane, never inside it.
 
-Every shard samples one clock pair and one rusage pair, always, so
-``tests/engine/test_golden.py`` compares its goldens with that sampling
-on.  Here: ``wall_seconds`` and ``wall_ns`` are read from the one clock
-pair, on every backend and for restored shards, and the report folds
-the telemetry once.
+Every shard samples one clock pair and one rusage pair, always.  Here:
+the golden run, with every shard sampled, still produces the exact
+golden trace bytes and metric bits; ``wall_seconds`` and ``wall_ns``
+are read from the one clock pair, on every backend and for restored
+shards; and the report folds the telemetry once.
 """
 
+import json
 import re
 
 import pytest
 
 from repro.engine import CampaignSpec, NullProgress, run_fleet
 from repro.engine.executor import multiprocessing_usable
+from repro.obs import write_trace_jsonl
 from repro.obs.runtime import TelemetryRollup
 from repro.serve.checkpoint import ShardJournal
 
-from tests.engine.test_golden import golden_spec
+from tests.engine.test_golden import (
+    GOLDEN_METRICS,
+    GOLDEN_TRACE,
+    golden_spec,
+)
 
 
 def run_golden(profile_shards=False):
@@ -28,6 +34,23 @@ def assert_one_clock(report):
     for shard in report.shards:
         assert shard.telemetry["shard_index"] == shard.shard_index
         assert shard.wall_seconds == shard.telemetry["wall_ns"] / 1e9
+
+
+# -- goldens unchanged by the sampling -------------------------------------
+
+def test_golden_trace_bytes_survive_telemetry(tmp_path):
+    report = run_golden()
+    assert TelemetryRollup.from_dict(report.telemetry).shards == 4
+    current = tmp_path / "with_telemetry.jsonl"
+    write_trace_jsonl(str(current), report.trace_records())
+    assert current.read_bytes() == GOLDEN_TRACE.read_bytes()
+
+
+def test_golden_metrics_bits_survive_telemetry():
+    report = run_golden()
+    assert all(shard.telemetry for shard in report.shards)
+    rendered = json.dumps(report.metrics, indent=2, sort_keys=True) + "\n"
+    assert rendered == GOLDEN_METRICS.read_text(encoding="utf-8")
 
 
 # -- one clock per shard ----------------------------------------------------

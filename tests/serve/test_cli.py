@@ -140,6 +140,25 @@ def test_metrics_for_an_unknown_job_explains_itself(tmp_path, capsys):
     assert "no stored result" in capsys.readouterr().err
 
 
+def test_fleet_telemetry_flag_reports_beside_the_stats(capsys):
+    # no flag any more: every fleet run prints its telemetry line
+    args = ["fleet", "--installs", "20", "--seed", "7", "--shards", "2",
+            "--backend", "serial", "--quiet"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    second = capsys.readouterr().out
+    for out in (first, second):
+        assert "telemetry  : cpu" in out
+        assert "over 2 shard(s)" in out
+    # the deterministic stats block is unchanged by the sampling
+    stats = lambda text: [line for line in text.splitlines()
+                          if "installed  :" in line or
+                          "hijacked   :" in line]
+    assert stats(first) == stats(second)
+    assert stats(first)
+
+
 def test_profile_shards_writes_the_hotspot_table(tmp_path, capsys):
     out_path = tmp_path / "HOTSPOTS_fleet.txt"
     assert main(["fleet", "--installs", "20", "--seed", "7",
