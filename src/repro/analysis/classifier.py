@@ -34,7 +34,7 @@ from repro.analysis.corpus import (
     INSTALL_MARKER,
     WRITE_EXTERNAL,
 )
-from repro.analysis.smali import Instruction, SmaliMethod, SmaliProgram, parse_program
+from repro.analysis.smali import SmaliProgram, parse_program
 from repro.sim.rand import DeterministicRandom
 
 MODE_WORLD_READABLE = 0x1
@@ -194,14 +194,12 @@ class InstallerClassifier:
     # -- evidence extraction --------------------------------------------------------
 
     def _uses_sdcard(self, program: SmaliProgram) -> bool:
-        for value in program.all_strings():
+        for value in program.string_list():
             if value.startswith("/sdcard") or "/sdcard/" in value:
                 return True
-        for method in program.all_methods():
-            for invoke in method.invokes():
-                if "getExternalStorageDirectory" in invoke.method_sig:
-                    return True
-        return False
+        # Only invokes carry a method signature; every other op has "".
+        return any("getExternalStorageDirectory" in op[4]
+                   for op in program.ops)
 
     def _world_readable_analysis(
             self, program: SmaliProgram, evidence: List[str],
@@ -211,56 +209,58 @@ class InstallerClassifier:
         unresolved = False
         if detectors is None:
             detectors = []
-        for method in program.all_methods():
-            for invoke in method.invokes():
-                name = invoke.invoked_name
-                if name == "openFileOutput":
-                    detectors.append("openFileOutput")
-                    verdict = self._check_open_file_output(method, invoke)
-                elif name == "setReadable":
-                    detectors.append("setReadable")
-                    verdict = self._check_set_readable(method, invoke)
-                elif name == "exec":
-                    detectors.append("chmod")
-                    verdict = self._check_exec_chmod(method, invoke)
-                elif name == "setPosixFilePermissions":
-                    detectors.append("posix")
-                    verdict = self._check_posix_permissions(method, invoke)
-                else:
-                    continue
-                if verdict is None:
-                    unresolved = True
-                    evidence.append(
-                        f"{name} at line {invoke.line_no}: argument unresolved"
-                    )
-                elif verdict:
-                    confirmed = True
-                    evidence.append(
-                        f"{name} at line {invoke.line_no}: world-readable confirmed"
-                    )
+        for position, op in enumerate(program.ops):
+            name = op[5]  # invoked_name; "" on every op but an invoke
+            if name == "openFileOutput":
+                detectors.append("openFileOutput")
+                verdict = self._check_open_file_output(program, position)
+            elif name == "setReadable":
+                detectors.append("setReadable")
+                verdict = self._check_set_readable(program, position)
+            elif name == "exec":
+                detectors.append("chmod")
+                verdict = self._check_exec_chmod(program, position)
+            elif name == "setPosixFilePermissions":
+                detectors.append("posix")
+                verdict = self._check_posix_permissions(program, position)
+            else:
+                continue
+            line_no = program.line_nos[position]
+            if verdict is None:
+                unresolved = True
+                evidence.append(
+                    f"{name} at line {line_no}: argument unresolved"
+                )
+            elif verdict:
+                confirmed = True
+                evidence.append(
+                    f"{name} at line {line_no}: world-readable confirmed"
+                )
         return confirmed, unresolved
 
-    def _check_open_file_output(self, method: SmaliMethod,
-                                invoke: Instruction) -> Optional[bool]:
+    # Each check receives the invoke's position in ``program.ops``.
+
+    def _check_open_file_output(self, program: SmaliProgram,
+                                position: int) -> Optional[bool]:
         # registers: {this, name, mode}
-        mode = method.resolve_argument(invoke, 2)
+        mode = program.resolve_argument(position, 2)
         if not isinstance(mode, int):
             return None
         return bool(mode & MODE_WORLD_READABLE)
 
-    def _check_set_readable(self, method: SmaliMethod,
-                            invoke: Instruction) -> Optional[bool]:
+    def _check_set_readable(self, program: SmaliProgram,
+                            position: int) -> Optional[bool]:
         # registers: {file, readable, ownerOnly}
-        readable = method.resolve_argument(invoke, 1)
-        owner_only = method.resolve_argument(invoke, 2)
+        readable = program.resolve_argument(position, 1)
+        owner_only = program.resolve_argument(position, 2)
         if not isinstance(readable, int) or not isinstance(owner_only, int):
             return None
         return bool(readable) and not owner_only
 
-    def _check_exec_chmod(self, method: SmaliMethod,
-                          invoke: Instruction) -> Optional[bool]:
+    def _check_exec_chmod(self, program: SmaliProgram,
+                          position: int) -> Optional[bool]:
         # registers: {runtime, command}
-        command = method.resolve_argument(invoke, 1)
+        command = program.resolve_argument(position, 1)
         if not isinstance(command, str):
             return None
         match = _CHMOD_RE.search(command)
@@ -269,10 +269,10 @@ class InstallerClassifier:
         other_digit = int(match.group(1)[-1], 8)
         return bool(other_digit & 0o4)
 
-    def _check_posix_permissions(self, method: SmaliMethod,
-                                 invoke: Instruction) -> Optional[bool]:
+    def _check_posix_permissions(self, program: SmaliProgram,
+                                 position: int) -> Optional[bool]:
         # registers: {path, permString}
-        perms = method.resolve_argument(invoke, 1)
+        perms = program.resolve_argument(position, 1)
         if not isinstance(perms, str) or not _POSIX_PERM_RE.match(perms):
             return None
         return perms[6] == "r"

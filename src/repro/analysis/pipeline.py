@@ -618,6 +618,11 @@ class AnalysisReport(ShardedReport):
         return cls._fold(merge_analysis_stats, spec, shards, **run)
 
     @property
+    def unit(self) -> str:
+        """``images`` for the images corpus, ``apps`` otherwise."""
+        return "images" if self.spec.corpus == "images" else "apps"
+
+    @property
     def cache_hits(self) -> int:
         """Apps served from the content-addressed cache."""
         return self.counters.get("cache_hits", 0)

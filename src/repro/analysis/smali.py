@@ -40,35 +40,46 @@ lenient=True)`` instead records the line in
 Parsing strategy
 ----------------
 
-The original implementation tried five compiled regexes per
-instruction line (const-string, const-int, move, invoke, iget — in
-that order) plus a 19-way directive scan per line; at measurement
-scale (100k+ generated apps) that cascade dominated per-app wall
-clock.  The parser is now a **single-pass scanner**:
+A program is flat, in the manner of trueseeing's ``SmaliAnalyzer``:
+one list of operations per app, not a tree of classes, methods and
+instruction objects.
 
-- every directive starts with ``.`` and no instruction mnemonic does,
-  so one ``line[0] == "."`` test replaces all directive probing on
-  instruction lines;
-- the instruction mnemonic (first whitespace-delimited token) selects
-  an operand scanner from :data:`_DISPATCH` — a plain dict lookup —
-  and the scanner walks the operand text once with ``str`` primitives,
-  falling back to tiny anchored regexes only to validate rare operand
-  spellings exactly as the old patterns did (``\\d`` is Unicode-aware,
-  so e.g. ``v١`` must keep matching);
-- mnemonic spellings the token split cannot key (today: invokes with
-  no whitespace before ``{``, which ``\\s*`` used to admit) fall
-  through to :data:`_RARE_RE`, one combined alternation with named
-  groups;
-- results are memoised per *line text* (bounded by
-  :data:`_MEMO_CAP`): generated corpora share template lines across
-  thousands of apps, so most lines resolve to a dict hit.
+- **One op list.** :attr:`SmaliProgram.ops` holds each instruction as
+  the scanner's shape tuple ``(op, dest, sources, literal, method_sig,
+  invoked_name)``; :attr:`SmaliProgram.line_nos` holds its line number
+  at the same position.  ``.class`` and ``.method`` directives append
+  ``(class, method, start)`` to :attr:`SmaliProgram.regions`, ``start``
+  being the offset of the method's first op (``method`` is ``None`` for
+  a class entry).  The instruction count is ``len(ops)``; the string
+  constants and the redirect scan read the list directly.
+- **Shared memo tuples.** Each line is scanned once per process: every
+  directive starts with ``.`` and no mnemonic does, so one
+  ``line[0] == "."`` test splits directives from instructions; the
+  first token selects an operand scanner from :data:`_DISPATCH`, which
+  walks the operands with ``str`` primitives and falls back to tiny
+  anchored regexes only to validate rare operand spellings exactly as
+  the old patterns did (``\\d`` is Unicode-aware, so ``v١`` must keep
+  matching); the one spelling the token split cannot key (an invoke
+  with no whitespace before ``{``) goes to :data:`_RARE_RE`.  The
+  resulting tuple is memoised per line text in :data:`_SCAN_MEMO`
+  (bounded by :data:`_MEMO_CAP`) and appended to ``ops`` as is, so
+  template lines that recur across thousands of generated apps cost
+  one dict lookup and share one immutable tuple, with no copy.
+- **Def-use only where a setter sits.** :meth:`SmaliProgram.resolve_argument`
+  walks ``ops`` backwards from an invoke to the start of its method
+  region, following ``move`` chains.  The classifier calls it only for
+  the global-readable setters of apps that hold the install marker.
+- **Tree view on demand.** :attr:`SmaliProgram.classes` builds the
+  :class:`SmaliClass`/:class:`SmaliMethod`/:class:`Instruction` tree on
+  first access, for tests and the differential oracle; the analysis
+  pipeline never reads it.
 
-The scan is bug-for-bug equivalent to the regex cascade — same
-``Program``/``Instruction`` objects, same lenient-mode evidence, same
-exceptions (``int(..., 0)`` still rejects leading zeros, descending
-register ranges still raise even in lenient mode).  The retained
-cascade lives in ``tests/analysis/reference_smali.py`` and the
-differential property suite holds the two equal over every corpus.
+The scan is bug-for-bug equivalent to the original regex cascade —
+same lenient-mode evidence, same exceptions (``int(..., 0)`` still
+rejects leading zeros, descending register ranges still raise even in
+lenient mode).  The retained cascade lives in
+``tests/analysis/reference_smali.py`` and the differential property
+suite holds the tree view equal to it over every corpus.
 """
 
 from __future__ import annotations
@@ -130,15 +141,19 @@ _BLOCK_EXACT = frozenset(_BLOCK_DIRECTIVES)
 _BLOCK_PREFIXES = tuple(d + " " for d in _BLOCK_DIRECTIVES)
 
 
+#: One instruction on the flat op list: ``(op, dest, sources, literal,
+#: method_sig, invoked_name)``, shared with the scan memo.
+Op = Tuple[str, Optional[str], Tuple[str, ...], Union[str, int, None], str,
+           str]
+
+
 @dataclass(frozen=True)
 class Instruction:
-    """One parsed instruction.
+    """One instruction of the tree view (:attr:`SmaliProgram.classes`).
 
     ``invoked_name`` (the bare method name of an invoke, e.g.
-    ``openFileOutput``) is computed once at construction time and
-    stored on the instance — it used to be a property running
-    ``re.search`` on every access, which the classifier hit per
-    invoke per detector.
+    ``openFileOutput``) is computed at construction time and stored on
+    the instance.
     """
 
     op: str                      # const-string | const-int | move | invoke | iget
@@ -147,7 +162,7 @@ class Instruction:
     sources: Tuple[str, ...] = ()
     literal: Union[str, int, None] = None
     method_sig: str = ""         # for invokes: full Lpkg;->name(args)ret
-    index: int = -1              # position in the owning method, set at parse time
+    index: int = -1              # position in the owning method
 
     def __post_init__(self) -> None:
         sig = self.method_sig
@@ -161,10 +176,18 @@ class Instruction:
 
 @dataclass
 class SmaliMethod:
-    """A parsed method body."""
+    """A method of the tree view: its name and instructions.
+
+    ``program`` and ``start`` locate the method's region in the flat
+    program it was built from; :meth:`resolve_argument` runs the flat
+    def-use walk there.
+    """
 
     name: str
     instructions: List[Instruction] = field(default_factory=list)
+    program: Optional["SmaliProgram"] = field(
+        default=None, compare=False, repr=False)
+    start: int = field(default=0, compare=False, repr=False)
 
     def invokes(self) -> Iterator[Instruction]:
         """All invoke instructions in order."""
@@ -178,90 +201,69 @@ class SmaliMethod:
             if ins.op == "const-string" and isinstance(ins.literal, str)
         ]
 
-    def reaching_def(self, register: str,
-                     before_index: int) -> Optional[Instruction]:
-        """The def-use chain back-walk: last write to ``register``.
-
-        Walks backwards from ``before_index`` following ``move`` chains.
-        Returns the defining const/iget instruction, or None when the
-        register has no visible definition (e.g. a parameter).
-        """
-        target = register
-        for index in range(before_index - 1, -1, -1):
-            ins = self.instructions[index]
-            if ins.dest != target:
-                continue
-            if ins.op == "move":
-                target = ins.sources[0]
-                continue
-            return ins
-        return None
-
     def resolve_argument(self, invoke: Instruction,
                          arg_index: int) -> Union[str, int, None]:
         """Value of an invoke's argument, if a constant reaches it.
 
-        Returns the constant (str or int), or None when the def-use
-        chain dead-ends (field load, parameter, missing def) — the
-        'cannot resolve' case that lands apps in the *unknown* bucket.
+        Runs :meth:`SmaliProgram.resolve_argument` at the invoke's
+        position in the flat program.
         """
-        if arg_index >= len(invoke.sources):
-            return None
-        position = invoke.index
-        if position < 0:  # hand-built instruction: fall back to a scan
-            position = self._position_of(invoke)
-        definition = self.reaching_def(invoke.sources[arg_index], position)
-        if definition is None or definition.op == "iget":
-            return None
-        return definition.literal
-
-    def _position_of(self, target: Instruction) -> int:
-        for index, ins in enumerate(self.instructions):
-            if ins is target:
-                return index
-        raise SmaliParseError("instruction not in method")
+        if self.program is None:
+            raise SmaliParseError("method is not part of a parsed program")
+        return self.program.resolve_argument(self.start + invoke.index,
+                                             arg_index)
 
 
 @dataclass
 class SmaliClass:
-    """A parsed class: name plus methods."""
+    """A class of the tree view: name plus methods."""
 
     name: str
     methods: List[SmaliMethod] = field(default_factory=list)
 
 
-@dataclass
 class SmaliProgram:
-    """A whole app's decompiled code."""
+    """A whole app's decompiled code, flat.
 
-    classes: List[SmaliClass] = field(default_factory=list)
-    unparsed: List[Tuple[int, str]] = field(default_factory=list)
+    ``ops[i]`` is an :data:`Op` shape tuple and ``line_nos[i]`` its line
+    number; ``regions`` lists ``(class, method, start)`` in text order,
+    where ``start`` is the offset in ``ops`` of the method's first op
+    and ``method`` is ``None`` for a ``.class`` entry.  A method's ops
+    run from its ``start`` to the next region's.  ``unparsed`` holds
+    lenient-mode ``(line_no, line)`` evidence.  Shape tuples may be
+    shared with the scan memo and other programs: read them, never
+    mutate them.
+    """
 
-    def all_methods(self) -> Iterator[SmaliMethod]:
-        """Every method of every class."""
-        for cls in self.classes:
-            yield from cls.methods
+    __slots__ = ("ops", "line_nos", "regions", "unparsed", "_strings",
+                 "_classes")
+
+    def __init__(self, ops: List[Op], line_nos: List[int],
+                 regions: List[Tuple[str, Optional[str], int]],
+                 unparsed: List[Tuple[int, str]]) -> None:
+        self.ops = ops
+        self.line_nos = line_nos
+        self.regions = regions
+        self.unparsed = unparsed
+        self._strings: Optional[List[str]] = None
+        self._classes: Optional[List[SmaliClass]] = None
+
+    @property
+    def instruction_count(self) -> int:
+        """Total parsed instructions across every method."""
+        return len(self.ops)
 
     def string_list(self) -> List[str]:
-        """Every string constant, as a list computed once per program.
+        """Every string constant in op order, computed once per program.
 
-        The analysis pipeline walks the program's strings several times
-        per app (install-marker probe, sdcard probe, redirect scan);
-        the flat list is built on first use and reused.  Callers must
-        not mutate the program's instructions after reading it — the
-        pipeline parses once and only reads from then on.
+        The analysis pipeline reads a program's strings several times
+        per app (install-marker probe, sdcard probe, redirect scan).
         """
-        cached = self.__dict__.get("_string_list")
-        if cached is None:
-            cached = [
-                ins.literal
-                for cls in self.classes
-                for method in cls.methods
-                for ins in method.instructions
-                if ins.op == "const-string" and isinstance(ins.literal, str)
-            ]
-            self.__dict__["_string_list"] = cached
-        return cached
+        strings = self._strings
+        if strings is None:
+            strings = self._strings = [
+                op[3] for op in self.ops if op[0] == "const-string"]
+        return strings
 
     def all_strings(self) -> Iterator[str]:
         """Every string constant in the program."""
@@ -271,10 +273,70 @@ class SmaliProgram:
         """True if any string constant contains ``needle``."""
         return any(needle in value for value in self.string_list())
 
+    def resolve_argument(self, position: int,
+                         arg_index: int) -> Union[str, int, None]:
+        """Value of an invoke's argument, if a constant reaches it.
+
+        ``position`` is the invoke's offset in :attr:`ops`.  The def-use
+        back-walk runs from there to the start of its method region and
+        finds the last write to the argument's register, following
+        ``move`` chains.  Returns the constant (str or int), or None
+        when the chain dead-ends (field load, parameter, no definition
+        in the method) — the 'cannot resolve' case that lands apps in
+        the *unknown* bucket.
+        """
+        ops = self.ops
+        sources = ops[position][2]
+        if arg_index >= len(sources):
+            return None
+        start = 0
+        for _class, _method, region_start in self.regions:
+            if region_start > position:
+                break
+            start = region_start
+        target = sources[arg_index]
+        for index in range(position - 1, start - 1, -1):
+            op = ops[index]
+            if op[1] != target:
+                continue
+            if op[0] == "move":
+                target = op[2][0]
+                continue
+            return None if op[0] == "iget" else op[3]
+        return None
+
     @property
-    def instruction_count(self) -> int:
-        """Total parsed instructions across every method."""
-        return sum(len(method.instructions) for method in self.all_methods())
+    def classes(self) -> List[SmaliClass]:
+        """The class/method/instruction tree, built on first access.
+
+        A read-only view for tests and inspection; the analysis passes
+        read :attr:`ops` instead.
+        """
+        view = self._classes
+        if view is None:
+            view = []
+            ops, line_nos, regions = self.ops, self.line_nos, self.regions
+            stops = [region[2] for region in regions[1:]] + [len(ops)]
+            for (class_name, method_name, start), stop in zip(regions, stops):
+                if method_name is None:
+                    view.append(SmaliClass(name=class_name))
+                    continue
+                method = SmaliMethod(name=method_name, program=self,
+                                     start=start)
+                for position in range(start, stop):
+                    op, dest, sources, literal, sig, _name = ops[position]
+                    method.instructions.append(Instruction(
+                        op=op, line_no=line_nos[position], dest=dest,
+                        sources=sources, literal=literal, method_sig=sig,
+                        index=position - start))
+                view[-1].methods.append(method)
+            self._classes = view
+        return view
+
+    def all_methods(self) -> Iterator[SmaliMethod]:
+        """Every method of every class (tree view)."""
+        for cls in self.classes:
+            yield from cls.methods
 
 
 def _expand_registers(spec: str) -> Tuple[str, ...]:
@@ -297,14 +359,14 @@ def _is_register(token: str) -> bool:
 # ---------------------------------------------------------------------------
 # Operand scanners.  Each receives the text after the mnemonic token
 # (leading whitespace already consumed by the split) and returns the
-# memoisable shape ``(op, dest, sources, literal, method_sig,
-# invoked_name)`` — everything an Instruction needs except line_no and
-# index, which vary per occurrence.  ``None`` means the operands do
+# memoisable :data:`Op` shape ``(op, dest, sources, literal,
+# method_sig, invoked_name)`` — everything about an instruction except
+# its line number, which varies per occurrence.  ``None`` means the operands do
 # not match the form; because no mnemonic in the dispatch table can
 # begin a *different* supported form, a scanner miss is a parse miss.
 # ---------------------------------------------------------------------------
 
-_MISS = ("<miss>",)  # sentinel: line matches no supported form
+_MISS = object()  # sentinel: line matches no supported form
 
 
 def _scan_const_string(rest: str):
@@ -400,31 +462,11 @@ del _mnemonic, _wide, _width, _kind, _suffix, _prefix
 #: Per-line-text scan memo.  Template lines recur across thousands of
 #: generated apps; unique lines (randomised URLs) stop being admitted
 #: once the cap is hit so memory stays bounded.  Values are the
-#: memoisable tuples, ``_MISS``, or a ``str`` — the message of the
-#: SmaliParseError the line deterministically raises.
+#: :data:`Op` tuples that programs append to their op lists as they
+#: are, ``_MISS``, or a ``str`` — the message of the SmaliParseError
+#: the line deterministically raises.
 _SCAN_MEMO: Dict[str, object] = {}
 _MEMO_CAP = 65536
-
-
-def _proto(result) -> Dict[str, object]:
-    """Instruction prototype dict for the memo.
-
-    ``parse_program`` materialises an :class:`Instruction` from a memo
-    hit with one ``dict.copy`` plus the two per-occurrence fields
-    (``line_no``, ``index``) — measurably cheaper than rebuilding the
-    eight-key dict from a tuple on every hit.
-    """
-    op, dest, sources, literal, method_sig, invoked = result
-    return {
-        "op": op,
-        "line_no": 0,
-        "dest": dest,
-        "sources": sources,
-        "literal": literal,
-        "method_sig": method_sig,
-        "index": 0,
-        "invoked_name": invoked,
-    }
 
 
 def _scan_line(line: str):
@@ -440,7 +482,7 @@ def _scan_line(line: str):
         # other supported form (only invoke admitted zero whitespace
         # after its mnemonic, and no dispatch key starts with
         # "invoke-" while naming a different form).
-        return _MISS if result is None else _proto(result)
+        return _MISS if result is None else result
     match = _RARE_RE.match(line)
     if match is not None:
         sig = match.group("invoke_sig").strip()
@@ -450,35 +492,32 @@ def _scan_line(line: str):
             return str(error)
         name_match = _INVOKED_NAME_RE.search(sig)
         invoked = name_match.group(1) if name_match else ""
-        return _proto(("invoke", None, registers, None, sig, invoked))
+        return ("invoke", None, registers, None, sig, invoked)
     return _MISS
 
 
-_object_new = object.__new__
-_object_setattr = object.__setattr__
-
-
 def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
-    """Parse smali-like text into a :class:`SmaliProgram`.
+    """Parse smali-like text into a flat :class:`SmaliProgram`.
 
     Raises :class:`~repro.errors.SmaliParseError` on malformed input.
     With ``lenient=True`` malformed lines are recorded in
     :attr:`SmaliProgram.unparsed` (as ``(line_no, line)`` evidence)
     instead of aborting the parse.
     """
-    program = SmaliProgram()
-    classes_append = program.classes.append
-    unparsed_append = program.unparsed.append
-    current_class: Optional[SmaliClass] = None
-    instructions: Optional[List[Instruction]] = None
-    instructions_append = None
+    ops: List[Op] = []
+    line_nos: List[int] = []
+    regions: List[Tuple[str, Optional[str], int]] = []
+    unparsed: List[Tuple[int, str]] = []
+    ops_append = ops.append
+    line_nos_append = line_nos.append
+    unparsed_append = unparsed.append
+    class_name: Optional[str] = None
+    in_method = False
     block_end: Optional[str] = None
     block_depth = 0
     block_start: Optional[str] = None
     memo_get = _SCAN_MEMO.get
-    line_no = 0
-    for raw_line in text.splitlines():
-        line_no += 1
+    for line_no, raw_line in enumerate(text.splitlines(), 1):
         if "#" in raw_line:
             raw_line = raw_line.split("#", 1)[0]
         line = raw_line.strip()
@@ -496,26 +535,24 @@ def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
             # Directive ordering mirrors the original cascade exactly,
             # prefix matches included.
             if line.startswith(".class"):
-                current_class = SmaliClass(name=line.split(None, 1)[1])
-                classes_append(current_class)
-                instructions = None
+                class_name = line.split(None, 1)[1]
+                regions.append((class_name, None, len(ops)))
+                in_method = False
                 continue
             if line.startswith(".method"):
-                if current_class is None:
+                if class_name is None:
                     if lenient:
                         unparsed_append((line_no, line))
-                        current_class = SmaliClass(name="<anonymous>")
-                        classes_append(current_class)
+                        class_name = "<anonymous>"
+                        regions.append((class_name, None, len(ops)))
                     else:
                         raise SmaliParseError(
                             f"line {line_no}: method outside class")
-                method = SmaliMethod(name=line.split(None, 1)[1])
-                current_class.methods.append(method)
-                instructions = method.instructions
-                instructions_append = instructions.append
+                regions.append((class_name, line.split(None, 1)[1], len(ops)))
+                in_method = True
                 continue
             if line.startswith(".end method"):
-                instructions = None
+                in_method = False
                 continue
             if line in _BLOCK_EXACT:
                 matched_block = line
@@ -533,7 +570,7 @@ def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
                 continue
             # An unrecognised "." line falls through to the
             # instruction path, like the original did.
-        if instructions is None:
+        if not in_method:
             if lenient:
                 unparsed_append((line_no, line))
                 continue
@@ -543,24 +580,9 @@ def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
             cached = _scan_line(line)
             if len(_SCAN_MEMO) < _MEMO_CAP:
                 _SCAN_MEMO[line] = cached
-            elif cached.__class__ is dict:
-                # Past the memo cap the scan result is not shared, so
-                # the prototype can become the instruction's __dict__
-                # directly — app-unique lines (randomised URLs) skip
-                # the defensive copy.
-                cached["line_no"] = line_no
-                cached["index"] = len(instructions)
-                instruction = _object_new(Instruction)
-                _object_setattr(instruction, "__dict__", cached)
-                instructions_append(instruction)
-                continue
-        if cached.__class__ is dict:  # common case: an instruction
-            fields = cached.copy()
-            fields["line_no"] = line_no
-            fields["index"] = len(instructions)
-            instruction = _object_new(Instruction)
-            _object_setattr(instruction, "__dict__", fields)
-            instructions_append(instruction)
+        if cached.__class__ is tuple:  # common case: an instruction
+            ops_append(cached)
+            line_nos_append(line_no)
             continue
         if cached is _MISS:
             if lenient:
@@ -568,4 +590,4 @@ def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
                 continue
             raise SmaliParseError(f"line {line_no}: cannot parse {line!r}")
         raise SmaliParseError(cached)  # memoised deterministic error
-    return program
+    return SmaliProgram(ops, line_nos, regions, unparsed)

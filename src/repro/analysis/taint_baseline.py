@@ -89,12 +89,12 @@ class TaintAnalysisBaseline:
 
     def _walk_flows(self, program: SmaliProgram) -> Optional[TaintOutcome]:
         """Follow every invoke edge; reflective/handler edges kill the walk."""
-        for method in program.all_methods():
-            for invoke in method.invokes():
-                if "Ljava/lang/Class;->forName" in invoke.method_sig:
-                    return TaintOutcome.INCOMPLETE_CFG
-                if invoke.invoked_name == "handleMessage":
-                    return TaintOutcome.HANDLER_UNTRACKED
+        for op in program.ops:
+            # method_sig and invoked_name are "" on every op but an invoke.
+            if "Ljava/lang/Class;->forName" in op[4]:
+                return TaintOutcome.INCOMPLETE_CFG
+            if op[5] == "handleMessage":
+                return TaintOutcome.HANDLER_UNTRACKED
         return None
 
     def _hits_tool_bug(self, app: CorpusApp) -> bool:

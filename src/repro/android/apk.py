@@ -36,12 +36,6 @@ _BUILD_CACHE: dict = {}
 _PARSE_CACHE: dict = {}
 
 
-def clear_artifact_caches() -> None:
-    """Drop the process-wide build/parse caches (test isolation hook)."""
-    _BUILD_CACHE.clear()
-    _PARSE_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class PermissionSpec:
     """A ``<permission>`` element: a definition carried by a manifest."""

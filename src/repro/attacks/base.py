@@ -125,11 +125,6 @@ class MaliciousApp(App):
         """Strike attempts vetoed by a defense (or failed outright)."""
         return len(getattr(self, "blocked", ()))
 
-    @property
-    def strike_attempts(self) -> int:
-        """All strike attempts, landed and blocked alike."""
-        return self.strikes_landed + self.strikes_blocked
-
     @staticmethod
     def build_apk(package: str = ATTACKER_PACKAGE) -> Apk:
         """The attacker app's own APK: innocuous-looking, STORAGE perms."""

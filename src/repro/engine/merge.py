@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, ClassVar, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.core.campaign import CampaignStats
 from repro.core.outcomes import OutcomeRecord
@@ -83,6 +84,8 @@ class ShardedReport:
     #: ``counters``.  Reported beside the deterministic stats/metrics,
     #: never inside them.
     telemetry: Dict[str, Any] = field(default_factory=dict)
+    #: The kind's work unit, as the per-shard rate names it.
+    unit: ClassVar[str] = "items"
 
     @classmethod
     def _fold(cls, merge: Callable[[Iterable[Any]], Any], spec: Any,
@@ -129,7 +132,7 @@ class ShardedReport:
         rates = [shard.stats.runs / shard.wall_seconds
                  for shard in self.shards if shard.wall_seconds > 0]
         if rates:
-            shard_rate = (f"shard installs/s min {min(rates):.0f} / "
+            shard_rate = (f"shard {self.unit}/s min {min(rates):.0f} / "
                           f"mean {sum(rates) / len(rates):.0f} / "
                           f"max {max(rates):.0f}")
         else:
@@ -145,6 +148,7 @@ class FleetReport(ShardedReport):
 
     spec: CampaignSpec
     stats: CampaignStats = field(default_factory=CampaignStats)
+    unit: ClassVar[str] = "installs"
 
     @classmethod
     def from_shards(cls, spec, shards, **run) -> "FleetReport":

@@ -253,7 +253,8 @@ class CampaignService:
                       if job.submitted_at else 0.0)
         try:
             # Everything from here on ends the job: a failure before
-            # the run (journal, flight sidecar) is a failed job too,
+            # the run (journal, flight sidecar) or in a write after it
+            # (trace archive, result, journal end) is a failed job too,
             # never a dead scheduler.
             journal = ShardJournal(self.store.checkpoint_dir(job.job_id),
                                    spec, shard_count)
@@ -267,6 +268,38 @@ class CampaignService:
             self.executor.progress = _JobProgress(self, job, queue_wait)
             report = self.executor.run(spec, shards=shard_count,
                                        checkpoint=journal)
+            if spec.observe:
+                trace_path = self.store.trace_path(job.job_id)
+                trace_path.parent.mkdir(parents=True, exist_ok=True)
+                atomic_write(trace_path, trace_to_jsonl(
+                    report.trace_records()).encode(), durable=False)
+            telemetry = dict(report.telemetry,
+                             queue_wait_s=round(queue_wait, 6))
+            # The result is durable before the job reads as done.
+            self.store.write_result(job.job_id, {
+                "job_id": job.job_id,
+                "state": DONE,
+                "stats": stats_counters(report.stats),
+                "counters": dict(report.counters),
+                "telemetry": telemetry,
+                "shards": len(report.shards),
+                "workers": report.workers,
+                "backend": report.backend,
+                "wall_seconds": report.wall_seconds,
+                "render": report.render(),
+            })
+            with self._lock:
+                job.finish(report)
+                job.telemetry = telemetry
+                self._rollup.retries += report.counters.get("retries", 0)
+                self._journal_end(job)
+                self.metrics.counter("serve/jobs_completed").inc()
+                self._account_restarts(restarts_before)
+                self.flight.record("finish", job=job.job_id,
+                                   shards=len(report.shards),
+                                   wall_s=round(report.wall_seconds, 3))
+                self._publish(job.job_id,
+                              event_frame("done", job=job.to_dict()))
         except Exception as exc:
             with self._lock:
                 job.state = FAILED
@@ -277,38 +310,8 @@ class CampaignService:
                 self.flight.record("crash", job=job.job_id, error=job.error)
                 self._publish(job.job_id,
                               event_frame("failed", job=job.to_dict()))
-            return
         finally:
             self.executor.progress = NullProgress()
-        if spec.observe:
-            trace_path = self.store.trace_path(job.job_id)
-            trace_path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write(trace_path, trace_to_jsonl(
-                report.trace_records()).encode(), durable=False)
-        with self._lock:
-            job.finish(report)
-            job.telemetry = dict(report.telemetry,
-                                 queue_wait_s=round(queue_wait, 6))
-            self._rollup.retries += report.counters.get("retries", 0)
-            self.store.write_result(job.job_id, {
-                "job_id": job.job_id,
-                "state": job.state,
-                "stats": job.summary,
-                "counters": job.counters,
-                "telemetry": job.telemetry,
-                "shards": len(report.shards),
-                "workers": report.workers,
-                "backend": report.backend,
-                "wall_seconds": report.wall_seconds,
-                "render": report.render(),
-            })
-            self._journal_end(job)
-            self.metrics.counter("serve/jobs_completed").inc()
-            self._account_restarts(restarts_before)
-            self.flight.record("finish", job=job.job_id,
-                               shards=len(report.shards),
-                               wall_s=round(report.wall_seconds, 3))
-            self._publish(job.job_id, event_frame("done", job=job.to_dict()))
 
     def _journal_end(self, job: Job) -> None:
         self.store.append_journal({

@@ -4,13 +4,18 @@ This is the pre-scanner implementation of ``repro.analysis.smali``'s
 parse path, kept verbatim as the ground truth for the differential
 property suite (``test_smali_differential.py``).  The production
 scanner (first-token dispatch + combined rare-form alternation) must
-produce the exact same :class:`~repro.analysis.smali.SmaliProgram`
-for every input — including lenient-mode ``unparsed`` evidence lines
-and the exceptions raised on malformed input.
+produce the exact same program (its tree view, string list and
+instruction count) for every input — including lenient-mode
+``unparsed`` evidence lines and the exceptions raised on malformed
+input.
 
-It reuses the production dataclasses (``Instruction``, ``SmaliMethod``,
-``SmaliClass``, ``SmaliProgram``) so programs compare structurally with
-plain ``==``; only the parsing strategy differs.
+It builds the production tree dataclasses (``Instruction``,
+``SmaliMethod``, ``SmaliClass``) so its trees compare structurally with
+the production program's tree view by plain ``==``; only the parsing
+strategy differs.  The production ``SmaliProgram`` is a flat op list
+whose ``classes`` is a read-only view, so the reference returns its
+tree in :class:`ReferenceProgram`, a plain container with the same
+``classes``/``unparsed`` fields and the flat program's derived reads.
 
 Do not \"fix\" behaviour here: quirks (greedy const-string values,
 ``int(..., 0)`` rejecting leading zeros, descending register ranges
@@ -21,15 +26,38 @@ the contract the scanner preserves bug-for-bug.
 from __future__ import annotations
 
 import re
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from repro.analysis.smali import (
     Instruction,
     SmaliClass,
     SmaliMethod,
-    SmaliProgram,
 )
 from repro.errors import SmaliParseError
+
+
+@dataclass
+class ReferenceProgram:
+    """The reference parse's output: a class/method/instruction tree."""
+
+    classes: List[SmaliClass] = field(default_factory=list)
+    unparsed: List[Tuple[int, str]] = field(default_factory=list)
+
+    def string_list(self) -> List[str]:
+        return [
+            ins.literal
+            for cls in self.classes
+            for method in cls.methods
+            for ins in method.instructions
+            if ins.op == "const-string" and isinstance(ins.literal, str)
+        ]
+
+    @property
+    def instruction_count(self) -> int:
+        return sum(len(method.instructions)
+                   for cls in self.classes for method in cls.methods)
+
 
 _INVOKE_RE = re.compile(
     r"^invoke-(?:virtual|static|direct|interface|super)(?:/range)?\s*"
@@ -79,9 +107,9 @@ def _expand_registers(spec: str) -> Tuple[str, ...]:
     return tuple(reg.strip() for reg in spec.split(",") if reg.strip())
 
 
-def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
+def parse_program(text: str, lenient: bool = False) -> ReferenceProgram:
     """Reference parse: the original per-line regex cascade."""
-    program = SmaliProgram()
+    program = ReferenceProgram()
     current_class: Optional[SmaliClass] = None
     current_method: Optional[SmaliMethod] = None
     block_end: Optional[str] = None

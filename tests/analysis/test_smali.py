@@ -275,3 +275,85 @@ invoke-virtual {v0, v2, v1}, Landroid/content/Context;->openFileOutput(Ljava/lan
     method = program.classes[0].methods[0]
     invoke = next(method.invokes())
     assert method.resolve_argument(invoke, 2) == 1
+
+
+# -- method-region boundaries of the flat def-use walk ---------------------------
+
+OPEN_MODE = ("invoke-virtual {v0, v1, v2}, Landroid/content/Context;"
+             "->openFileOutput(Ljava/lang/String;I)Ljava/io/FileOutputStream;")
+
+REGION_PROGRAMS = {
+    # The setter is its method's first op; v2 is written just before
+    # it, but in the previous method.
+    "setter-first-after-method": (
+        f".class La;\n.method a()V\nconst/4 v2, 1\n.end method\n"
+        f".method b()V\n{OPEN_MODE}\n.end method"),
+    # ... in the previous class's last method.
+    "setter-first-after-class": (
+        f".class La;\n.method a()V\nconst/4 v2, 1\n.end method\n"
+        f".class Lb;\n.method b()V\n{OPEN_MODE}\n.end method"),
+    # A .class with no .end method before it still ends the region.
+    "class-without-end-method": (
+        f".class La;\n.method a()V\nconst/4 v2, 1\n"
+        f".class Lb;\n.method b()V\n{OPEN_MODE}\n.end method"),
+    # A .method with no .end method before it still ends the region.
+    "method-without-end-method": (
+        f".class La;\n.method a()V\nconst/4 v2, 1\n"
+        f".method b()V\n{OPEN_MODE}\n.end method"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_PROGRAMS))
+def test_def_use_stops_at_its_method_region(name):
+    program = parse_program(REGION_PROGRAMS[name], lenient=True)
+    assert program.instruction_count == 2
+    assert program.ops[1][5] == "openFileOutput"
+    assert program.resolve_argument(1, 2) is None
+    method = program.classes[-1].methods[-1]
+    assert method.resolve_argument(next(method.invokes()), 2) is None
+
+
+def test_empty_method_shares_its_start_with_the_next():
+    text = (f".class La;\n.method a()V\n.end method\n.method b()V\n"
+            f"const/4 v2, 1\n{OPEN_MODE}\n.end method")
+    program = parse_program(text)
+    assert [region[2] for region in program.regions] == [0, 0, 0]
+    assert program.resolve_argument(1, 2) == 1
+    first, second = program.classes[0].methods
+    assert first.instructions == []
+    assert [ins.index for ins in second.instructions] == [0, 1]
+    assert second.resolve_argument(second.instructions[1], 2) == 1
+
+
+def test_lenient_anonymous_class_resolves_within_its_method():
+    program = parse_program(f".method m()V\nconst/4 v2, 1\n{OPEN_MODE}",
+                            lenient=True)
+    assert program.unparsed == [(1, ".method m()V")]
+    assert program.regions == [("<anonymous>", None, 0),
+                               ("<anonymous>", "m()V", 0)]
+    assert program.resolve_argument(1, 2) == 1
+    assert program.classes[0].name == "<anonymous>"
+
+
+def test_invoke_with_fewer_sources_than_the_argument_index():
+    text = (".class La;\n.method m()V\nconst/4 v2, 1\n"
+            "invoke-virtual {v0}, Landroid/content/Context;"
+            "->openFileOutput(Ljava/lang/String;I)Ljava/io/FileOutputStream;\n"
+            ".end method")
+    program = parse_program(text)
+    assert program.resolve_argument(1, 0) is None  # v0 has no definition
+    assert program.resolve_argument(1, 2) is None
+    method = program.classes[0].methods[0]
+    assert method.resolve_argument(method.instructions[1], 2) is None
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_scanner_errors_raise_even_in_lenient_mode(lenient):
+    descending = (".class La;\n.method m()V\n"
+                  "invoke-virtual/range {v5 .. v2}, La;->m()V\n.end method")
+    leading_zero = ".class La;\n.method m()V\nconst/4 v0, 007\n.end method"
+    for _ in range(2):  # the second parse reads the memoised outcome
+        with pytest.raises(SmaliParseError, match="descending register"):
+            parse_program(descending, lenient=lenient)
+        with pytest.raises(ValueError):
+            parse_program(leading_zero, lenient=lenient)

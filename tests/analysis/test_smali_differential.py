@@ -26,6 +26,9 @@ def assert_programs_identical(text, lenient=True):
     actual = parse_program(text, lenient=lenient)
     expected = reference_smali.parse_program(text, lenient=lenient)
     assert actual.unparsed == expected.unparsed
+    # The flat reads first: the pipeline never builds the tree view.
+    assert actual.string_list() == expected.string_list()
+    assert actual.instruction_count == expected.instruction_count
     assert len(actual.classes) == len(expected.classes)
     for got_class, want_class in zip(actual.classes, expected.classes):
         assert got_class.name == want_class.name
@@ -133,6 +136,16 @@ EDGE_PROGRAMS = [
     # Code outside any method / class (evidence collection).
     "const/4 v0, 0x1\n.class LLate;\n.method m()V\n    return-void\n"
     ".end method\nstray trailing line",
+    # Method-region boundaries: an empty method, a class and a method
+    # with no .end method, a lenient <anonymous> class.
+    ".class LE;\n.method a()V\n.end method\n.method b()V\n"
+    "    const/4 v2, 0x1\n.end method",
+    ".class LA;\n.method a()V\n    const/4 v2, 0x1\n"
+    ".class LB;\n    const/4 v3, 0x1\n.method b()V\n"
+    "    invoke-virtual {v0, v1, v2}, La;->b(II)V\n.method c()V\n"
+    "    const/4 v4, 0x0",
+    ".method m()V\n    const/4 v2, 0x1\n.end method\n.method n()V\n"
+    "    invoke-virtual {v0}, La;->b(II)V",
 ]
 
 

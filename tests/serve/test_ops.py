@@ -7,6 +7,7 @@ op, per-job telemetry rollups, and the extended ``health`` payload.
 """
 
 import asyncio
+import errno
 import socket as socket_module
 import threading
 
@@ -147,6 +148,34 @@ def test_a_failure_before_the_run_fails_the_job_not_the_scheduler(
     assert "OSError" in failed["error"]
     second = client.submit_campaign(CampaignSpec(installs=10, seed=2))
     assert client.wait(second["job_id"], timeout=20)["state"] == "done"
+    ends = [(entry["job_id"], entry["state"])
+            for entry in service.store.read_journal()
+            if entry.get("event") == "end"]
+    assert ends == [(first["job_id"], "failed"), (second["job_id"], "done")]
+
+
+@needs_unix_sockets
+def test_a_failed_result_write_fails_the_job_not_the_scheduler(
+        live_daemon):
+    client, _, service = live_daemon
+    write_result = service.store.write_result
+    refused = []
+
+    def disk_full_once(job_id, payload):
+        if not refused:
+            refused.append(job_id)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_result(job_id, payload)
+
+    service.store.write_result = disk_full_once
+    first = client.submit_campaign(CampaignSpec(installs=10, seed=1))
+    failed = client.wait(first["job_id"], timeout=20)
+    assert failed["state"] == "failed"
+    assert "No space left on device" in failed["error"]
+    assert service.store.read_result(first["job_id"]) is None
+    second = client.submit_campaign(CampaignSpec(installs=10, seed=2))
+    assert client.wait(second["job_id"], timeout=20)["state"] == "done"
+    assert service.store.read_result(second["job_id"])["state"] == "done"
     ends = [(entry["job_id"], entry["state"])
             for entry in service.store.read_journal()
             if entry.get("event") == "end"]

@@ -327,6 +327,20 @@ def test_analyze_images_apps_scales_the_fleet(capsys):
     assert "images analyzed         : 99" in out
 
 
+@pytest.mark.parametrize("argv, unit", [
+    (["fleet", "--installs", "4", "--shards", "2"], "installs"),
+    (["analyze", "--corpus", "play", "--apps", "40"], "apps"),
+    (["analyze", "--corpus", "preinstalled", "--apps", "40"], "apps"),
+    (["analyze", "--corpus", "images", "--apps", "50"], "images"),
+])
+def test_metrics_engine_line_names_the_kinds_unit(argv, unit, capsys):
+    assert main(argv + ["--backend", "serial", "--quiet", "--metrics"]) == 0
+    engine = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("engine:")]
+    assert len(engine) == 1
+    assert f"; shard {unit}/s min " in engine[0]
+
+
 def test_analyze_images_apps_below_floor_rejected(capsys):
     assert main(["analyze", "--corpus", "images", "--apps", "10",
                  "--quiet"]) == 2
