@@ -542,9 +542,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         import json
 
         from repro.errors import ReproError
-        from repro.serve.checkpoint import JobStore
+        from repro.serve.checkpoint import RESULT_FILE, job_dir
 
-        path = JobStore(args.state_dir).result_path(args.job)
+        path = job_dir(args.state_dir, args.job) / RESULT_FILE
         if not path.exists():
             raise ReproError(
                 f"job {args.job} has no stored result at {path} "
@@ -622,9 +622,9 @@ def _resolve_trace_source(args: argparse.Namespace) -> str:
 
     job_id = getattr(args, "job", None)
     if job_id:
-        from repro.serve.checkpoint import JobStore
+        from repro.serve.checkpoint import TRACE_FILE, job_dir
 
-        path = JobStore(args.state_dir).trace_path(job_id)
+        path = job_dir(args.state_dir, job_id) / TRACE_FILE
         if not path.exists():
             raise ReproError(
                 f"job {job_id} has no archived trace at {path} "

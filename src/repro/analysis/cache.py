@@ -19,29 +19,31 @@ file opens instead of one per app:
     segment up front, one lazy read-only mapping per segment actually
     read — regardless of how many records they hold.
 
-Writers encode each payload to its canonical bytes once, at ``put``,
-and buffer those bytes; ``flush()`` only frames them into a whole
-segment (the pipeline flushes once per shard, and ``put`` rotates
-automatically past a record cap).  Segment and index files go through
-a best-effort (not fsynced) ``atomic_write``, and segment names are
-derived from the content digest — concurrent shards never collide and
-re-flushing identical content is idempotent.  Because a segment is
-never rewritten in place, a reader may map it: a replaced file keeps
-its old inode alive under any existing mapping.
+``put`` takes each payload already encoded to its canonical bytes
+(the caller writes them: see ``AnalysisCache.store``) and buffers
+them; ``flush()`` frames them and joins the frames into a whole
+segment in one pass (the pipeline flushes once per shard, and
+``put`` rotates automatically past a record cap).  Segment and index
+files go through a best-effort (not fsynced) ``atomic_write``, and
+segment names are derived from the content digest — concurrent shards
+never collide and re-flushing identical content is idempotent.
+Because a segment is never rewritten in place, a reader may map it: a
+replaced file keeps its old inode alive under any existing mapping.
 
 Semantic validation (schema and detector-version checks, record
-materialization) stays with the caller — this module moves *payload
-dicts* in and out of files.
+materialization) stays with the caller — this module moves canonical
+payload bytes in and payload dicts out.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import mmap
 import os
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.durable import FRAME, atomic_write, frame, iter_frames, read_frame
 
@@ -68,13 +70,7 @@ def _raw_key(key) -> bytes:
         return b""
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
-
-
-def _canonical_payload(payload: dict) -> bytes:
-    """The byte form that is hashed, stored, and verified."""
-    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def _decode_payload(blob: bytes) -> Optional[dict]:
@@ -132,15 +128,6 @@ class _Segment:
             return None
         return _decode_payload(verified[0])
 
-    def iter_payloads(self) -> Iterator[dict]:
-        """Records in file order (skipping any that fail verification)."""
-        for index in range(self.count):
-            entry = _INDEX_ENTRY.unpack_from(
-                self._entries, index * _INDEX_ENTRY.size)
-            payload = self.read_payload(*entry)
-            if payload is not None:
-                yield payload
-
     def close(self) -> None:
         """Release the mapping (a later read maps the file again)."""
         if self._map is not None:
@@ -153,18 +140,13 @@ def _build_index(records: List[Tuple[bytes, int, int]]
     """``(fanout, keys blob, entries blob)`` from (key, offset, len)."""
     records = sorted(records, key=lambda item: item[0])
     counts = [0] * 256
-    keys = bytearray()
-    entries = bytearray()
-    for raw_key, offset, length in records:
+    for raw_key, _offset, _length in records:
         counts[raw_key[0]] += 1
-        keys += raw_key
-        entries += _INDEX_ENTRY.pack(offset, length)
-    fanout = []
-    total = 0
-    for bucket_count in counts:
-        total += bucket_count
-        fanout.append(total)
-    return tuple(fanout), bytes(keys), bytes(entries)
+    keys = b"".join([raw_key for raw_key, _offset, _length in records])
+    pack_entry = _INDEX_ENTRY.pack
+    entries = b"".join([pack_entry(offset, length)
+                        for _raw_key, offset, length in records])
+    return tuple(itertools.accumulate(counts)), keys, entries
 
 
 def _scan_segment(path: str) -> Optional[_Segment]:
@@ -219,9 +201,11 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
 class PackStore:
     """Pack-aware payload storage under one cache root.
 
-    ``get``/``put`` move payload dicts; ``put`` encodes each one to its
-    canonical bytes once, and ``flush`` frames the buffered bytes into
-    an immutable segment + index pair.
+    ``put`` buffers a payload's canonical bytes (sorted keys, compact
+    separators: what ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` writes), ``get`` returns the decoded dict,
+    and ``flush`` frames the buffered bytes into an immutable segment +
+    index pair.
     """
 
     def __init__(self, root: str,
@@ -255,22 +239,15 @@ class PackStore:
                         return payload
         return None
 
-    def iter_payloads(self) -> Iterator[dict]:
-        """Every stored payload: segments (name order), then the buffer."""
-        for segment in self._segments.values():
-            yield from segment.iter_payloads()
-        for blob in self._buffer.values():
-            yield _decode_payload(blob)
-
     @property
     def segment_count(self) -> int:
         return len(self._segments)
 
     # -- writes ---------------------------------------------------------------
 
-    def put(self, key: str, payload: dict) -> None:
-        """Buffer one payload; rotates a full buffer into a segment."""
-        self._buffer[key] = _canonical_payload(payload)
+    def put(self, key: str, blob: bytes) -> None:
+        """Buffer one payload's canonical bytes; rotates a full buffer."""
+        self._buffer[key] = blob
         if len(self._buffer) >= self.rotate_records:
             self.flush()
 
@@ -278,32 +255,32 @@ class PackStore:
         """Write buffered payloads as one segment; return its path."""
         if not self._buffer:
             return None
-        body = bytearray()
+        keys = sorted(self._buffer)
+        payloads = [self._buffer[key] for key in keys]
+        framed = list(map(frame, payloads))
+        # The segment's name hashes the frames' sha256 fields in order.
+        running = hashlib.sha256(b"".join(
+            [record[4:FRAME.size] for record in framed]))
         records: List[Tuple[bytes, int, int]] = []
-        running = hashlib.sha256()
-        for key in sorted(self._buffer):
-            payload = self._buffer[key]
-            record = frame(payload)
-            running.update(FRAME.unpack_from(record)[1])
-            body += record
+        starts = itertools.accumulate(map(len, framed), initial=_HEADER.size)
+        for key, payload, start in zip(keys, payloads, starts):
             raw_key = _raw_key(key)
             if len(raw_key) == _KEY_BYTES:
-                records.append((raw_key, _HEADER.size + len(body)
-                                - len(payload), len(payload)))
+                records.append((raw_key, start + FRAME.size, len(payload)))
         count = len(records)
         stem = os.path.join(self.root, f"seg-{running.hexdigest()[:16]}")
         segment_path = stem + ".pack"
         header = _HEADER.pack(SEGMENT_MAGIC, PACK_FORMAT_VERSION, count)
-        fanout, keys, entries = _build_index(records)
+        fanout, index_keys, entries = _build_index(records)
         index_blob = (_HEADER.pack(INDEX_MAGIC, PACK_FORMAT_VERSION, count)
-                      + _FANOUT.pack(*fanout) + keys + entries)
-        atomic_write(segment_path, header + bytes(body), durable=False)
+                      + _FANOUT.pack(*fanout) + index_keys + entries)
+        atomic_write(segment_path, b"".join([header, *framed]), durable=False)
         atomic_write(stem + ".idx", index_blob, durable=False)
         retired = self._segments.get(segment_path)
         if retired is not None:  # identical content re-flushed
             retired.close()
         self._segments[segment_path] = _Segment(
-            segment_path, count, fanout, keys, entries)
+            segment_path, count, fanout, index_keys, entries)
         self._buffer.clear()
         return segment_path
 

@@ -18,7 +18,9 @@ journal, the archived trace, and the final result.  Older layouts
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import pickle
 from pathlib import Path
@@ -32,6 +34,23 @@ from repro.obs.export import canonical_json
 #: Bumped when the journal layout or the pickle payload shape changes;
 #: a journal written by another version is refused, never misread.
 JOURNAL_VERSION = 4
+
+
+#: A finished job's files in its directory (see :func:`job_dir`).
+RESULT_FILE = "result.json"
+TRACE_FILE = "trace.jsonl"
+
+
+def job_dir(state_dir: Union[str, Path], job_id: str) -> Path:
+    """A job's artifact directory under ``state_dir`` (not created).
+
+    A bare path, so a reader of a finished job's files never opens a
+    :class:`JobStore` (whose opening sweeps staging files) on a state
+    directory a live daemon owns.
+    """
+    if not job_id or "/" in job_id or job_id.startswith("."):
+        raise ReproError(f"invalid job id {job_id!r}")
+    return Path(state_dir) / "jobs" / job_id
 
 
 def _refuse_legacy(path: Path) -> None:
@@ -151,6 +170,12 @@ class JobStore:
     The journal is how a restarted daemon knows what it owes: a job
     with a ``submit`` record and no terminal record is re-enqueued and
     resumed from its checkpoint.
+
+    The daemon owns its state directory alone, so opening the store
+    removes the ``.tmp-*`` staging files that a process killed inside
+    an ``atomic_write`` left in it or in a job directory (an archived
+    trace, a result, a flight-sidecar compaction): no live writer can
+    own one.
     """
 
     def __init__(self, state_dir: Union[str, Path]) -> None:
@@ -158,6 +183,11 @@ class JobStore:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         _refuse_legacy(self.state_dir / "jobs.jsonl")
         self._journal = RecordLog(self.journal_path, durable=True)
+        for staged in itertools.chain(
+                self.state_dir.glob(".tmp-*"),
+                self.state_dir.glob("jobs/*/.tmp-*")):
+            with contextlib.suppress(OSError):
+                staged.unlink()
 
     # -- paths -----------------------------------------------------------------
 
@@ -182,9 +212,7 @@ class JobStore:
 
     def job_dir(self, job_id: str) -> Path:
         """Per-job artifact directory (created on demand)."""
-        if not job_id or "/" in job_id or job_id.startswith("."):
-            raise ReproError(f"invalid job id {job_id!r}")
-        return self.state_dir / "jobs" / job_id
+        return job_dir(self.state_dir, job_id)
 
     def checkpoint_dir(self, job_id: str) -> Path:
         """The job's shard-journal directory."""
@@ -192,11 +220,11 @@ class JobStore:
 
     def trace_path(self, job_id: str) -> Path:
         """The job's archived trace JSONL."""
-        return self.job_dir(job_id) / "trace.jsonl"
+        return self.job_dir(job_id) / TRACE_FILE
 
     def result_path(self, job_id: str) -> Path:
         """The job's final result JSON."""
-        return self.job_dir(job_id) / "result.json"
+        return self.job_dir(job_id) / RESULT_FILE
 
     # -- job journal -----------------------------------------------------------
 

@@ -304,7 +304,15 @@ class CampaignService:
             with self._lock:
                 job.state = FAILED
                 job.error = f"{type(exc).__name__}: {exc}"
-                self._journal_end(job)
+                try:
+                    self._journal_end(job)
+                except OSError as end_exc:
+                    # The disk that failed the job may refuse its end
+                    # record too: the job still fails here, and a
+                    # restarted daemon re-runs it from its submit.
+                    self.flight.record(
+                        "journal_error", job=job.job_id,
+                        error=f"{type(end_exc).__name__}: {end_exc}")
                 self.metrics.counter("serve/jobs_failed").inc()
                 self._account_restarts(restarts_before)
                 self.flight.record("crash", job=job.job_id, error=job.error)

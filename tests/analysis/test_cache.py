@@ -1,14 +1,19 @@
 """Pack-format cache: segments, indexes, format pins, corruption."""
 
 import dataclasses
+import enum
 import gc
 import hashlib
+import itertools
 import json
 import os
+import pathlib
 import struct
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import pipeline as pipeline_mod
 from repro.analysis.cache import PackStore
@@ -26,6 +31,7 @@ from repro.analysis.pipeline import (
     analyze_app,
     run_analysis,
 )
+from repro.errors import CacheRecordError
 
 #: The segment ``populate(apps=40, seed=7)`` writes: its name and the
 #: sha256 of both files.  Any change to the on-disk format moves these.
@@ -34,6 +40,12 @@ GOLDEN_PACK_SHA256 = (
     "568d3066f15c233a0c03ee11a682327ad8db00f6f3ff77b7c272750e56ab5908")
 GOLDEN_IDX_SHA256 = (
     "8471356699a5dc3e09ce86bb5e445435d2ae7ee8964ec9b42e17919f37035669")
+
+
+def canonical(payload):
+    """The oracle for a payload's stored bytes."""
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def run_serial(spec, shards):
@@ -74,22 +86,6 @@ def test_pack_round_trip_and_segment_layout(tmp_path):
     assert fresh.load("ff" * 32) is None
 
 
-def test_iter_entries_covers_pack_legacy_and_buffer(tmp_path):
-    keys = populate(tmp_path, apps=10)
-    cache = AnalysisCache(str(tmp_path))
-    seen = {key for key, _versions, _record in cache.iter_entries()}
-    assert seen == set(keys)
-    # Unflushed writes are part of the view too.
-    record = cache.load(keys[0])
-    cache.store("ee" * 32, record)
-    seen = {key for key, _versions, _record in cache.iter_entries()}
-    assert seen == set(keys) | {"ee" * 32}
-    # Every entry carries the versions map the loader validates.
-    for _key, versions, record in cache.iter_entries():
-        assert "redirect" in versions
-        assert isinstance(record["package"], str)
-
-
 def test_flush_is_idempotent_and_content_addressed(tmp_path):
     populate(tmp_path, apps=10, seed=7)
     first = sorted(os.listdir(tmp_path))
@@ -103,7 +99,7 @@ def test_put_rotates_past_record_cap(tmp_path):
     store = PackStore(str(tmp_path), rotate_records=4)
     for index in range(10):
         key = f"{index:02x}" * 32
-        store.put(key, {"key": key, "value": index})
+        store.put(key, canonical({"key": key, "value": index}))
     store.flush()
     packs = [name for name in os.listdir(tmp_path)
              if name.endswith(".pack")]
@@ -117,10 +113,10 @@ def test_put_rotates_past_record_cap(tmp_path):
 def test_identical_reflush_replaces_its_segment(tmp_path):
     store = PackStore(str(tmp_path))
     key = "ab" * 32
-    store.put(key, {"key": key, "value": 1})
+    store.put(key, canonical({"key": key, "value": 1}))
     first = store.flush()
     assert store.get(key) == {"key": key, "value": 1}  # maps the segment
-    store.put(key, {"key": key, "value": 1})
+    store.put(key, canonical({"key": key, "value": 1}))
     assert store.flush() == first
     assert store.segment_count == 1
     assert sorted(os.listdir(tmp_path)) == sorted(
@@ -173,10 +169,9 @@ def _reference_payload(key, record):
                 if name in DETECTOR_VERSIONS}
     if record.scanned_redirects:
         versions["redirect"] = REDIRECT_SCAN_VERSION
-    return json.dumps({"schema": CACHE_SCHEMA, "key": key,
-                       "versions": versions,
-                       "record": dataclasses.asdict(record)},
-                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical({"schema": CACHE_SCHEMA, "key": key,
+                      "versions": versions,
+                      "record": dataclasses.asdict(record)})
 
 
 def test_stored_bytes_match_asdict_encoding(tmp_path):
@@ -196,6 +191,125 @@ def test_stored_bytes_match_asdict_encoding(tmp_path):
             expected[key] = _reference_payload(key, record)
         cache.flush()
         assert _raw_payloads(root) == expected
+
+
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x08\x1f\x7f\x80\u2028\xe9\u20ac\U0001f600'),
+    st.text(alphabet=st.characters(min_codepoint=0xD800,
+                                   max_codepoint=0xDFFF)),  # lone surrogates
+)
+_INTS = st.one_of(st.integers(-5, 5),
+                  st.integers(-(2 ** 80), 2 ** 80))
+_DETECTORS = st.lists(st.sampled_from(sorted(DETECTOR_VERSIONS)
+                                      + ["redirect", "unknown"]),
+                      max_size=8).map(tuple)
+_RECORDS = st.builds(
+    pipeline_mod.AppAnalysis,
+    package=_TEXT, category=_TEXT, has_install_api=st.booleans(),
+    uses_sdcard=st.booleans(), sets_world_readable=st.booleans(),
+    unresolved_setter=st.booleans(),
+    redirect_targets=st.lists(_TEXT, max_size=4).map(tuple),
+    instructions=_INTS, unparsed_lines=_INTS, detectors=_DETECTORS,
+    scanned_redirects=st.booleans(), write_external=st.booleans(),
+    instances=_INTS)
+
+
+def _stored(records):
+    """``{key: stored payload bytes}`` for ``records`` stored by a cache."""
+    with tempfile.TemporaryDirectory() as root:
+        cache = AnalysisCache(root)
+        keys = [hashlib.sha256(str(number).encode()).hexdigest()
+                for number in range(len(records))]
+        for key, record in zip(keys, records):
+            cache.store(key, record)
+        cache.flush()
+        cache.close()
+        return keys, _raw_payloads(pathlib.Path(root))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_RECORDS, min_size=1, max_size=4))
+def test_store_writes_the_json_dumps_bytes(records):
+    keys, payloads = _stored(records)
+    assert payloads == {key: _reference_payload(key, record)
+                        for key, record in zip(keys, records)}
+
+
+def test_store_matches_json_for_every_detector_set():
+    names = sorted(DETECTOR_VERSIONS) + ["unknown"]
+    base = dataclasses.replace(
+        analyze_app(corpus_plan("play", seed=3,
+                                spec=scaled_play_spec(2)).app_at(0),
+                    InstallerClassifier()),
+        instructions=1, unparsed_lines=0, instances=1)
+    records = [dataclasses.replace(base, detectors=detectors,
+                                   scanned_redirects=scanned)
+               for size in range(len(names) + 1)
+               for detectors in itertools.combinations(names, size)
+               for scanned in (False, True)]
+    keys, payloads = _stored(records)
+    assert payloads == {key: _reference_payload(key, record)
+                        for key, record in zip(keys, records)}
+    assert b'"instances":1,"instructions":1,' in payloads[keys[0]]
+
+
+class _Text(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("instructions", 1.0), ("instructions", None), ("instances", _Level.ONE),
+    ("instances", True), ("has_install_api", 0), ("scanned_redirects", 1),
+    ("package", _Text("com.example")), ("package", b"com.example"),
+    ("redirect_targets", ["http://a"]), ("redirect_targets", ("a", 1)),
+    ("detectors", ("marker", _Text("chmod"))),
+])
+def test_store_refuses_a_value_json_would_encode_differently(
+        tmp_path, field, value):
+    # Each field takes exactly its declared type: a bool is an int to
+    # Python (True == 1, so a lookup keyed by 1 finds True's entry), a
+    # subclass may carry its own __repr__, and json.dumps would write
+    # some of these without complaint, as text other than the record's.
+    record = analyze_app(corpus_plan("play", seed=3,
+                                     spec=scaled_play_spec(2)).app_at(0),
+                         InstallerClassifier())
+    cache = AnalysisCache(str(tmp_path))
+    cache.store("cd" * 32, record)  # memoises this record's versions
+    with pytest.raises(CacheRecordError, match=field):
+        cache.store("ab" * 32, dataclasses.replace(record, **{field: value}))
+    with pytest.raises(CacheRecordError, match="key"):
+        cache.store(_Text("ab" * 32), record)
+    cache.flush()
+    assert list(_raw_payloads(tmp_path)) == ["cd" * 32]
+
+
+def test_record_shape_lists_every_field_in_canonical_order():
+    names = [name for name, _kind in pipeline_mod._RECORD_SHAPE]
+    assert names == sorted(
+        field.name for field in dataclasses.fields(pipeline_mod.AppAnalysis))
+
+
+def test_store_refuses_a_record_with_missing_or_extra_fields(tmp_path):
+    record = analyze_app(corpus_plan("play", seed=3,
+                                     spec=scaled_play_spec(2)).app_at(0),
+                         InstallerClassifier())
+    cache = AnalysisCache(str(tmp_path))
+    missing = object.__new__(pipeline_mod.AppAnalysis)
+    object.__setattr__(missing, "__dict__", {
+        name: value for name, value in record.__dict__.items()
+        if name != "instances"})
+    extra = object.__new__(pipeline_mod.AppAnalysis)
+    object.__setattr__(extra, "__dict__", dict(record.__dict__, more=1))
+    for odd, message in ((missing, "lacks field 'instances'"),
+                         (extra, "has fields")):
+        with pytest.raises(CacheRecordError, match=message):
+            cache.store("ab" * 32, odd)
+    assert cache.flush() is None
 
 
 def test_load_after_store_round_trips(tmp_path):
@@ -232,8 +346,8 @@ def test_malformed_record_reads_as_miss(tmp_path):
     for number, variant in enumerate(variants):
         root = str(tmp_path / str(number))
         store = PackStore(root)
-        store.put(key, {"schema": CACHE_SCHEMA, "key": key,
-                        "versions": {}, "record": variant})
+        store.put(key, canonical({"schema": CACHE_SCHEMA, "key": key,
+                                  "versions": {}, "record": variant}))
         store.flush()
         loaded = AnalysisCache(root).load(key)
         assert (loaded is not None) == (variant is record)

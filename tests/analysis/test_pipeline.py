@@ -27,6 +27,7 @@ from repro.analysis.pipeline import (
     AppAnalysis,
     AnalysisSpec,
     AnalysisStats,
+    analyze_app,
     merge_analysis_stats,
     run_analysis,
     table2_counts,
@@ -272,9 +273,11 @@ def test_detector_version_bump_invalidates_only_consulted_apps(
     # Count apps whose verdict consulted the chmod detector: only
     # installers reach setter analysis, and of those only the ones whose
     # code invokes Runtime.exec.
-    cache = AnalysisCache(str(tmp_path))
-    consulted = sum(1 for _key, versions, _record in cache.iter_entries()
-                    if "chmod" in versions)
+    plan = spec.plan()
+    classifier = classifier_mod.InstallerClassifier()
+    consulted = sum(
+        1 for index in range(400)
+        if "chmod" in analyze_app(plan.app_at(index), classifier).detectors)
     assert 0 < consulted < 400
     monkeypatch.setitem(classifier_mod.DETECTOR_VERSIONS, "chmod", 2)
     warm = run_serial(spec, shards=2)
@@ -286,14 +289,16 @@ def test_detector_version_bump_invalidates_only_consulted_apps(
 def test_cache_rejects_torn_or_foreign_entries(tmp_path):
     key = "ab" + "0" * 62
     store = PackStore(str(tmp_path / "foreign"))
-    store.put(key, {"schema": 999, "key": key, "record": {}})
+    store.put(key, json.dumps({"schema": 999, "key": key, "record": {}},
+                              sort_keys=True, separators=(",", ":")).encode())
     store.flush()
     assert AnalysisCache(str(tmp_path / "foreign")).load(key) is None
     record = {field.name: 0 for field in dataclasses.fields(AppAnalysis)}
     record.update(redirect_targets=[], detectors=[])
     store = PackStore(str(tmp_path / "torn"))
-    store.put(key, {"schema": CACHE_SCHEMA, "key": key, "versions": {},
-                    "record": record})
+    store.put(key, json.dumps({"schema": CACHE_SCHEMA, "key": key,
+                               "versions": {}, "record": record},
+                              sort_keys=True, separators=(",", ":")).encode())
     path = store.flush()
     assert AnalysisCache(str(tmp_path / "torn")).load(key) is not None
     with open(path, "r+b") as handle:

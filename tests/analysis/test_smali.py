@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis import smali as smali_mod
+from repro.analysis.corpus import corpus_plan, scaled_play_spec
 from repro.errors import SmaliParseError
 from repro.analysis.smali import parse_program
 
@@ -357,3 +359,100 @@ def test_scanner_errors_raise_even_in_lenient_mode(lenient):
             parse_program(descending, lenient=lenient)
         with pytest.raises(ValueError):
             parse_program(leading_zero, lenient=lenient)
+
+
+# -- the scan memo -----------------------------------------------------------
+
+
+@pytest.fixture
+def small_memo(monkeypatch):
+    """A fresh scan memo with a small cap; ``scanned`` lists every line
+    the scanner sees, and the memo never exceeds its cap at a scan."""
+    memo = {}
+    monkeypatch.setattr(smali_mod, "_SCAN_MEMO", memo)
+    monkeypatch.setattr(smali_mod, "_MEMO_CAP", 4096)
+    scanned = []
+    scan = smali_mod._scan_line
+
+    def counted_scan(line):
+        assert len(smali_mod._SCAN_MEMO) <= smali_mod._MEMO_CAP
+        scanned.append(line)
+        return scan(line)
+
+    monkeypatch.setattr(smali_mod, "_scan_line", counted_scan)
+    return memo, scanned
+
+
+def _fill(memo, seed):
+    """Parse another corpus's apps until the memo is full, checking
+    only between programs (as a long-running process reaches it)."""
+    plan = corpus_plan("play", seed=seed, spec=scaled_play_spec(2000))
+    index = 0
+    while len(memo) < smali_mod._MEMO_CAP:
+        parse_program(plan.app_at(index).smali_text, lenient=True)
+        assert len(memo) <= smali_mod._MEMO_CAP
+        index += 1
+    assert len(memo) == smali_mod._MEMO_CAP
+
+
+def test_full_memo_learns_the_lines_of_a_new_corpus(small_memo):
+    memo, scanned = small_memo
+    _fill(memo, seed=77)
+    del scanned[:]
+    plan = corpus_plan("play", seed=5, spec=scaled_play_spec(40))
+    texts = [plan.app_at(index).smali_text for index in range(40)]
+    for text in texts:
+        parse_program(text, lenient=True)
+        assert len(memo) <= smali_mod._MEMO_CAP
+    assert scanned and all(line in memo for line in scanned)
+    del scanned[:]
+    for text in texts:
+        parse_program(text, lenient=True)
+    assert scanned == []  # every instruction line of the corpus hit
+
+
+def test_memo_filled_mid_program_stays_full_until_the_next_call(
+        small_memo):
+    memo, scanned = small_memo
+    for number in range(smali_mod._MEMO_CAP - 2):
+        memo[f"const/4 v0, {number}"] = ("const", "v0", (), number, None,
+                                         None)
+    text = ".class La;\n.method m()V\n" + "".join(
+        f'const-string v1, "line {number}"\n' for number in range(5)
+    ) + ".end method"
+    program = parse_program(text, lenient=True)
+    assert program.instruction_count == 5
+    assert len(memo) == smali_mod._MEMO_CAP  # two admitted, then full
+    assert 'const-string v1, "line 4"' not in memo
+    parse_program(".class La;\n.method m()V\nnop\n.end method", lenient=True)
+    assert len(memo) == smali_mod._MEMO_CAP // 2 + 1
+    assert 'const-string v1, "line 1"' in memo  # the newer half stays
+    assert "const/4 v0, 0" not in memo          # the older half went
+
+
+def test_memoised_errors_and_misses_survive_an_eviction(small_memo):
+    memo, scanned = small_memo
+    descending = "invoke-virtual/range {v5 .. v2}, La;->m()V"
+    garbage = "frobnicate v0, v1"
+
+    def program(line):
+        return ".class La;\n.method m()V\n" + line + "\n.end method"
+
+    def check():
+        with pytest.raises(SmaliParseError, match="descending register"):
+            parse_program(program(descending), lenient=True)
+        assert parse_program(program(garbage), lenient=True).unparsed == [
+            (3, garbage)]
+        with pytest.raises(SmaliParseError, match="cannot parse"):
+            parse_program(program(garbage))
+
+    check()
+    assert isinstance(memo[descending], str)
+    assert memo[garbage] is smali_mod._MISS
+    _fill(memo, seed=77)  # the next parse evicts both (they are oldest)
+    del scanned[:]
+    check()
+    assert scanned == [descending, garbage]  # rescanned, then memoised
+    assert isinstance(memo[descending], str)
+    assert memo[garbage] is smali_mod._MISS
+    assert len(memo) <= smali_mod._MEMO_CAP

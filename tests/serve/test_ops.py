@@ -182,6 +182,43 @@ def test_a_failed_result_write_fails_the_job_not_the_scheduler(
     assert ends == [(first["job_id"], "failed"), (second["job_id"], "done")]
 
 
+@needs_unix_sockets
+def test_a_refused_end_record_still_fails_the_job_not_the_scheduler(
+        live_daemon):
+    client, _, service = live_daemon
+    store = service.store
+    write_result, append_journal = store.write_result, store.append_journal
+    refused = []
+
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def end_refused(record):
+        if record.get("event") == "end" and not refused:
+            refused.append(record["job_id"])
+            disk_full()
+        return append_journal(record)
+
+    store.write_result, store.append_journal = disk_full, end_refused
+    first = client.submit_campaign(CampaignSpec(installs=10, seed=1))
+    frames = client.watch(first["job_id"], timeout=20)
+    assert frames[-1]["event"] == "failed"
+    assert "No space left on device" in frames[-1]["job"]["error"]
+    assert refused == [first["job_id"]]
+    store.write_result = write_result
+    second = client.submit_campaign(CampaignSpec(installs=10, seed=2))
+    assert client.wait(second["job_id"], timeout=20)["state"] == "done"
+    assert client.health()["jobs_failed"] == 1
+    assert [event["job"] for event in service.flight.events("crash")] == [
+        first["job_id"]]
+    (lost,) = service.flight.events("journal_error")
+    assert lost["job"] == first["job_id"] and "OSError" in lost["error"]
+    ends = [(entry["job_id"], entry["state"])
+            for entry in store.read_journal()
+            if entry.get("event") == "end"]
+    assert ends == [(second["job_id"], "done")]
+
+
 # -- flight op --------------------------------------------------------------
 
 @needs_unix_sockets

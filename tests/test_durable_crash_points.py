@@ -25,6 +25,7 @@ ordering and recovery, not where the fsyncs sit.
 
 import contextlib
 import hashlib
+import json
 import os
 
 import pytest
@@ -175,6 +176,7 @@ class JobJournalScenario:
 
     def check(self, root):
         store = JobStore(root)
+        assert not list(root.glob("jobs/*/.tmp-*"))  # swept at open
         ids = [record["job_id"] for record in store.read_journal()]
         assert ids[:len(self.acked)] == self.acked
         assert len(ids) <= len(self.acked) + 1
@@ -193,6 +195,21 @@ def test_job_journal_never_loses_an_acknowledged_submit(tmp_path):
     assert set(ops) == {"_write", "_fsync", "_truncate", "_replace"}
 
 
+def test_reopened_job_store_sweeps_a_staged_result(tmp_path):
+    scenario = JobJournalScenario()
+    with _installed(_Shim()) as reference:
+        scenario.run(tmp_path / "reference")
+    staged_at = reference.ops.index("_replace") - 1  # the staged fsync
+    root = tmp_path / "crashed"
+    with _installed(_Shim(crash_at=staged_at)):
+        with pytest.raises(_Crash):
+            scenario.run(root)
+    assert len(list(root.glob("jobs/*/.tmp-*"))) == 1
+    JobStore(root)
+    assert not list(root.rglob(".tmp-*"))
+    assert JobStore(root).read_result("job-000002") is None
+
+
 # -- pack cache -------------------------------------------------------------
 
 def _key(number):
@@ -202,6 +219,10 @@ def _key(number):
 PAYLOADS = {_key(number): {"key": _key(number), "verdict": number % 3,
                            "urls": [f"http://cdn/{number}"] * (number % 4)}
             for number in range(12)}
+#: What ``PackStore.put`` takes: each payload's canonical JSON bytes.
+BLOBS = {key: json.dumps(payload, sort_keys=True,
+                         separators=(",", ":")).encode()
+         for key, payload in PAYLOADS.items()}
 BATCHES = (sorted(PAYLOADS)[:7], sorted(PAYLOADS)[7:])
 
 
@@ -211,7 +232,7 @@ class PackScenario:
         store = PackStore(str(root))
         for batch in BATCHES:
             for key in batch:
-                store.put(key, PAYLOADS[key])
+                store.put(key, BLOBS[key])
             store.flush()
             self.flushed.update(batch)
         store.close()
@@ -235,9 +256,9 @@ class PackScenario:
                 os.unlink(os.path.join(root, name))
         self._check_reads(root)
         store = PackStore(str(root))
-        for key, payload in PAYLOADS.items():
+        for key, blob in BLOBS.items():
             if store.get(key) is None:
-                store.put(key, payload)
+                store.put(key, blob)
         store.flush()
         store.close()
         store = PackStore(str(root))
