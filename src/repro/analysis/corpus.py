@@ -401,11 +401,12 @@ _object_new = object.__new__
 #: is what lets a 100k-app sweep go fast: a pooled decoy's
 #: ``const-string`` line is byte-identical across every app that draws
 #: it, so the smali scanner's line memo absorbs it instead of
-#: re-scanning a globally unique URL line per app (the memo drops its
-#: older half when full, so it keeps admitting the pool lines of the
-#: corpus being parsed, whatever it parsed before).  Only the first URL
-#: of a chain (the predictable ``<package>.companion`` target that
-#: Table IV's single-URL analysis keys on) stays app-specific.
+#: re-scanning a globally unique URL line per app (a full memo is
+#: cleared before the next parse, so it keeps admitting the pool
+#: lines of the corpus being parsed, whatever it parsed before).  Only
+#: the first URL of a chain (the predictable ``<package>.companion``
+#: target that Table IV's single-URL analysis keys on) stays
+#: app-specific.
 _DECOY_POOL_SIZE = 4096
 _DECOY_MASK = _DECOY_POOL_SIZE - 1
 _DECOY_STRIDE = 0x68E31DA5      # odd => distinct picks within a chain

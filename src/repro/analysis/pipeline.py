@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -70,7 +69,7 @@ from repro.analysis.smali import parse_program
 from repro.android.signing import platform_key
 from repro.engine.merge import ShardedReport
 from repro.engine.spec import ShardSlice, parse_chaos, partition
-from repro.errors import CacheRecordError, ReproError
+from repro.errors import ReproError
 
 #: Bump on incompatible cache-entry layout changes.
 CACHE_SCHEMA = 1
@@ -209,83 +208,8 @@ def analyze_app(app: CorpusApp, classifier: InstallerClassifier,
     return record
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's own
-_JSON_BOOL = ("false", "true")  # indexed by an exact bool
-
-#: The cache record's fields in canonical (sorted) order, each with the
-#: one exact type the encoder takes for it: a subclass, or a bool where
-#: an int belongs, could encode differently from ``json.dumps``.
-_RECORD_SHAPE = (
-    ("category", str), ("detectors", tuple), ("has_install_api", bool),
-    ("instances", int), ("instructions", int), ("package", str),
-    ("redirect_targets", tuple), ("scanned_redirects", bool),
-    ("sets_world_readable", bool), ("unparsed_lines", int),
-    ("unresolved_setter", bool), ("uses_sdcard", bool),
-    ("write_external", bool))
-_RECORD_VALUES = operator.itemgetter(*(name for name, _ in _RECORD_SHAPE))
-_RECORD_TYPES = tuple(kind for _name, kind in _RECORD_SHAPE)
-#: ``{"category":%s,…,"instances":%d,…}``: ``%d`` writes an exact int
-#: as ``json.dumps`` does; every ``%s`` takes encoded text.
-_RECORD_TEMPLATE = "{" + ",".join(
-    _encode_str(name) + (":%d" if kind is int else ":%s")
-    for name, kind in _RECORD_SHAPE) + "}"
-
-
-def _exact(value, kind: type, name: str):
-    """``value`` if its type is exactly ``kind``; else a typed error."""
-    if type(value) is not kind:
-        raise CacheRecordError(
-            f"cache field {name!r} is a {type(value).__name__}, "
-            f"not a {kind.__name__}")
-    return value
-
-
-def _encode_strings(values: tuple, name: str) -> str:
-    """A tuple of exact ``str`` as a JSON array."""
-    for value in values:
-        if type(value) is not str:
-            _exact(value, str, name)  # raises
-    return "[" + ",".join(map(_encode_str, values)) + "]"
-
-
-def _encode_record(fields: Dict[str, Any]) -> str:
-    """A record's field dict as canonical JSON text (sorted keys)."""
-    try:
-        values = _RECORD_VALUES(fields)
-    except KeyError as missing:
-        raise CacheRecordError(
-            f"cache record lacks field {missing}") from None
-    if len(fields) != len(_RECORD_SHAPE):
-        raise CacheRecordError(
-            f"cache record has fields {sorted(fields)}, expected "
-            f"{[name for name, _kind in _RECORD_SHAPE]}")
-    if tuple(map(type, values)) != _RECORD_TYPES:
-        for (name, kind), value in zip(_RECORD_SHAPE, values):
-            _exact(value, kind, name)
-    (category, detectors, has_install_api, instances, instructions,
-     package, redirect_targets, scanned_redirects, sets_world_readable,
-     unparsed_lines, unresolved_setter, uses_sdcard, write_external) = values
-    return _RECORD_TEMPLATE % (
-        _encode_str(category), _encode_strings(detectors, "detectors"),
-        _JSON_BOOL[has_install_api], instances, instructions,
-        _encode_str(package),
-        _encode_strings(redirect_targets, "redirect_targets"),
-        _JSON_BOOL[scanned_redirects], _JSON_BOOL[sets_world_readable],
-        unparsed_lines, _JSON_BOOL[unresolved_setter],
-        _JSON_BOOL[uses_sdcard], _JSON_BOOL[write_external])
-
-
-def _payload_tail(detectors: Tuple[str, ...], scanned_redirects: bool
-                  ) -> str:
-    """``,"schema":…,"versions":{…}}``: what follows a payload's record."""
-    versions = {name: DETECTOR_VERSIONS[name] for name in detectors
-                if name in DETECTOR_VERSIONS}
-    if scanned_redirects:
-        versions["redirect"] = REDIRECT_SCAN_VERSION
-    encoded = ",".join(f"{_encode_str(name)}:{_exact(version, int, name):d}"
-                       for name, version in sorted(versions.items()))
-    return (f',"schema":{_exact(CACHE_SCHEMA, int, "schema"):d}'
-            f',"versions":{{{encoded}}}}}')
+#: A payload's canonical bytes: sorted keys, compact separators.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class AnalysisCache:
@@ -310,9 +234,6 @@ class AnalysisCache:
                  rotate_records: int = DEFAULT_ROTATE_RECORDS) -> None:
         self.root = root
         self._store = PackStore(root, rotate_records=rotate_records)
-        #: ``,"schema":…,"versions":{…}}`` by (detectors,
-        #: scanned_redirects); the versions are read once per cache.
-        self._tails: Dict[Tuple[Tuple[str, ...], bool], str] = {}
 
     @staticmethod
     def key_for(app: CorpusApp) -> str:
@@ -360,21 +281,20 @@ class AnalysisCache:
         return loaded
 
     def store(self, key: str, record: AppAnalysis) -> None:
-        """Buffer ``record`` with its consulted detector versions.
-
-        Writes the payload's canonical bytes directly, byte for byte
-        what ``json.dumps`` with ``sort_keys=True`` and compact
-        separators writes for ``{"key", "record": asdict(record),
-        "schema", "versions"}``.  A field whose type is not exactly its
-        declared one raises :class:`~repro.errors.CacheRecordError`."""
-        fields = record.__dict__
-        body = _encode_record(fields)  # checks the tail key's types too
-        tail_key = (fields["detectors"], fields["scanned_redirects"])
-        tail = self._tails.get(tail_key)
-        if tail is None:
-            tail = self._tails[tail_key] = _payload_tail(*tail_key)
-        self._store.put(key, ('{"key":' + _encode_str(_exact(key, str, "key"))
-                              + ',"record":' + body + tail).encode("ascii"))
+        """Buffer ``record`` with its consulted detector versions."""
+        versions = {name: DETECTOR_VERSIONS[name]
+                    for name in record.detectors
+                    if name in DETECTOR_VERSIONS}
+        if record.scanned_redirects:
+            versions["redirect"] = REDIRECT_SCAN_VERSION
+        # Flat fields (str, bool, int, tuple of str): the record's own
+        # __dict__ encodes exactly as asdict() would.
+        self._store.put(key, _ENCODER.encode({
+            "schema": CACHE_SCHEMA,
+            "key": key,
+            "versions": versions,
+            "record": record.__dict__,
+        }).encode("utf-8"))
 
     def flush(self) -> Optional[str]:
         """Rotate buffered writes into a segment; its path, or None."""

@@ -65,9 +65,9 @@ instruction objects.
   and appended to ``ops`` as is, so template lines that recur across
   thousands of generated apps cost one dict lookup and share one
   immutable tuple, with no copy.  The memo holds at most
-  :data:`_MEMO_CAP` lines; a parse that finds it full first drops its
-  older half, so a process that has parsed other corpora still learns
-  the recurring lines of the one it parses now.
+  :data:`_MEMO_CAP` lines; a parse that finds it full first clears it,
+  so a process that has parsed other corpora still learns the
+  recurring lines of the one it parses now.
 - **Def-use only where a setter sits.** :meth:`SmaliProgram.resolve_argument`
   walks ``ops`` backwards from an invoke to the start of its method
   region, following ``move`` chains.  The classifier calls it only for
@@ -87,7 +87,6 @@ suite holds the tree view equal to it over every corpus.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -465,27 +464,15 @@ del _mnemonic, _wide, _width, _kind, _suffix, _prefix
 
 #: Per-line-text scan memo.  Template lines recur across thousands of
 #: generated apps.  It never holds more than :data:`_MEMO_CAP` lines:
-#: a :func:`parse_program` call that finds it full first drops its
-#: older half (see :func:`_evict_older_half`), so it keeps learning the
-#: lines of the corpus being parsed now; a memo that fills during a
-#: call stays full until the next call begins.  Values are the
+#: a :func:`parse_program` call that finds it full first clears it, so
+#: it keeps learning the lines of the corpus being parsed now (the
+#: recurring ones come back after one scan each); a memo that fills
+#: during a call stays full until the next call begins.  Values are the
 #: :data:`Op` tuples that programs append to their op lists as they
 #: are, ``_MISS``, or a ``str`` — the message of the SmaliParseError
 #: the line deterministically raises.
 _SCAN_MEMO: Dict[str, object] = {}
 _MEMO_CAP = 65536
-
-
-def _evict_older_half(memo: Dict[str, object]) -> None:
-    """Drop the older half of ``memo`` in place, in insertion order.
-
-    One pass with plain dict methods: the memo may be a ``dict``
-    subclass, and deleting entries one at a time from the front of a
-    dict makes each next lookup of its first key rescan the deleted
-    prefix."""
-    kept = list(itertools.islice(memo.items(), len(memo) // 2, None))
-    memo.clear()
-    memo.update(kept)
 
 
 def _scan_line(line: str):
@@ -536,7 +523,7 @@ def parse_program(text: str, lenient: bool = False) -> SmaliProgram:
     block_depth = 0
     block_start: Optional[str] = None
     if len(_SCAN_MEMO) >= _MEMO_CAP:
-        _evict_older_half(_SCAN_MEMO)
+        _SCAN_MEMO.clear()
     memo_get = _SCAN_MEMO.get
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         if "#" in raw_line:

@@ -154,11 +154,3 @@ class CorpusError(ReproError):
 
 class SmaliParseError(ReproError):
     """Raised when the smali-like IR cannot be parsed."""
-
-
-class CacheRecordError(ReproError):
-    """Raised when an analysis-cache record holds a value of another type.
-
-    The cache's canonical encoder writes each record field byte for byte
-    as ``json.dumps`` would, so it refuses any value whose type is not
-    exactly the field's own."""

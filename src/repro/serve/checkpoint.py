@@ -171,11 +171,13 @@ class JobStore:
     with a ``submit`` record and no terminal record is re-enqueued and
     resumed from its checkpoint.
 
-    The daemon owns its state directory alone, so opening the store
-    removes the ``.tmp-*`` staging files that a process killed inside
-    an ``atomic_write`` left in it or in a job directory (an archived
-    trace, a result, a flight-sidecar compaction): no live writer can
-    own one.
+    Opening the store removes the ``.tmp-*`` staging files that a
+    process killed inside an ``atomic_write`` left in the directory or
+    in a job directory (an archived trace, a result, a flight-sidecar
+    compaction).  That is safe only while one daemon owns the
+    directory: :func:`repro.serve.daemon.run_daemon` holds an exclusive
+    lock on it from before it opens the store, so a second daemon
+    refuses to start instead of sweeping the first one's live writes.
     """
 
     def __init__(self, state_dir: Union[str, Path]) -> None:

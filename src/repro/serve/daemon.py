@@ -24,6 +24,9 @@ their last completed shard with bit-identical final stats.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import fcntl
+import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -661,6 +664,31 @@ class ServeDaemon:
             self.service.unsubscribe(job_id, listener)
 
 
+#: The file a running daemon holds an exclusive ``flock`` on.
+LOCK_FILE = "serve.lock"
+
+
+@contextlib.contextmanager
+def _hold_state_dir(state_dir):
+    """Hold ``state_dir``'s lock for the block, or raise ReproError.
+
+    A second daemon on one directory would re-run the first one's jobs
+    and sweep its live ``.tmp-*`` staging files as it opened the
+    :class:`~repro.serve.checkpoint.JobStore`."""
+    os.makedirs(state_dir, exist_ok=True)
+    fd = os.open(os.path.join(state_dir, LOCK_FILE), os.O_RDWR | os.O_CREAT,
+                 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ReproError(f"state directory {state_dir} is in use by "
+                             "another daemon") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def run_daemon(state_dir, socket_path=None, host=None, port=None,
                workers: Optional[int] = None, backend: str = "auto",
                seed: int = 0,
@@ -670,30 +698,34 @@ def run_daemon(state_dir, socket_path=None, host=None, port=None,
 
     Returns 0 on a clean stop.  SIGTERM/SIGINT trigger the same
     graceful path as the ``shutdown`` op: finish the running job,
-    close the warm pool, remove the socket.
+    close the warm pool, remove the socket.  The daemon holds an
+    exclusive lock on ``state_dir`` from before it opens the store
+    until it returns; a directory another daemon holds raises
+    :class:`~repro.errors.ReproError` before anything in it is touched.
     """
     import signal
 
-    service = CampaignService(state_dir, workers=workers, backend=backend,
-                              seed=seed)
-    requeued = service.recover()
-    daemon = ServeDaemon(service, socket_path=socket_path, host=host,
-                         port=port)
+    with _hold_state_dir(state_dir):
+        service = CampaignService(state_dir, workers=workers,
+                                  backend=backend, seed=seed)
+        requeued = service.recover()
+        daemon = ServeDaemon(service, socket_path=socket_path, host=host,
+                             port=port)
 
-    async def _main() -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, daemon.stop)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-main thread or exotic platform
-        ready: threading.Event = threading.Event()
-        task = loop.create_task(daemon.serve_forever(ready))
-        while not ready.is_set():
-            await asyncio.sleep(0.01)
-        if on_ready is not None:
-            on_ready(daemon)
-        await task
+        async def _main() -> None:
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(signum, daemon.stop)
+                except (NotImplementedError, RuntimeError, ValueError):
+                    pass  # non-main thread or exotic platform
+            ready: threading.Event = threading.Event()
+            task = loop.create_task(daemon.serve_forever(ready))
+            while not ready.is_set():
+                await asyncio.sleep(0.01)
+            if on_ready is not None:
+                on_ready(daemon)
+            await task
 
-    asyncio.run(_main())
-    return 0 if requeued >= 0 else 1
+        asyncio.run(_main())
+        return 0 if requeued >= 0 else 1

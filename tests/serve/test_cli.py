@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.__main__ import main
+from repro.errors import ReproError
 from repro.serve.client import ServeClient
 from repro.serve.daemon import run_daemon
 
@@ -67,6 +68,20 @@ def test_submit_wait_jobs_watch_and_trace_by_job(cli_daemon, capsys):
 
     assert main(["serve", *args, "--stop"]) == 0
     assert "shutdown requested" in capsys.readouterr().out
+
+
+def test_a_second_daemon_on_a_held_state_dir_touches_nothing(
+        cli_daemon, tmp_path):
+    args, state_dir = cli_daemon
+    staged = state_dir / "jobs" / "job-000009" / ".tmp-live"
+    staged.parent.mkdir(parents=True)
+    staged.write_bytes(b"a live daemon's staged write")
+    with pytest.raises(ReproError, match="in use by another daemon"):
+        run_daemon(str(state_dir), socket_path=str(tmp_path / "two.sock"),
+                   workers=1, backend="serial",
+                   on_ready=lambda daemon: daemon.stop())
+    assert staged.exists()  # not swept from under the live daemon
+    assert main(["jobs", *args]) == 0  # the first daemon still serves
 
 
 def test_submit_without_a_daemon_fails_cleanly(tmp_path, capsys):
