@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CorpusError
 from repro.sim.rand import TOKEN_ALPHABET as _ALNUM
@@ -460,11 +462,24 @@ def _predictable_target(package: str) -> str:
     return f"{package}.companion"
 
 
+def _truth_layout(buckets: Sequence[Tuple[int, GroundTruth]]
+                  ) -> Tuple[Tuple[int, ...], Tuple[GroundTruth, ...]]:
+    """Canonical slot layout of ``(count, truth)`` buckets, in order.
+
+    Returns the cumulative bucket edges and the truths, with
+    ``NON_INSTALLER`` past the last edge, so slot ``s`` holds
+    ``truths[bisect_right(edges, s)]``.
+    """
+    edges = tuple(itertools.accumulate(count for count, _truth in buckets))
+    truths = tuple(truth for _count, truth in buckets)
+    return edges, truths + (GroundTruth.NON_INSTALLER,)
+
+
 class PlayCorpusPlan:
     """O(1)-memory, index-addressable Play corpus derivation.
 
-    ``app_at(index)`` builds app ``index`` alone; ``iter_apps`` streams
-    a half-open ``[start, stop)`` range — the unit a shard works on.
+    ``app_at(index)`` builds app ``index`` alone, for any index in
+    ``range(size)``; a shard walks its ``[start, stop)`` slice of it.
     """
 
     vendors: Tuple[str, ...] = ()
@@ -496,24 +511,13 @@ class PlayCorpusPlan:
         self._truth_perm = IndexPermutation(spec.total, rng.fork("truths"))
         self._redirect_perm = IndexPermutation(spec.total,
                                                rng.fork("redirects"))
-        # Canonical slot layout: cumulative truth-category boundaries.
-        self._truth_edges: List[Tuple[int, GroundTruth]] = []
-        edge = 0
-        for count, truth in (
+        self._edges, self._truths = _truth_layout((
             (spec.vulnerable, GroundTruth.VULNERABLE),
             (spec.secure, GroundTruth.SECURE),
             (spec.unknown_reflection, GroundTruth.UNKNOWN_REFLECTION),
             (spec.unknown_field_mode, GroundTruth.UNKNOWN_FIELD_MODE),
             (spec.unknown_mixed, GroundTruth.UNKNOWN_MIXED),
-        ):
-            edge += count
-            self._truth_edges.append((edge, truth))
-
-    def _truth_for_slot(self, slot: int) -> GroundTruth:
-        for edge, truth in self._truth_edges:
-            if slot < edge:
-                return truth
-        return GroundTruth.NON_INSTALLER
+        ))
 
     def _redirect_count_for_slot(self, slot: int) -> int:
         """Table IV's count distribution, laid out over canonical slots."""
@@ -537,7 +541,7 @@ class PlayCorpusPlan:
     def app_at(self, index: int) -> CorpusApp:
         """Build app ``index`` from the seed alone (no shared state)."""
         slot = self._truth_perm(index)
-        truth = self._truth_for_slot(slot)
+        truth = self._truths[bisect_right(self._edges, slot)]
         position = index % len(PLAY_CATEGORIES)
         package = f"com.play.{_PLAY_CATEGORIES_LOWER[position]}.app{index:05d}"
         redirect_count = self._redirect_count_for_slot(
@@ -567,13 +571,6 @@ class PlayCorpusPlan:
             "instances": 1,
         }
         return app
-
-    def iter_apps(self, start: int = 0,
-                  stop: Optional[int] = None) -> Iterator[CorpusApp]:
-        """Stream apps ``[start, stop)`` without materializing a list."""
-        stop = self.size if stop is None else min(stop, self.size)
-        for index in range(start, stop):
-            yield self.app_at(index)
 
 
 class PreinstalledCorpusPlan:
@@ -615,27 +612,17 @@ class PreinstalledCorpusPlan:
         rng = DeterministicRandom(seed).fork("preinstalled-corpus")
         self._perm = IndexPermutation(spec.unique_apps, rng.fork("truths"))
         reflection = spec.unknown // 2
-        self._truth_edges = []
-        edge = 0
-        for count, truth in (
+        self._edges, self._truths = _truth_layout((
             (spec.vulnerable, GroundTruth.VULNERABLE),
             (spec.secure, GroundTruth.SECURE),
             (reflection, GroundTruth.UNKNOWN_REFLECTION),
             (spec.unknown - reflection, GroundTruth.UNKNOWN_FIELD_MODE),
-        ):
-            edge += count
-            self._truth_edges.append((edge, truth))
-
-    def _truth_for_slot(self, slot: int) -> GroundTruth:
-        for edge, truth in self._truth_edges:
-            if slot < edge:
-                return truth
-        return GroundTruth.NON_INSTALLER
+        ))
 
     def app_at(self, index: int) -> CorpusApp:
         """Build app ``index`` from the seed alone (no shared state)."""
         slot = self._perm(index)
-        truth = self._truth_for_slot(slot)
+        truth = self._truths[bisect_right(self._edges, slot)]
         vendor = self.vendors[index % len(self.vendors)]
         if truth is GroundTruth.SECURE:
             ordinal = slot - self.spec.vulnerable
@@ -659,26 +646,6 @@ class PreinstalledCorpusPlan:
             vendor=vendor,
             instances=instances,
         )
-
-    def iter_apps(self, start: int = 0,
-                  stop: Optional[int] = None) -> Iterator[CorpusApp]:
-        """Stream apps ``[start, stop)`` without materializing a list."""
-        stop = self.size if stop is None else min(stop, self.size)
-        for index in range(start, stop):
-            yield self.app_at(index)
-
-
-#: Corpus kinds the sharded analysis pipeline can address by name.
-CORPUS_KINDS = ("play", "preinstalled")
-
-
-def corpus_plan(kind: str, seed: int = 2016, spec=None):
-    """Factory: a streaming corpus plan for ``kind`` (see CORPUS_KINDS)."""
-    if kind == "play":
-        return PlayCorpusPlan(seed, spec)
-    if kind == "preinstalled":
-        return PreinstalledCorpusPlan(seed, spec)
-    raise CorpusError(f"unknown corpus kind {kind!r}")
 
 
 def scaled_play_spec(total: int) -> PlayCorpusSpec:
@@ -742,9 +709,10 @@ def generate_play_corpus(seed: int = 2016,
     """Generate the synthetic top-12,750 Google Play corpus.
 
     Materializes the streaming :class:`PlayCorpusPlan` — callers that
-    only need a shard should use the plan's ``iter_apps`` directly.
+    only need a shard should call the plan's ``app_at`` directly.
     """
-    return list(PlayCorpusPlan(seed, spec).iter_apps())
+    plan = PlayCorpusPlan(seed, spec)
+    return [plan.app_at(index) for index in range(plan.size)]
 
 
 def generate_preinstalled_corpus(
@@ -757,4 +725,5 @@ def generate_preinstalled_corpus(
     (like the paper's 5,864/12,050 WRITE_EXTERNAL count) can be taken.
     Materializes the streaming :class:`PreinstalledCorpusPlan`.
     """
-    return list(PreinstalledCorpusPlan(seed, spec).iter_apps())
+    plan = PreinstalledCorpusPlan(seed, spec)
+    return [plan.app_at(index) for index in range(plan.size)]

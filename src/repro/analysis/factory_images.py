@@ -25,9 +25,10 @@ pre-installed apps.  This module generates a fleet with the same shape:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import CorpusError
 from repro.sim.rand import DeterministicRandom
@@ -288,13 +289,12 @@ def scaled_image_specs(total: int) -> Tuple[VendorSpec, ...]:
 class FactoryImagePlan:
     """Index-addressable view of a factory-image fleet.
 
-    Mirrors :class:`~repro.analysis.corpus.PlayCorpusPlan`'s surface —
-    ``image_at(i)`` / ``iter_images()`` over a global index space of
-    ``total`` images — so the engine shards the images corpus exactly
-    like the app corpora.  Unlike per-app derivation, the fleet's
+    ``image_at(i)`` over a global index space of ``size`` images, like
+    the app corpora's ``app_at``, so the engine shards the images corpus
+    exactly like them.  Unlike per-app derivation, the fleet's
     calibration passes (platform coverage, hare placement, md5
     aliasing) are inherently cross-image, so the plan materializes the
-    fleet lazily *once* on first image access: ``total`` and shard
+    fleet lazily *once* on first image access: ``size`` and shard
     arithmetic stay O(1) in the parent process, and every shard running
     in one worker shares the same memoized fleet.
     """
@@ -303,7 +303,7 @@ class FactoryImagePlan:
                  specs: Tuple[VendorSpec, ...] = ALL_SPECS) -> None:
         self.seed = seed
         self.specs = specs
-        self.total = sum(spec.image_count for spec in specs)
+        self.size = sum(spec.image_count for spec in specs)
         self._fleet: Optional[Fleet] = None
 
     def fleet(self) -> Fleet:
@@ -314,15 +314,29 @@ class FactoryImagePlan:
 
     def image_at(self, index: int) -> FactoryImage:
         """The image at global ``index`` (0-based, vendor-contiguous)."""
-        if not 0 <= index < self.total:
+        if not 0 <= index < self.size:
             raise CorpusError(
-                f"index {index} outside fleet of {self.total}")
+                f"index {index} outside fleet of {self.size}")
         return self.fleet().images[index]
 
-    def iter_images(self) -> Iterator[FactoryImage]:
-        """All images in global-index order."""
-        for index in range(self.total):
-            yield self.image_at(index)
+    @functools.cached_property
+    def hare_pairs(self) -> Tuple[Tuple[str, str], ...]:
+        """(package, permission) hare pairs from the sample images.
+
+        The Hare study's first step: every app on a sample image that
+        uses a permission it does not define itself.  Only the *usage*
+        is extracted here; whether a search image defines the permission
+        is what the per-image pass checks.
+        """
+        fleet = self.fleet()
+        by_id = {image.image_id: image for image in fleet.images}
+        pairs: Dict[Tuple[str, str], None] = {}
+        for image_id in fleet.sample_image_ids:
+            for app in by_id[image_id].apps:
+                for permission in app.uses_permissions:
+                    if permission not in app.defines_permissions:
+                        pairs[(app.package, permission)] = None
+        return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

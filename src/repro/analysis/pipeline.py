@@ -48,9 +48,10 @@ from repro.analysis.classifier import (
 from repro.analysis.corpus import (
     WRITE_EXTERNAL,
     CorpusApp,
+    PlayCorpusPlan,
     PlayCorpusSpec,
+    PreinstalledCorpusPlan,
     PreinstalledCorpusSpec,
-    corpus_plan,
     scaled_play_spec,
     scaled_preinstalled_spec,
 )
@@ -365,10 +366,8 @@ class AnalysisSpec:
 
     ``apps=None`` means paper scale (12,750 Play / 1,613 pre-installed
     unique apps / 1,855 factory images); any other value scales the
-    corpus spec at the paper's trait rates via
-    :func:`~repro.analysis.corpus.scaled_play_spec` and friends — for
-    the images corpus, ``apps`` counts *images* and scales the fleet
-    through :func:`~repro.analysis.factory_images.scaled_image_specs`.
+    corpus at the paper's trait rates (see :data:`_PLANS`) — for the
+    images corpus, ``apps`` counts *images*.
     """
 
     corpus: str = "play"
@@ -390,46 +389,28 @@ class AnalysisSpec:
         parse_chaos(self.chaos)
 
     @property
-    def installs(self) -> int:
-        """Workload size under the fleet progress hooks' name."""
-        return self.size
+    def unit(self) -> str:
+        """What one work unit of this corpus is called."""
+        return "images" if self.corpus == "images" else "apps"
 
     @property
     def size(self) -> int:
         """Number of per-index work units (apps or images)."""
-        if self.corpus == "images":
-            return sum(spec.image_count for spec in self.image_specs())
-        return self.corpus_spec_size()
-
-    def corpus_spec(self):
-        """The (possibly scaled) corpus calibration spec."""
-        if self.corpus == "play":
-            return (scaled_play_spec(self.apps) if self.apps is not None
-                    else PlayCorpusSpec())
-        if self.corpus == "preinstalled":
-            return (scaled_preinstalled_spec(self.apps)
-                    if self.apps is not None else PreinstalledCorpusSpec())
-        return None
-
-    def image_specs(self):
-        """The (possibly scaled) per-vendor fleet specs."""
-        return (scaled_image_specs(self.apps) if self.apps is not None
-                else ALL_SPECS)
-
-    def corpus_spec_size(self) -> int:
-        spec = self.corpus_spec()
-        return spec.total if self.corpus == "play" else spec.unique_apps
+        return self.plan().size
 
     def plan(self):
-        """The streaming corpus plan (validates the spec up front)."""
-        if self.corpus == "images":
-            return _image_plan(self.seed, self.image_specs())
-        return corpus_plan(self.corpus, self.seed, self.corpus_spec())
+        """The corpus plan: item ``i`` is its ``app_at(i)``/``image_at(i)``.
+
+        The only map from a corpus name to a plan; building it checks
+        the (possibly scaled) spec, so an infeasible one fails here.
+        """
+        make, paper, scale = _PLANS[self.corpus]
+        return make(self.seed,
+                    paper if self.apps is None else scale(self.apps))
 
     def shard(self, count: int) -> List["AnalysisShardSpec"]:
         """Partition ``[0, size)`` into ``count`` contiguous shards."""
         slices = partition(self, self.size, count)
-        self.plan()  # fail on an infeasible spec before any work runs
         return [AnalysisShardSpec(self, index, count, start, stop)
                 for index, (start, stop) in enumerate(slices)]
 
@@ -440,24 +421,13 @@ def _image_plan(seed: int, specs) -> FactoryImagePlan:
     return FactoryImagePlan(seed, specs)
 
 
-@functools.lru_cache(maxsize=2)
-def _hare_permissions(seed: int, specs) -> Tuple[Tuple[str, str], ...]:
-    """(package, permission) hare pairs from the sample images.
-
-    The Hare study's first step: every app on a sample image that uses
-    a permission it does not define itself.  Only the *usage* is
-    extracted here; whether a search image defines the permission is
-    what the per-image pass checks.
-    """
-    fleet = _image_plan(seed, specs).fleet()
-    by_id = {image.image_id: image for image in fleet.images}
-    pairs: Dict[Tuple[str, str], None] = {}
-    for image_id in fleet.sample_image_ids:
-        for app in by_id[image_id].apps:
-            for permission in app.uses_permissions:
-                if permission not in app.defines_permissions:
-                    pairs[(app.package, permission)] = None
-    return tuple(pairs)
+#: Each corpus name's ``(plan factory, paper-scale spec, scaler)``.
+_PLANS = {
+    "play": (PlayCorpusPlan, PlayCorpusSpec(), scaled_play_spec),
+    "preinstalled": (PreinstalledCorpusPlan, PreinstalledCorpusSpec(),
+                     scaled_preinstalled_spec),
+    "images": (_image_plan, ALL_SPECS, scaled_image_specs),
+}
 
 
 @dataclass(frozen=True)
@@ -536,11 +506,10 @@ class AnalysisShardSpec(ShardSlice):
     # -- per-image passes (hare + platform keys, Section IV-B) ----------------
 
     def _execute_images(self, recorder, metrics) -> AnalysisStats:
-        spec = self.campaign
         stats = AnalysisStats()
-        plan = _image_plan(spec.seed, spec.image_specs())
+        plan = self.campaign.plan()
         fleet = plan.fleet()
-        hare_pairs = _hare_permissions(spec.seed, spec.image_specs())
+        hare_pairs = plan.hare_pairs
         hare_perms = [permission for _pkg, permission in hare_pairs]
         search_ids = set(fleet.search_image_ids)
         sample_ids = set(fleet.sample_image_ids)
@@ -609,11 +578,6 @@ class AnalysisReport(ShardedReport):
     @classmethod
     def from_shards(cls, spec, shards, **run) -> "AnalysisReport":
         return cls._fold(merge_analysis_stats, spec, shards, **run)
-
-    @property
-    def unit(self) -> str:
-        """``images`` for the images corpus, ``apps`` otherwise."""
-        return "images" if self.spec.corpus == "images" else "apps"
 
     @property
     def cache_hits(self) -> int:

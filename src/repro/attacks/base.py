@@ -116,11 +116,6 @@ class MaliciousApp(App):
                     now_ns - self._armed_ns)
 
     @property
-    def strikes_landed(self) -> int:
-        """Strike attempts whose replacement actually landed."""
-        return len(getattr(self, "swaps", ()))
-
-    @property
     def strikes_blocked(self) -> int:
         """Strike attempts vetoed by a defense (or failed outright)."""
         return len(getattr(self, "blocked", ()))

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Any, Callable, ClassVar, Dict, Iterable, List,
-                    Optional, Tuple)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.campaign import CampaignStats
 from repro.core.outcomes import OutcomeRecord
@@ -84,8 +83,6 @@ class ShardedReport:
     #: ``counters``.  Reported beside the deterministic stats/metrics,
     #: never inside them.
     telemetry: Dict[str, Any] = field(default_factory=dict)
-    #: The kind's work unit, as the per-shard rate names it.
-    unit: ClassVar[str] = "items"
 
     @classmethod
     def _fold(cls, merge: Callable[[Iterable[Any]], Any], spec: Any,
@@ -132,7 +129,7 @@ class ShardedReport:
         rates = [shard.stats.runs / shard.wall_seconds
                  for shard in self.shards if shard.wall_seconds > 0]
         if rates:
-            shard_rate = (f"shard {self.unit}/s min {min(rates):.0f} / "
+            shard_rate = (f"shard {self.spec.unit}/s min {min(rates):.0f} / "
                           f"mean {sum(rates) / len(rates):.0f} / "
                           f"max {max(rates):.0f}")
         else:
@@ -148,7 +145,6 @@ class FleetReport(ShardedReport):
 
     spec: CampaignSpec
     stats: CampaignStats = field(default_factory=CampaignStats)
-    unit: ClassVar[str] = "installs"
 
     @classmethod
     def from_shards(cls, spec, shards, **run) -> "FleetReport":

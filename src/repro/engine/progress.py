@@ -50,6 +50,7 @@ class ConsoleProgress(FleetProgress):
         self.stream = stream if stream is not None else sys.stderr
         self._started_at = 0.0
         self._runs_done = 0
+        self._unit = "installs"
 
     def _emit(self, message: str) -> None:
         print(message, file=self.stream, flush=True)
@@ -58,8 +59,9 @@ class ConsoleProgress(FleetProgress):
                        workers: int, backend: str) -> None:
         self._started_at = time.perf_counter()
         self._runs_done = 0
+        self._unit = spec.unit
         self._emit(
-            f"[fleet] {spec.installs} installs -> {shard_count} shard(s) "
+            f"[fleet] {spec.size} {spec.unit} -> {shard_count} shard(s) "
             f"on {workers} {backend} worker(s)")
 
     def on_shard_done(self, result: "ShardResult", done: int,
@@ -68,9 +70,9 @@ class ConsoleProgress(FleetProgress):
         elapsed = max(time.perf_counter() - self._started_at, 1e-9)
         self._emit(
             f"[fleet] shard {result.shard_index} done "
-            f"({result.stats.runs} installs in {result.wall_seconds:.2f}s) "
-            f"— {done}/{total} shards, "
-            f"{self._runs_done / elapsed:.0f} installs/s overall")
+            f"({result.stats.runs} {self._unit} in "
+            f"{result.wall_seconds:.2f}s) — {done}/{total} shards, "
+            f"{self._runs_done / elapsed:.0f} {self._unit}/s overall")
 
     def on_shard_retry(self, shard: "ShardSpec", attempt: int,
                        reason: str) -> None:
@@ -79,6 +81,7 @@ class ConsoleProgress(FleetProgress):
             f"({reason}); retrying")
 
     def on_fleet_done(self, report: "FleetReport") -> None:
+        unit = report.spec.unit
         self._emit(
-            f"[fleet] done: {report.stats.runs} installs in "
-            f"{report.wall_seconds:.2f}s ({report.throughput:.0f} installs/s)")
+            f"[fleet] done: {report.stats.runs} {unit} in "
+            f"{report.wall_seconds:.2f}s ({report.throughput:.0f} {unit}/s)")

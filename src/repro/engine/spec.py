@@ -9,10 +9,10 @@ Determinism contract
 --------------------
 Shard ``i`` of ``n`` runs global installs ``[start, stop)`` of the
 campaign on a fresh simulated device.  Everything observable about
-install ``k`` is derived from the *global* index ``k`` (package name,
-APK size via :meth:`CampaignSpec.size_for`), never from the shard
-layout, and per-shard RNG streams are forked from the campaign seed
-with the :meth:`repro.sim.rand.DeterministicRandom.fork` label-hash.
+install ``k`` is built from the *global* index ``k`` alone, by
+:meth:`CampaignSpec.install_at`, never from the shard layout, and
+per-shard RNG streams are forked from the campaign seed with the
+:meth:`repro.sim.rand.DeterministicRandom.fork` label-hash.
 The merged stats of a fixed ``(spec, seed)`` are therefore
 bit-identical for any shard count and worker count.
 """
@@ -63,11 +63,6 @@ DEVICES: Dict[str, Callable[[], DeviceProfile]] = {
     "galaxy-s6": galaxy_s6_edge_verizon,
     "galaxy-j5": galaxy_j5_lowend,
 }
-
-
-def workload_package(index: int) -> str:
-    """Package name of global install ``index`` (shard-independent)."""
-    return f"com.fleet.app{index:06d}"
 
 
 #: Failure-injection modes a chaos spec may name.
@@ -177,7 +172,7 @@ class CampaignSpec:
     keep_outcomes: Optional[int] = None
     #: Candidate extra ``uses-permission`` entries for published APKs;
     #: each install draws a subset derived from its *global* index, so
-    #: APK shapes stay shard-independent (see :meth:`permissions_for`).
+    #: APK shapes stay shard-independent (see :meth:`install_at`).
     permission_pool: Tuple[str, ...] = ()
     #: Upper bound on extra permissions per published APK (0 = plain
     #: APKs, the pre-fuzz behaviour).
@@ -321,32 +316,37 @@ class CampaignSpec:
 
     # -- workload derivation (global, shard-independent) ----------------------
 
-    def size_for(self, index: int) -> int:
-        """APK size of global install ``index``.
+    #: What one work unit of this kind is called.
+    unit = "installs"
 
-        Forked from the campaign seed by install label, so a package
-        gets the same size no matter which shard publishes it.
+    @property
+    def size(self) -> int:
+        """Number of per-index work units (installs)."""
+        return self.installs
+
+    def install_at(self, index: int
+                   ) -> Tuple[str, str, int, Tuple[str, ...]]:
+        """Install ``index``: ``(package, label, size_bytes, permissions)``.
+
+        Built from the campaign seed and the *global* index alone —
+        never the shard layout — so install ``k`` publishes the same APK
+        no matter which shard runs it.  The size and the extra
+        permissions draw from RNGs forked by the labels ``pkg-{index}``
+        and ``perm-{index}``; the permission subset keeps the pool's
+        declaration order for a canonical manifest shape.
         """
         rng = DeterministicRandom(self.seed).fork(f"pkg-{index}")
-        return self.base_size_bytes + rng.randint(0, self.base_size_bytes)
-
-    def permissions_for(self, index: int) -> Tuple[str, ...]:
-        """Extra permissions of global install ``index``.
-
-        Derived, like :meth:`size_for`, from the campaign seed and the
-        *global* index — never the shard layout — so the APK shape of
-        install ``k`` is identical no matter which shard publishes it.
-        The subset keeps the pool's declaration order for a canonical
-        manifest shape.
-        """
-        if not self.permission_pool or not self.max_extra_permissions:
-            return ()
-        rng = DeterministicRandom(self.seed).fork(f"perm-{index}")
-        count = rng.randint(0, self.max_extra_permissions)
-        if count == 0:
-            return ()
-        picked = set(rng.sample(self.permission_pool, count))
-        return tuple(p for p in self.permission_pool if p in picked)
+        size = self.base_size_bytes + rng.randint(0, self.base_size_bytes)
+        permissions: Tuple[str, ...] = ()
+        if self.permission_pool and self.max_extra_permissions:
+            rng = DeterministicRandom(self.seed).fork(f"perm-{index}")
+            count = rng.randint(0, self.max_extra_permissions)
+            if count:
+                picked = set(rng.sample(self.permission_pool, count))
+                permissions = tuple(p for p in self.permission_pool
+                                    if p in picked)
+        return (f"com.fleet.app{index:06d}", f"Fleet App {index}", size,
+                permissions)
 
     def child_seed(self, shard_index: int) -> int:
         """Scenario seed of shard ``shard_index`` (sim.rand label-hash)."""
@@ -464,11 +464,6 @@ class ShardSpec(ShardSlice):
     campaign: CampaignSpec
     seed: int
 
-    @property
-    def installs(self) -> int:
-        """Number of installs this shard runs."""
-        return self.stop - self.start
-
     def build_scenario(self, recorder=None, metrics=None) -> Scenario:
         """Provision this shard's fresh device from the spec.
 
@@ -508,13 +503,9 @@ class ShardSpec(ShardSlice):
         """Publish this shard's slice; shapes come from global indices."""
         packages = []
         for index in range(self.start, self.stop):
-            package = workload_package(index)
-            scenario.publish_app(
-                package,
-                label=f"Fleet App {index}",
-                size_bytes=self.campaign.size_for(index),
-                uses_permissions=self.campaign.permissions_for(index),
-            )
+            package, label, size, permissions = self.campaign.install_at(index)
+            scenario.publish_app(package, label=label, size_bytes=size,
+                                 uses_permissions=permissions)
             packages.append(package)
         return packages
 

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import pickle
+import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -163,7 +164,7 @@ class JobStore:
 
         jobs.log                        durable submit/end record log
         flight.log                      flight recorder sidecar
-        jobs/<job_id>/checkpoint/       ShardJournal of the job
+        jobs/<job_id>/checkpoint/       ShardJournal (removed once done)
         jobs/<job_id>/trace.jsonl       archived trace (observe=True)
         jobs/<job_id>/result.json       final stats + render
 
@@ -219,6 +220,10 @@ class JobStore:
     def checkpoint_dir(self, job_id: str) -> Path:
         """The job's shard-journal directory."""
         return self.job_dir(job_id) / "checkpoint"
+
+    def drop_checkpoint(self, job_id: str) -> None:
+        """Remove a finished job's shard journal (a no-op when absent)."""
+        shutil.rmtree(self.checkpoint_dir(job_id), ignore_errors=True)
 
     def trace_path(self, job_id: str) -> Path:
         """The job's archived trace JSONL."""

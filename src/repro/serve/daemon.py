@@ -303,6 +303,10 @@ class CampaignService:
                                    wall_s=round(report.wall_seconds, 3))
                 self._publish(job.job_id,
                               event_frame("done", job=job.to_dict()))
+            # The end record is durable and the done frame is out, so
+            # no restart resumes this job: its shard journal goes.  A
+            # crash before this line leaves the journal, unread.
+            self.store.drop_checkpoint(job.job_id)
         except Exception as exc:
             with self._lock:
                 job.state = FAILED

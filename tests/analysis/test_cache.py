@@ -16,11 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import pipeline as pipeline_mod
 from repro.analysis.cache import PackStore
-from repro.analysis.corpus import (
-    corpus_plan,
-    scaled_play_spec,
-    scaled_preinstalled_spec,
-)
+from repro.analysis.corpus import PlayCorpusPlan, scaled_play_spec
 from repro.analysis.classifier import DETECTOR_VERSIONS, InstallerClassifier
 from repro.analysis.pipeline import (
     CACHE_SCHEMA,
@@ -53,7 +49,7 @@ def run_serial(spec, shards):
 def populate(root, apps=40, seed=7):
     """Analyze ``apps`` Play apps into a cache at ``root``; the keys."""
     cache = AnalysisCache(str(root))
-    plan = corpus_plan("play", seed=seed, spec=scaled_play_spec(apps))
+    plan = PlayCorpusPlan(seed=seed, spec=scaled_play_spec(apps))
     classifier = InstallerClassifier()
     keys = []
     for index in range(apps):
@@ -174,11 +170,10 @@ def _reference_payload(key, record):
 
 def test_stored_bytes_match_asdict_encoding(tmp_path):
     classifier = InstallerClassifier()
-    for kind, spec in (("play", scaled_play_spec(500)),
-                       ("preinstalled", scaled_preinstalled_spec(500))):
+    for kind in ("play", "preinstalled"):
         root = tmp_path / kind
         cache = AnalysisCache(str(root))
-        plan = corpus_plan(kind, seed=11, spec=spec)
+        plan = AnalysisSpec(corpus=kind, apps=500, seed=11).plan()
         expected = {}
         for index in range(500):
             app = plan.app_at(index)
@@ -237,8 +232,8 @@ def test_store_writes_the_json_dumps_bytes(records):
 def test_store_matches_json_for_every_detector_set():
     names = sorted(DETECTOR_VERSIONS) + ["unknown"]
     base = dataclasses.replace(
-        analyze_app(corpus_plan("play", seed=3,
-                                spec=scaled_play_spec(2)).app_at(0),
+        analyze_app(PlayCorpusPlan(seed=3,
+                                   spec=scaled_play_spec(2)).app_at(0),
                     InstallerClassifier()),
         instructions=1, unparsed_lines=0, instances=1)
     records = [dataclasses.replace(base, detectors=detectors,
@@ -254,7 +249,7 @@ def test_store_matches_json_for_every_detector_set():
 
 def test_load_after_store_round_trips(tmp_path):
     cache = AnalysisCache(str(tmp_path))
-    plan = corpus_plan("play", seed=3, spec=scaled_play_spec(60))
+    plan = PlayCorpusPlan(seed=3, spec=scaled_play_spec(60))
     classifier = InstallerClassifier()
     records = {}
     for index in range(60):
@@ -275,7 +270,7 @@ def test_load_after_store_round_trips(tmp_path):
 
 
 def test_malformed_record_reads_as_miss(tmp_path):
-    plan = corpus_plan("play", seed=3, spec=scaled_play_spec(2))
+    plan = PlayCorpusPlan(seed=3, spec=scaled_play_spec(2))
     app = plan.app_at(0)
     key = AnalysisCache.key_for(app)
     record = dataclasses.asdict(analyze_app(app, InstallerClassifier()))

@@ -14,7 +14,11 @@ import json
 from repro.analysis import pipeline as pipeline_mod
 from repro.analysis import smali as smali_mod
 from repro.analysis.classifier import InstallerClassifier
-from repro.analysis.corpus import corpus_plan, scaled_preinstalled_spec
+from repro.analysis.corpus import (
+    PlayCorpusPlan,
+    PreinstalledCorpusPlan,
+    scaled_preinstalled_spec,
+)
 from repro.analysis.redirect_scan import redirect_targets
 from repro.analysis.smali import parse_program
 
@@ -44,14 +48,14 @@ def evidence_digest(plan, indices):
 
 
 def test_play_seed_2016_evidence_digest():
-    plan = corpus_plan("play", seed=2016)
+    plan = PlayCorpusPlan(seed=2016)
     assert evidence_digest(plan, range(0, plan.size, 97)) == (
         PLAY_2016_EVERY_97TH)
 
 
 def test_preinstalled_seed_7_evidence_digest():
-    plan = corpus_plan("preinstalled", seed=7,
-                       spec=scaled_preinstalled_spec(200))
+    plan = PreinstalledCorpusPlan(seed=7,
+                                  spec=scaled_preinstalled_spec(200))
     assert evidence_digest(plan, range(plan.size)) == PREINSTALLED_7_AT_200
 
 
@@ -68,7 +72,7 @@ def test_analyze_app_builds_no_instruction_tree(monkeypatch):
             _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
-    plan = corpus_plan("play", seed=1)
+    plan = PlayCorpusPlan(seed=1)
     classifier = InstallerClassifier()
     installers = 0
     for index in range(500):

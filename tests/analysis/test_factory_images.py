@@ -123,7 +123,7 @@ def test_plan_at_paper_scale_matches_generate_fleet(fleet):
     from repro.analysis.factory_images import FactoryImagePlan
 
     plan = FactoryImagePlan(seed=2016)
-    assert plan.total == 1855
+    assert plan.size == 1855
     for index in (0, 700, 1238, 1239, 1620, 1621, 1854):
         image = plan.image_at(index)
         reference = fleet.images[index]

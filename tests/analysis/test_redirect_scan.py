@@ -78,7 +78,8 @@ def test_single_url_targets_are_predictable():
     """The one hardcoded target is a companion of the hosting app."""
     classifier = InstallerClassifier()
     sample = []
-    for app in PlayCorpusPlan(seed=2016).iter_apps():
+    plan = PlayCorpusPlan(seed=2016)
+    for app in map(plan.app_at, range(plan.size)):
         record = analyze_app(app, classifier)
         if len(record.redirect_targets) == 1:
             sample.append(record)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import smali as smali_mod
-from repro.analysis.corpus import corpus_plan, scaled_play_spec
+from repro.analysis.corpus import PlayCorpusPlan, scaled_play_spec
 from repro.errors import SmaliParseError
 from repro.analysis.smali import parse_program
 
@@ -386,7 +386,7 @@ def small_memo(monkeypatch):
 def _fill(memo, seed):
     """Parse another corpus's apps until the memo is full, checking
     only between programs (as a long-running process reaches it)."""
-    plan = corpus_plan("play", seed=seed, spec=scaled_play_spec(2000))
+    plan = PlayCorpusPlan(seed=seed, spec=scaled_play_spec(2000))
     index = 0
     while len(memo) < smali_mod._MEMO_CAP:
         parse_program(plan.app_at(index).smali_text, lenient=True)
@@ -399,7 +399,7 @@ def test_full_memo_learns_the_lines_of_a_new_corpus(small_memo):
     memo, scanned = small_memo
     _fill(memo, seed=77)
     del scanned[:]
-    plan = corpus_plan("play", seed=5, spec=scaled_play_spec(40))
+    plan = PlayCorpusPlan(seed=5, spec=scaled_play_spec(40))
     texts = [plan.app_at(index).smali_text for index in range(40)]
     for text in texts:
         parse_program(text, lenient=True)

@@ -12,7 +12,8 @@ produce.
 import pytest
 
 from repro.analysis.corpus import (
-    corpus_plan,
+    PlayCorpusPlan,
+    PreinstalledCorpusPlan,
     scaled_play_spec,
     scaled_preinstalled_spec,
 )
@@ -43,21 +44,21 @@ def assert_programs_identical(text, lenient=True):
 
 
 def test_scanner_matches_reference_on_play_corpus():
-    plan = corpus_plan("play", seed=7, spec=scaled_play_spec(400))
+    plan = PlayCorpusPlan(seed=7, spec=scaled_play_spec(400))
     for index in range(400):
         assert_programs_identical(plan.app_at(index).smali_text)
 
 
 def test_scanner_matches_reference_on_preinstalled_corpus():
-    plan = corpus_plan("preinstalled", seed=7,
-                       spec=scaled_preinstalled_spec(200))
+    plan = PreinstalledCorpusPlan(seed=7,
+                                  spec=scaled_preinstalled_spec(200))
     for index in range(200):
         assert_programs_identical(plan.app_at(index).smali_text)
 
 
 def test_scanner_matches_reference_on_paper_seed_sample():
     # The exact seed the measurement study runs with.
-    plan = corpus_plan("play", seed=2016)
+    plan = PlayCorpusPlan(seed=2016)
     for index in range(0, plan.spec.total, 97):
         assert_programs_identical(plan.app_at(index).smali_text)
 
@@ -67,7 +68,7 @@ def test_scanner_matches_reference_on_image_manifests():
     # packages feed synthetic manifests elsewhere; cover the plan's
     # metadata-bearing strings through a constructed program per image.
     plan = FactoryImagePlan(seed=2016, specs=scaled_image_specs(60))
-    for image in plan.iter_images():
+    for image in map(plan.image_at, range(plan.size)):
         lines = [".class Lcom/vendor/Manifest;", ".method probe()V"]
         for app in image.apps[:20]:
             lines.append(f'    const-string v0, "{app.package}"')

@@ -19,21 +19,21 @@ def test_shard_partition_covers_workload_contiguously():
     spec = CampaignSpec(installs=10)
     shards = spec.shard(3)
     assert [(s.start, s.stop) for s in shards] == [(0, 4), (4, 7), (7, 10)]
-    assert sum(s.installs for s in shards) == 10
+    assert sum(s.stop - s.start for s in shards) == 10
     assert [s.index for s in shards] == [0, 1, 2]
     assert all(s.count == 3 for s in shards)
 
 
 def test_shard_balance_within_one_install():
     shards = CampaignSpec(installs=100).shard(8)
-    sizes = [s.installs for s in shards]
+    sizes = [s.stop - s.start for s in shards]
     assert max(sizes) - min(sizes) <= 1
     assert sum(sizes) == 100
 
 
 def test_more_shards_than_installs_yields_empty_shards():
     shards = CampaignSpec(installs=2).shard(4)
-    assert [s.installs for s in shards] == [1, 1, 0, 0]
+    assert [s.stop - s.start for s in shards] == [1, 1, 0, 0]
 
 
 def test_child_seeds_differ_per_shard_and_are_stable():
@@ -46,10 +46,10 @@ def test_child_seeds_differ_per_shard_and_are_stable():
 
 def test_sizes_derive_from_global_index_not_shard_layout():
     spec = CampaignSpec(installs=20, seed=9)
-    sizes_direct = [spec.size_for(i) for i in range(20)]
+    sizes_direct = [spec.install_at(i)[2] for i in range(20)]
     by_shards = []
     for shard in spec.shard(7):
-        by_shards.extend(spec.size_for(i)
+        by_shards.extend(spec.install_at(i)[2]
                          for i in range(shard.start, shard.stop))
     assert by_shards == sizes_direct
     assert all(spec.base_size_bytes <= s <= 2 * spec.base_size_bytes

@@ -94,7 +94,7 @@ def test_any_play_spec_generates_consistently_or_fails_up_front(
         plan = PlayCorpusPlan(seed=seed, spec=spec)
     except CorpusError:
         return  # clean failure, nothing generated
-    corpus = list(plan.iter_apps())
+    corpus = [plan.app_at(index) for index in range(plan.size)]
     assert len(corpus) == spec.total
     assert sum(1 for app in corpus
                if app.has_permission(WRITE_EXTERNAL)) == write_external
@@ -122,7 +122,7 @@ def test_any_preinstalled_spec_generates_consistently_or_fails_up_front(
         plan = PreinstalledCorpusPlan(seed=seed, spec=spec)
     except CorpusError:
         return
-    corpus = list(plan.iter_apps())
+    corpus = [plan.app_at(index) for index in range(plan.size)]
     assert len(corpus) == spec.unique_apps
     assert sum(app.instances for app in corpus) == spec.total_instances
     assert sum(app.instances for app in corpus

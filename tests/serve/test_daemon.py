@@ -209,3 +209,41 @@ def test_derived_seeds_survive_recovery(tmp_path):
         assert second.get_job(job.job_id).spec.seed == derived
     finally:
         second.close()
+
+
+def test_done_jobs_leave_no_checkpoint_and_survive_restart(tmp_path):
+    state = tmp_path / "state"
+    service = CampaignService(state, workers=1, backend="serial")
+    at_done = {}
+    try:
+        jobs = [service.submit(parse_submission(submit_campaign_request(
+            CampaignSpec(installs=8, seed=seed), shards=2)))
+            for seed in (1, 2, 3)]
+
+        def listener(frame):
+            if frame.get("event") == "done":
+                job_id = frame["job"]["job_id"]
+                at_done[job_id] = service.store.checkpoint_dir(
+                    job_id).exists()
+
+        for job in jobs:
+            service.subscribe(job.job_id, listener)
+        while (claimed := service.try_pop()) is not None:
+            service.execute(claimed)
+        assert [job.state for job in jobs] == ["done"] * 3
+        # the journal was still there when each done frame went out
+        assert at_done == {job.job_id: True for job in jobs}
+        assert not list(state.glob("jobs/*/checkpoint"))
+        assert all(service.store.result_path(job.job_id).exists()
+                   for job in jobs)
+    finally:
+        service.close()
+    restarted = CampaignService(state, workers=1, backend="serial")
+    try:
+        assert restarted.recover() == 0
+        for job in jobs:
+            again = restarted.get_job(job.job_id)
+            assert again.state == "done"
+            assert again.summary == job.summary
+    finally:
+        restarted.close()

@@ -341,6 +341,24 @@ def test_metrics_engine_line_names_the_kinds_unit(argv, unit, capsys):
     assert f"; shard {unit}/s min " in engine[0]
 
 
+@pytest.mark.parametrize("argv, unit", [
+    (["fleet", "--installs", "4"], "installs"),
+    (["analyze", "--corpus", "play", "--apps", "40"], "apps"),
+    (["analyze", "--corpus", "images", "--apps", "50"], "images"),
+], ids=["fleet", "play", "images"])
+def test_progress_lines_name_the_kinds_unit(argv, unit, capsys):
+    assert main(argv + ["--shards", "2", "--backend", "serial"]) == 0
+    progress = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("[fleet]")]
+    assert len(progress) == 4  # start, two shards, done
+    size = argv[-1]
+    assert progress[0].startswith(f"[fleet] {size} {unit} -> 2 shard(s) ")
+    for line in progress[1:3]:
+        assert f" {unit} in " in line and line.endswith(f" {unit}/s overall")
+    assert progress[3].startswith(f"[fleet] done: {size} {unit} in ")
+    assert progress[3].endswith(f" {unit}/s)")
+
+
 def test_analyze_images_apps_below_floor_rejected(capsys):
     assert main(["analyze", "--corpus", "images", "--apps", "10",
                  "--quiet"]) == 2
