@@ -24,8 +24,8 @@ Commands
   crash-safe job journal): ``repro serve --state-dir .repro-serve``.
 - ``submit``   — enqueue a campaign (or ``--case`` fuzz case) on a
   running daemon; ``--wait`` streams progress until it finishes.
-- ``jobs``     — list the daemon's jobs and health counters
-  (``--follow`` re-renders until interrupted).
+- ``jobs``     — list the daemon's jobs and health counters (``top``
+  is the live, re-rendering view).
 - ``watch``    — stream one job's shard-completion frames live.
 - ``metrics``  — Prometheus text exposition: scrape a running daemon
   (``repro metrics --serve``) or render a finished job's stored
@@ -261,7 +261,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         seed=_seed_of(args),
         chaos=args.chaos,
         observe=bool(args.trace or args.metrics),
-        keep_outcomes=args.keep_outcomes,
         watch_queue_depth=args.watch_depth,
         watch_drain_interval_ns=args.watch_drain_ns,
         watch_coalesce=args.watch_coalesce,
@@ -473,7 +472,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             device=args.device,
             seed=_seed_of(args),
             observe=not args.no_observe,
-            keep_outcomes=args.keep_outcomes,
         )
         job = client.submit_campaign(
             spec, shards=args.shards, priority=args.priority,
@@ -515,22 +513,11 @@ def _print_health(health: dict) -> None:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
-    import time
-
-    client = _client_of(args)
-    try:
-        while True:
-            listing = client.jobs()
-            for job in listing["jobs"]:
-                _print_job_line(job)
-            _print_health(listing["health"])
-            if not args.follow:
-                return 0
-            sys.stdout.flush()
-            time.sleep(args.interval)
-            print()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0
+    listing = _client_of(args).jobs()
+    for job in listing["jobs"]:
+        _print_job_line(job)
+    _print_health(listing["health"])
+    return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -539,17 +526,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.job:
         # Offline: render the job's stored telemetry rollup without a
         # daemon round trip (works after the service has shut down).
-        import json
-
         from repro.errors import ReproError
-        from repro.serve.checkpoint import RESULT_FILE, job_dir
+        from repro.serve.checkpoint import read_result
 
-        path = job_dir(args.state_dir, args.job) / RESULT_FILE
-        if not path.exists():
-            raise ReproError(
-                f"job {args.job} has no stored result at {path} "
-                f"(not finished yet?)")
-        result = json.loads(path.read_text(encoding="utf-8"))
+        result = read_result(args.state_dir, args.job)
+        if result is None:
+            raise ReproError(f"job {args.job} has no stored result "
+                             f"(not finished yet?)")
         text = render_prometheus(job_rollups={args.job: result["telemetry"]})
     else:
         # Default (and explicit --serve): scrape the live daemon.
@@ -756,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-shard timeout in seconds")
     fleet.add_argument("--retries", type=int, default=2,
                        help="pool retries per shard before serial fallback")
-    fleet.add_argument("--keep-outcomes", type=int, default=None,
-                       metavar="N",
-                       help="retain at most N per-run outcome records "
-                            "per shard (default: all; counters always "
-                            "cover every run)")
     fleet.add_argument("--checkpoint", metavar="DIR", default=None,
                        help="journal completed shards to DIR so a "
                             "killed run resumes bit-identically "
@@ -875,18 +853,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="free-form tag shown in job listings")
     submit.add_argument("--no-observe", action="store_true",
                         help="skip trace archiving for this job")
-    submit.add_argument("--keep-outcomes", type=int, default=None,
-                        metavar="N",
-                        help="retain at most N outcome records per shard")
     submit.add_argument("--wait", action="store_true",
                         help="stream progress until the job finishes")
 
-    jobs = sub.add_parser("jobs", parents=[serve_common],
-                          help="list the daemon's jobs and health")
-    jobs.add_argument("--follow", action="store_true",
-                      help="re-render the listing until interrupted")
-    jobs.add_argument("--interval", type=float, default=2.0,
-                      help="seconds between --follow refreshes")
+    sub.add_parser("jobs", parents=[serve_common],
+                   help="list the daemon's jobs and health")
 
     metrics = sub.add_parser(
         "metrics", parents=[serve_common],

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.cache import DEFAULT_ROTATE_RECORDS, PackStore
+from repro.analysis.cache import PackStore
 from repro.analysis.classifier import (
     DETECTOR_VERSIONS,
     InstallerClassifier,
@@ -231,10 +231,9 @@ class AnalysisCache:
     :meth:`close` releases those mappings.
     """
 
-    def __init__(self, root: str,
-                 rotate_records: int = DEFAULT_ROTATE_RECORDS) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self._store = PackStore(root, rotate_records=rotate_records)
+        self._store = PackStore(root)
 
     @staticmethod
     def key_for(app: CorpusApp) -> str:

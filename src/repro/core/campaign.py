@@ -12,25 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.outcomes import DefenseReport, InstallOutcome, OutcomeRecord
+from repro.core.outcomes import DefenseReport, InstallOutcome
 from repro.core.scenario import Scenario
 
 
 @dataclass
 class CampaignStats:
-    """Aggregated results of a campaign.
+    """Aggregated results of a campaign: counters only.
 
-    ``outcomes`` normally holds :class:`InstallOutcome` objects; stats
-    returned by the fleet engine hold the slimmer, picklable
-    :class:`repro.core.outcomes.OutcomeRecord` instead (same read API).
-
-    ``compact``/``keep_outcomes`` set the retention policy *at record
-    time* — the fleet path uses them so a 50k-install shard never holds
-    50k transaction traces: ``compact=True`` projects each outcome to
-    an :class:`OutcomeRecord` as it is recorded, and ``keep_outcomes``
-    caps how many are retained (``None`` keeps all; ``0`` keeps none).
-    Aggregate counters always cover every run regardless of policy.
-    Policy fields are bookkeeping, excluded from equality.
+    No install is retained.  The per-install record is the trace (each
+    run's ``install/outcome`` event and ``ait/*`` spans, see
+    :mod:`repro.obs`), so a shard's stats stay the same few bytes
+    however many installs it ran.
     """
 
     #: The aggregate counters, in canonical order — the fields that
@@ -52,12 +45,6 @@ class CampaignStats:
     blocked: int = 0
     alarmed_runs: int = 0
     blocked_runs: int = 0
-    outcomes: List[InstallOutcome] = field(default_factory=list)
-    #: Project outcomes to trace-free ``OutcomeRecord`` when recording.
-    compact: bool = field(default=False, repr=False, compare=False)
-    #: Retain at most this many outcomes (None = unlimited).
-    keep_outcomes: Optional[int] = field(
-        default=None, repr=False, compare=False)
     # Per-defense high-water marks of the cumulative report counters,
     # used to turn cumulative reports into per-run deltas.  Bookkeeping
     # only: excluded from equality and repr.
@@ -78,11 +65,6 @@ class CampaignStats:
         total then counts in full.
         """
         self.runs += 1
-        if self.keep_outcomes is None or len(self.outcomes) < self.keep_outcomes:
-            if self.compact and not isinstance(outcome, OutcomeRecord):
-                self.outcomes.append(OutcomeRecord.from_outcome(outcome))
-            else:
-                self.outcomes.append(outcome)
         if outcome.installed:
             self.installs_completed += 1
         if outcome.hijacked:
@@ -137,7 +119,6 @@ class CampaignStats:
             blocked=self.blocked + other.blocked,
             alarmed_runs=self.alarmed_runs + other.alarmed_runs,
             blocked_runs=self.blocked_runs + other.blocked_runs,
-            outcomes=list(self.outcomes) + list(other.outcomes),
         )
 
     @property

@@ -33,44 +33,6 @@ class InstallOutcome:
         return self.installed and not self.hijacked
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """Picklable, trace-free projection of an :class:`InstallOutcome`.
-
-    The unit the fleet engine ships across process boundaries, and what
-    a compact :class:`repro.core.campaign.CampaignStats` retains per
-    run: same read API as ``InstallOutcome``, minus the transaction
-    trace (which references live simulator objects).
-    """
-
-    requested_package: str
-    installed: bool = False
-    installed_version: Optional[int] = None
-    installed_certificate_owner: Optional[str] = None
-    genuine_certificate_owner: Optional[str] = None
-    hijacked: bool = False
-    error: Optional[str] = None
-    elapsed_ns: int = 0
-
-    @classmethod
-    def from_outcome(cls, outcome: InstallOutcome) -> "OutcomeRecord":
-        return cls(
-            requested_package=outcome.requested_package,
-            installed=outcome.installed,
-            installed_version=outcome.installed_version,
-            installed_certificate_owner=outcome.installed_certificate_owner,
-            genuine_certificate_owner=outcome.genuine_certificate_owner,
-            hijacked=outcome.hijacked,
-            error=outcome.error,
-            elapsed_ns=outcome.elapsed_ns,
-        )
-
-    @property
-    def clean_install(self) -> bool:
-        """Installed and not hijacked."""
-        return self.installed and not self.hijacked
-
-
 @dataclass
 class AttackResult:
     """What an attack module claims it achieved, plus verifiable facts."""

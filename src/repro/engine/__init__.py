@@ -25,7 +25,6 @@ from repro.engine.executor import (
 )
 from repro.engine.merge import (
     FleetReport,
-    OutcomeRecord,
     ShardedReport,
     merge_stats,
     wilson_interval,
@@ -56,7 +55,6 @@ __all__ = [
     "FleetProgress",
     "FleetReport",
     "NullProgress",
-    "OutcomeRecord",
     "ShardResult",
     "ShardSlice",
     "ShardSpec",

@@ -1,9 +1,8 @@
 """Deterministic merging of shard results into one report.
 
 Shard workers return :class:`~repro.engine.spec.ShardResult` objects;
-for install campaigns their stats carry slim, picklable
-:class:`OutcomeRecord` entries (an ``InstallOutcome`` minus its
-transaction trace).  :class:`ShardedReport` folds shard stats *in shard
+for install campaigns their stats are counters only (the per-install
+record is the trace).  :class:`ShardedReport` folds shard stats *in shard
 order* with the kind's associative merge (:func:`merge_stats` here), so
 the merged stats of a fixed seed are bit-identical no matter how many
 shards or workers produced them.  Wall-clock timing is inherently
@@ -18,13 +17,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.campaign import CampaignStats
-from repro.core.outcomes import OutcomeRecord
 from repro.engine.spec import CampaignSpec, ShardResult
 from repro.obs.metrics import Snapshot, merge_snapshots
 from repro.obs.runtime import TelemetryRollup
 
 __all__ = [
-    "FleetReport", "OutcomeRecord", "ShardResult", "ShardedReport",
+    "FleetReport", "ShardResult", "ShardedReport",
     "merge_stats", "wilson_interval",
 ]
 

@@ -166,10 +166,6 @@ class CampaignSpec:
     chaos: Optional[str] = None
     #: Record per-shard traces and metric snapshots (repro.obs).
     observe: bool = False
-    #: Retain at most this many per-run outcome records per shard
-    #: (None = all; 0 = none).  Aggregate counters always cover every
-    #: run — this only bounds shard memory and result-pickle size.
-    keep_outcomes: Optional[int] = None
     #: Candidate extra ``uses-permission`` entries for published APKs;
     #: each install draws a subset derived from its *global* index, so
     #: APK shapes stay shard-independent (see :meth:`install_at`).
@@ -197,9 +193,6 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.installs < 0:
             raise ReproError(f"installs must be >= 0, got {self.installs}")
-        if self.keep_outcomes is not None and self.keep_outcomes < 0:
-            raise ReproError(
-                f"keep_outcomes must be >= 0 or None, got {self.keep_outcomes}")
         parse_chaos(self.chaos)  # raises on a malformed spec
         installer_by_name(self.installer)  # raises on unknown name
         if self.attack not in ATTACKS:
@@ -512,16 +505,12 @@ class ShardSpec(ShardSlice):
     def run(self, recorder, metrics) -> Tuple[CampaignStats, Dict[str, int]]:
         """Provision a fresh device, publish the slice, run its installs.
 
-        Returns compacted (picklable, trace-free) stats and no counters.
+        Returns the shard's counter-only stats and no side counters.
         """
         spec = self.campaign
         scenario = self.build_scenario(recorder=recorder, metrics=metrics)
         packages = self.publish_workload(scenario)
-        # Compact at record time: outcomes are projected to trace-free
-        # OutcomeRecord as they happen, so the shard never accumulates
-        # transaction traces only to strip them post-hoc.
-        campaign = Campaign(scenario, stats=CampaignStats(
-            compact=True, keep_outcomes=spec.keep_outcomes))
+        campaign = Campaign(scenario)
         campaign.install_many(
             packages,
             arm_attacker=spec.arm_attacker,

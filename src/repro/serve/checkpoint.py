@@ -34,7 +34,7 @@ from repro.obs.export import canonical_json
 
 #: Bumped when the journal layout or the pickle payload shape changes;
 #: a journal written by another version is refused, never misread.
-JOURNAL_VERSION = 4
+JOURNAL_VERSION = 5
 
 
 #: A finished job's files in its directory (see :func:`job_dir`).
@@ -52,6 +52,19 @@ def job_dir(state_dir: Union[str, Path], job_id: str) -> Path:
     if not job_id or "/" in job_id or job_id.startswith("."):
         raise ReproError(f"invalid job id {job_id!r}")
     return Path(state_dir) / "jobs" / job_id
+
+
+def read_result(state_dir: Union[str, Path],
+                job_id: str) -> Optional[Dict[str, Any]]:
+    """A job's final result JSON, or None before it finished.
+
+    Opens no :class:`JobStore`, so it sweeps nothing (see
+    :func:`job_dir`).
+    """
+    path = job_dir(state_dir, job_id) / RESULT_FILE
+    if not path.exists():
+        return None
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _refuse_legacy(path: Path) -> None:
@@ -255,10 +268,3 @@ class JobStore:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         atomic_write(path, text.encode("utf-8"), durable=True)
         return path
-
-    def read_result(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """The job's final result JSON, or None before completion."""
-        path = self.result_path(job_id)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))

@@ -43,7 +43,7 @@ from repro.obs.runtime import (
     TelemetryRollup,
     render_prometheus,
 )
-from repro.serve.checkpoint import JobStore, ShardJournal
+from repro.serve.checkpoint import JOURNAL_VERSION, JobStore, ShardJournal
 from repro.serve.protocol import (
     Submission,
     decode_request,
@@ -145,7 +145,16 @@ class CampaignService:
         with self._lock:
             for record in sorted(submits, key=lambda r: r.get("seq", 0)):
                 job_id = record["job_id"]
-                spec = CampaignSpec.from_json_dict(record["spec"])
+                try:
+                    spec = CampaignSpec.from_json_dict(record["spec"])
+                except ReproError as exc:
+                    # Only another build writes a spec this one cannot
+                    # read back (e.g. a field it no longer has).
+                    raise ReproError(
+                        f"{self.store.journal_path}: job {job_id} was "
+                        f"written by a build that does not speak journal "
+                        f"version {JOURNAL_VERSION} ({exc}); start the "
+                        f"daemon on a fresh --state-dir") from None
                 end = ends.get(job_id)
                 if end is not None:
                     job = Job(
@@ -313,10 +322,13 @@ class CampaignService:
                 job.error = f"{type(exc).__name__}: {exc}"
                 try:
                     self._journal_end(job)
+                    ended = True
                 except OSError as end_exc:
                     # The disk that failed the job may refuse its end
                     # record too: the job still fails here, and a
-                    # restarted daemon re-runs it from its submit.
+                    # restarted daemon re-runs it from its submit,
+                    # resuming from its shard journal.
+                    ended = False
                     self.flight.record(
                         "journal_error", job=job.job_id,
                         error=f"{type(end_exc).__name__}: {end_exc}")
@@ -325,6 +337,9 @@ class CampaignService:
                 self.flight.record("crash", job=job.job_id, error=job.error)
                 self._publish(job.job_id,
                               event_frame("failed", job=job.to_dict()))
+            if ended:
+                # As for a done job: no restart reads this journal.
+                self.store.drop_checkpoint(job.job_id)
         finally:
             self.executor.progress = NullProgress()
 

@@ -118,7 +118,6 @@ def test_merge_matches_incremental_recording():
     assert merged.runs == 5
     assert merged.blocked == stats_a.blocked
     assert merged.clean_installs == stats_a.clean_installs + 3
-    assert len(merged.outcomes) == 5
 
 
 def test_benign_workload_publishes_unique_packages():
@@ -126,63 +125,3 @@ def test_benign_workload_publishes_unique_packages():
     packages = benign_workload(scenario, count=10)
     assert len(set(packages)) == 10
     assert all(pkg in scenario.listings for pkg in packages)
-
-
-def test_compact_stats_project_outcomes_at_record_time():
-    from repro.core.outcomes import InstallOutcome, OutcomeRecord
-
-    stats = CampaignStats(compact=True)
-    heavy_trace = object()  # stands in for a TransactionTrace
-    outcome = InstallOutcome(requested_package="com.a", installed=True,
-                             trace=heavy_trace, elapsed_ns=42)
-    stats.record(outcome, [])
-    assert stats.runs == 1
-    assert stats.installs_completed == 1
-    record = stats.outcomes[0]
-    assert isinstance(record, OutcomeRecord)
-    # The retained record must not pin the trace (that is the memory
-    # leak this policy exists to prevent).
-    assert not hasattr(record, "trace")
-    assert record.elapsed_ns == 42
-    assert record.clean_install
-    # Idempotent: an already-projected record is retained as is.
-    again = CampaignStats(compact=True)
-    again.record(record, [])
-    assert again == stats
-    assert again.outcomes[0] is record
-
-
-def test_keep_outcomes_caps_retained_records_not_counters():
-    from repro.core.outcomes import InstallOutcome
-
-    stats = CampaignStats(compact=True, keep_outcomes=2)
-    for index in range(5):
-        stats.record(InstallOutcome(requested_package=f"com.app{index}",
-                                    installed=True), [])
-    assert stats.runs == 5
-    assert stats.installs_completed == 5
-    assert len(stats.outcomes) == 2
-    assert [o.requested_package for o in stats.outcomes] == [
-        "com.app0", "com.app1"]
-
-
-def test_keep_outcomes_zero_retains_nothing():
-    from repro.core.outcomes import InstallOutcome
-
-    stats = CampaignStats(keep_outcomes=0)
-    stats.record(InstallOutcome(requested_package="com.a", installed=True), [])
-    assert stats.runs == 1
-    assert stats.outcomes == []
-
-
-def test_retention_policy_does_not_break_stats_equality():
-    from repro.core.outcomes import InstallOutcome, OutcomeRecord
-
-    compact = CampaignStats(compact=True)
-    default = CampaignStats()
-    outcome = InstallOutcome(requested_package="com.a", installed=True)
-    compact.record(outcome, [])
-    default.record(OutcomeRecord.from_outcome(outcome), [])
-    # Policy fields are bookkeeping: two stats with identical content
-    # compare equal regardless of how they were recorded.
-    assert compact == default

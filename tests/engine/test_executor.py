@@ -1,5 +1,7 @@
 """Tests for the fleet executor: backends, retries, timeouts, fallback."""
 
+import pickle
+
 import pytest
 
 from repro.engine import executor as executor_module
@@ -267,32 +269,19 @@ def test_wait_for_result_degrades_when_the_queue_has_no_pipe():
     assert executor_module.wait_for_result(OpaqueQueue(), (), timeout=0.0)
 
 
-# -- record-time outcome compaction -------------------------------------------
+# -- shard result size -------------------------------------------------------
 
-def test_run_shard_records_compact_outcomes():
-    from repro.engine import OutcomeRecord
+def test_shard_result_pickle_does_not_grow_with_installs():
+    """A shard result carries counters, never one record per install.
 
-    shard = CampaignSpec(installs=4, seed=3).shard(1)[0]
-    result = run_shard(shard)
-    assert result.stats.runs == 4
-    assert len(result.stats.outcomes) == 4
-    assert all(isinstance(outcome, OutcomeRecord)
-               for outcome in result.stats.outcomes)
+    The per-install record is the trace, so a 500-install shard (the
+    benchmark's fleet shard) pickles to about the size of a 12-install
+    one (a serve job's shard).
+    """
+    def pickled_size(installs):
+        shard = CampaignSpec(installs=installs, seed=3).shard(1)[0]
+        result = run_shard(shard)
+        assert result.stats.runs == installs
+        return len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
-
-def test_run_shard_honours_keep_outcomes_cap():
-    from repro.engine import OutcomeRecord
-
-    shard = CampaignSpec(installs=6, seed=3, keep_outcomes=2).shard(1)[0]
-    result = run_shard(shard)
-    # Counters cover every run; only the retained records are capped.
-    assert result.stats.runs == 6
-    assert result.stats.clean_installs == 6
-    assert len(result.stats.outcomes) == 2
-    assert all(isinstance(outcome, OutcomeRecord)
-               for outcome in result.stats.outcomes)
-
-
-def test_keep_outcomes_rejects_negative_values():
-    with pytest.raises(ReproError, match="keep_outcomes"):
-        CampaignSpec(installs=1, keep_outcomes=-1)
+    assert pickled_size(500) - pickled_size(12) < 1024

@@ -3,9 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import CampaignStats
+from repro.core.outcomes import InstallOutcome
 from repro.engine.merge import (
     FleetReport,
-    OutcomeRecord,
     ShardResult,
     merge_stats,
     wilson_interval,
@@ -14,32 +14,16 @@ from repro.engine.spec import CampaignSpec
 from repro.obs.runtime import ShardTelemetry
 
 
-def _record(index: int, hijacked: bool = False,
-            error: bool = False) -> OutcomeRecord:
-    return OutcomeRecord(
-        requested_package=f"com.app{index}",
-        installed=not error,
-        hijacked=hijacked,
-        error="boom" if error else None,
-        elapsed_ns=1000 + index,
-    )
-
-
 def _stats_from_flags(flags) -> CampaignStats:
     """Build stats from a list of (hijacked, error) pairs."""
     stats = CampaignStats()
     for index, (hijacked, error) in enumerate(flags):
-        record = _record(index, hijacked=hijacked, error=error)
-        stats.runs += 1
-        stats.outcomes.append(record)
-        if record.installed:
-            stats.installs_completed += 1
-        if record.hijacked:
-            stats.hijacks += 1
-        if record.clean_install:
-            stats.clean_installs += 1
-        if record.error is not None:
-            stats.errors += 1
+        stats.record(InstallOutcome(
+            requested_package=f"com.app{index}",
+            installed=not error,
+            hijacked=hijacked,
+            error="boom" if error else None,
+        ), [])
     return stats
 
 
@@ -71,13 +55,11 @@ def test_merge_is_associative(a_flags, b_flags, c_flags):
     assert left.runs == a.runs + b.runs + c.runs
 
 
-def test_merge_sums_every_counter_and_concatenates_outcomes():
+def test_merge_sums_every_counter():
     a = CampaignStats(runs=2, installs_completed=2, hijacks=1,
                       clean_installs=1, alarms=3, blocked=1,
-                      alarmed_runs=2, blocked_runs=1,
-                      outcomes=[_record(0), _record(1, hijacked=True)])
-    b = CampaignStats(runs=1, installs_completed=0, errors=1,
-                      outcomes=[_record(2, error=True)])
+                      alarmed_runs=2, blocked_runs=1)
+    b = CampaignStats(runs=1, installs_completed=0, errors=1)
     merged = a.merge(b)
     assert merged.runs == 3
     assert merged.hijacks == 1
@@ -86,8 +68,8 @@ def test_merge_sums_every_counter_and_concatenates_outcomes():
     assert merged.blocked == 1
     assert merged.alarmed_runs == 2
     assert merged.blocked_runs == 1
-    assert [o.requested_package for o in merged.outcomes] == [
-        "com.app0", "com.app1", "com.app2"]
+    assert merged.counter_tuple() == tuple(
+        x + y for x, y in zip(a.counter_tuple(), b.counter_tuple()))
     # Inputs are untouched (merge returns a new snapshot).
     assert a.runs == 2 and b.runs == 1
 

@@ -13,6 +13,7 @@ from repro.serve.checkpoint import (
     JobStore,
     ShardJournal,
     job_key,
+    read_result,
 )
 
 
@@ -135,8 +136,8 @@ def test_job_store_layout_and_result_round_trip(tmp_path):
     assert store.default_socket_path().name == "serve.sock"
     payload = {"job_id": "job-000001", "state": "done"}
     store.write_result("job-000001", payload)
-    assert store.read_result("job-000001") == payload
-    assert store.read_result("job-000002") is None
+    assert read_result(store.state_dir, "job-000001") == payload
+    assert read_result(store.state_dir, "job-000002") is None
     for bad in ("", "../escape", ".hidden", "a/b"):
         with pytest.raises(ReproError, match="invalid job id"):
             store.job_dir(bad)

@@ -148,6 +148,37 @@ def test_metrics_and_top_over_a_live_daemon(cli_daemon, capsys):
     assert "telemetry    : cpu" in out
 
 
+def test_serve_refuses_a_jobs_log_from_an_older_journal_version(
+        tmp_path, capsys, monkeypatch):
+    from repro.engine.spec import CampaignSpec
+    from repro.serve.checkpoint import JOURNAL_VERSION, JobStore
+    from repro.serve.daemon import ServeDaemon
+
+    def serve_forever(self, ready):
+        raise AssertionError("the daemon accepted the old jobs.log")
+
+    # Fail, rather than serve forever, if recovery lets the log through.
+    monkeypatch.setattr(ServeDaemon, "serve_forever", serve_forever)
+
+    state_dir = tmp_path / "state"
+    # A submit record as journal version 4 wrote it: its spec still
+    # carries the since-deleted keep_outcomes field.
+    spec = dict(CampaignSpec(installs=4).to_json_dict(), keep_outcomes=None)
+    JobStore(state_dir).append_journal({
+        "event": "submit", "job_id": "job-000001", "seq": 1,
+        "kind": "campaign", "label": "", "priority": 0, "shards": None,
+        "spec": spec,
+    })
+    code = main(["serve", "--state-dir", str(state_dir),
+                 "--backend", "serial"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "jobs.log" in err
+    assert f"journal version {JOURNAL_VERSION}" in err
+    assert "Traceback" not in err
+
+
 def test_metrics_for_an_unknown_job_explains_itself(tmp_path, capsys):
     code = main(["metrics", "--job", "job-000009",
                  "--state-dir", str(tmp_path)])

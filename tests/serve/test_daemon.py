@@ -1,11 +1,13 @@
 """Daemon + client integration over a real unix socket."""
 
 import asyncio
+import errno
 import socket as socket_module
 import threading
 
 import pytest
 
+from repro.engine import run_fleet
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
 from repro.fuzz.gen import generate_case
@@ -13,6 +15,7 @@ from repro.serve.client import ServeClient
 from repro.serve.daemon import CampaignService, ServeDaemon
 from repro.serve.protocol import (
     parse_submission,
+    stats_counters,
     submit_campaign_request,
 )
 
@@ -245,5 +248,79 @@ def test_done_jobs_leave_no_checkpoint_and_survive_restart(tmp_path):
             again = restarted.get_job(job.job_id)
             assert again.state == "done"
             assert again.summary == job.summary
+    finally:
+        restarted.close()
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_jobs_leave_no_checkpoint_and_stay_failed(tmp_path):
+    state = tmp_path / "state"
+    service = CampaignService(state, workers=1, backend="serial")
+    at_failed = []
+    try:
+        job = service.submit(parse_submission(submit_campaign_request(
+            CampaignSpec(installs=8, seed=1), shards=2)))
+
+        def listener(frame):
+            if frame.get("event") == "failed":
+                at_failed.append(
+                    service.store.checkpoint_dir(job.job_id).exists())
+
+        service.subscribe(job.job_id, listener)
+        service.store.write_result = _disk_full
+        service.execute(service.try_pop())
+        assert job.state == "failed"
+        assert "No space left on device" in job.error
+        # the journal was still there when the failed frame went out
+        assert at_failed == [True]
+        assert not list(state.glob("jobs/*/checkpoint"))
+    finally:
+        service.close()
+    restarted = CampaignService(state, workers=1, backend="serial")
+    try:
+        assert restarted.recover() == 0
+        assert restarted.get_job(job.job_id).state == "failed"
+        assert restarted.try_pop() is None
+    finally:
+        restarted.close()
+
+
+def test_a_failed_job_without_an_end_record_resumes_after_restart(
+        tmp_path):
+    spec = CampaignSpec(installs=8, seed=1)
+    state = tmp_path / "state"
+    service = CampaignService(state, workers=1, backend="serial")
+    try:
+        job = service.submit(parse_submission(submit_campaign_request(
+            spec, shards=2)))
+        append_journal = service.store.append_journal
+
+        def end_refused(record):
+            if record.get("event") == "end":
+                _disk_full()
+            append_journal(record)
+
+        service.store.write_result = _disk_full
+        service.store.append_journal = end_refused
+        service.execute(service.try_pop())
+        assert job.state == "failed"
+        # no durable end record: the journal stays for the restart
+        assert service.store.checkpoint_dir(job.job_id).exists()
+    finally:
+        service.close()
+    restarted = CampaignService(state, workers=1, backend="serial")
+    try:
+        assert restarted.recover() == 1
+        claimed = restarted.try_pop()
+        assert claimed.job_id == job.job_id
+        restarted.execute(claimed)
+        assert claimed.state == "done"
+        assert claimed.counters["restored"] == 2  # resumed, not re-run
+        assert claimed.summary == stats_counters(
+            run_fleet(spec, shards=2, backend="serial").stats)
+        assert not list(state.glob("jobs/*/checkpoint"))
     finally:
         restarted.close()

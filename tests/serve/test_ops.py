@@ -18,6 +18,7 @@ from repro.engine.executor import multiprocessing_usable
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
 from repro.obs.runtime import validate_exposition
+from repro.serve.checkpoint import read_result
 from repro.serve.client import ServeClient
 from repro.serve.daemon import CampaignService, ServeDaemon
 from repro.serve.protocol import parse_submission, submit_campaign_request
@@ -172,10 +173,11 @@ def test_a_failed_result_write_fails_the_job_not_the_scheduler(
     failed = client.wait(first["job_id"], timeout=20)
     assert failed["state"] == "failed"
     assert "No space left on device" in failed["error"]
-    assert service.store.read_result(first["job_id"]) is None
+    assert read_result(service.store.state_dir, first["job_id"]) is None
     second = client.submit_campaign(CampaignSpec(installs=10, seed=2))
     assert client.wait(second["job_id"], timeout=20)["state"] == "done"
-    assert service.store.read_result(second["job_id"])["state"] == "done"
+    assert read_result(service.store.state_dir,
+                       second["job_id"])["state"] == "done"
     ends = [(entry["job_id"], entry["state"])
             for entry in service.store.read_journal()
             if entry.get("event") == "end"]

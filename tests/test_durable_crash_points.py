@@ -34,7 +34,7 @@ from repro import durable
 from repro.analysis.cache import PackStore
 from repro.engine import CampaignSpec, FleetExecutor, NullProgress
 from repro.obs.runtime import FlightRecorder
-from repro.serve.checkpoint import JobStore, ShardJournal
+from repro.serve.checkpoint import JobStore, ShardJournal, read_result
 
 _HOOKS = ("_write", "_fsync", "_replace", "_truncate")
 _REAL = {name: getattr(durable, name) for name in _HOOKS}
@@ -181,7 +181,7 @@ class JobJournalScenario:
         assert ids[:len(self.acked)] == self.acked
         assert len(ids) <= len(self.acked) + 1
         assert "job-torn" not in ids
-        result = store.read_result("job-000002")
+        result = read_result(root, "job-000002")
         assert result == RESULT if self.result_written else (
             result in (None, RESULT))
         store.append_journal(_submit("job-after"))
@@ -207,7 +207,7 @@ def test_reopened_job_store_sweeps_a_staged_result(tmp_path):
     assert len(list(root.glob("jobs/*/.tmp-*"))) == 1
     JobStore(root)
     assert not list(root.rglob(".tmp-*"))
-    assert JobStore(root).read_result("job-000002") is None
+    assert read_result(root, "job-000002") is None
 
 
 # -- pack cache -------------------------------------------------------------
