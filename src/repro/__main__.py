@@ -415,12 +415,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
-def _print_job_line(job: dict) -> None:
+def _job_row(job: dict, suffix: str = "") -> str:
+    """A job's row in ``jobs``, ``watch`` and ``top`` (``suffix``: rate)."""
     done, total = job.get("progress") or (0, 0)
     progress = f"{done}/{total}" if total else "-"
     label = f"  [{job['label']}]" if job.get("label") else ""
-    print(f"{job['job_id']}  {job['state']:<9} {job['kind']:<8} "
-          f"shards {progress}{label}")
+    return (f"{job['job_id']}  {job['state']:<9} {job['kind']:<8} "
+            f"shards {progress}{suffix}{label}")
 
 
 def _print_terminal(job: dict) -> None:
@@ -446,7 +447,7 @@ def _watch_frames(client, job_id: str) -> dict:
                   f"runs={stats.get('runs', 0)} "
                   f"hijacks={stats.get('hijacks', 0)}", flush=True)
         elif event == "status":
-            _print_job_line(frame["job"])
+            print(_job_row(frame["job"]))
 
     frames = client.watch(job_id, on_frame=on_frame)
     return frames[-1]["job"]
@@ -515,7 +516,7 @@ def _print_health(health: dict) -> None:
 def _cmd_jobs(args: argparse.Namespace) -> int:
     listing = _client_of(args).jobs()
     for job in listing["jobs"]:
-        _print_job_line(job)
+        print(_job_row(job))
     _print_health(listing["health"])
     return 0
 
@@ -574,12 +575,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print(f"repro top — frame {frame + 1}")
             _print_health(listing["health"])
             for job in listing["jobs"]:
-                done, total = job.get("progress") or (0, 0)
-                progress = f"{done}/{total}" if total else "-"
-                label = f"  [{job['label']}]" if job.get("label") else ""
-                print(f"  {job['job_id']}  {job['state']:<9} "
-                      f"{job['kind']:<8} shards {progress}"
-                      f"{_rate_line(job, prev, now)}{label}")
+                print("  " + _job_row(job, _rate_line(job, prev, now)))
             frame += 1
             if args.iterations and frame >= args.iterations:
                 return 0

@@ -25,7 +25,7 @@ then runs the paper's actual analyses over them:
   findings (:mod:`repro.measurement.tables` reads them).
 """
 
-from repro.analysis.smali import SmaliMethod, SmaliProgram, parse_program
+from repro.analysis.smali import SmaliProgram, parse_program
 from repro.analysis.corpus import (
     CorpusApp,
     GroundTruth,
@@ -49,7 +49,6 @@ __all__ = [
     "AnalysisStats",
     "analyze_app",
     "run_analysis",
-    "SmaliMethod",
     "SmaliProgram",
     "parse_program",
     "CorpusApp",

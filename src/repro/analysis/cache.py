@@ -45,7 +45,14 @@ import os
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.durable import FRAME, atomic_write, frame, iter_frames, read_frame
+from repro.durable import (
+    FRAME,
+    atomic_write,
+    frame,
+    iter_frames,
+    read_frame,
+    sweep_staging,
+)
 
 SEGMENT_MAGIC = b"RPK1"
 INDEX_MAGIC = b"RPX1"
@@ -206,6 +213,10 @@ class PackStore:
     separators=(",", ":"))`` writes), ``get`` returns the decoded dict,
     and ``flush`` frames the buffered bytes into an immutable segment +
     index pair.
+
+    Opening the store removes the staging files of flushes whose
+    process died before their rename (:func:`repro.durable.sweep_staging`);
+    a live writer's, another shard's on the same root, stays.
     """
 
     def __init__(self, root: str,
@@ -213,9 +224,11 @@ class PackStore:
         self.root = root
         self.rotate_records = rotate_records
         os.makedirs(root, exist_ok=True)
+        names = sorted(os.listdir(root))
+        sweep_staging(root, names)
         #: Readable segments by path, in name then flush order.
         self._segments: Dict[str, _Segment] = {}
-        for name in sorted(os.listdir(root)):
+        for name in names:
             if name.endswith(".pack"):
                 segment = _scan_segment(os.path.join(root, name))
                 if segment is not None:

@@ -162,30 +162,6 @@ class Fleet:
     sample_image_ids: Tuple[int, ...]
     search_image_ids: Tuple[int, ...]
 
-    def by_vendor(self, vendor: str) -> List[FactoryImage]:
-        """Images of one vendor."""
-        return [image for image in self.images if image.vendor == vendor]
-
-    def distinct_records(self) -> int:
-        """The md5-distinct app count (the paper's 206,674)."""
-        seen: Set[int] = set()
-        for image in self.images:
-            for app in image.apps:
-                seen.add(app.record_id)
-        return len(seen)
-
-    def distinct_platform_packages(self, vendor: str) -> Set[str]:
-        """Package-distinct platform-signed apps of ``vendor``."""
-        packages: Set[str] = set()
-        for image in self.by_vendor(vendor):
-            for app in image.apps:
-                if app.platform_signed:
-                    packages.add(app.package)
-        return packages
-
-    def images_with_package(self, package: str) -> List[FactoryImage]:
-        """All images shipping ``package``."""
-        return [image for image in self.images if image.has_package(package)]
 
 
 class _RecordMint:
@@ -201,9 +177,6 @@ class _RecordMint:
             record = AppRecord(record_id=next(self._ids), **fields)
             self._cache[key] = record
         return record
-
-    def minted(self) -> int:
-        return len({record.record_id for record in self._cache.values()})
 
 
 def generate_fleet(seed: int = 2016,

@@ -72,23 +72,18 @@ instruction objects.
   walks ``ops`` backwards from an invoke to the start of its method
   region, following ``move`` chains.  The classifier calls it only for
   the global-readable setters of apps that hold the install marker.
-- **Tree view on demand.** :attr:`SmaliProgram.classes` builds the
-  :class:`SmaliClass`/:class:`SmaliMethod`/:class:`Instruction` tree on
-  first access, for tests and the differential oracle; the analysis
-  pipeline never reads it.
 
 The scan is bug-for-bug equivalent to the original regex cascade —
 same lenient-mode evidence, same exceptions (``int(..., 0)`` still
 rejects leading zeros, descending register ranges still raise even in
 lenient mode).  The retained cascade lives in
 ``tests/analysis/reference_smali.py`` and the differential property
-suite holds the tree view equal to it over every corpus.
+suite holds the flat program equal to it over every corpus.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SmaliParseError
@@ -150,81 +145,6 @@ Op = Tuple[str, Optional[str], Tuple[str, ...], Union[str, int, None], str,
            str]
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One instruction of the tree view (:attr:`SmaliProgram.classes`).
-
-    ``invoked_name`` (the bare method name of an invoke, e.g.
-    ``openFileOutput``) is computed at construction time and stored on
-    the instance.
-    """
-
-    op: str                      # const-string | const-int | move | invoke | iget
-    line_no: int
-    dest: Optional[str] = None   # register written, if any
-    sources: Tuple[str, ...] = ()
-    literal: Union[str, int, None] = None
-    method_sig: str = ""         # for invokes: full Lpkg;->name(args)ret
-    index: int = -1              # position in the owning method
-
-    def __post_init__(self) -> None:
-        sig = self.method_sig
-        if sig:
-            match = _INVOKED_NAME_RE.search(sig)
-            name = match.group(1) if match else ""
-        else:
-            name = ""
-        object.__setattr__(self, "invoked_name", name)
-
-
-@dataclass
-class SmaliMethod:
-    """A method of the tree view: its name and instructions.
-
-    ``program`` and ``start`` locate the method's region in the flat
-    program it was built from; :meth:`resolve_argument` runs the flat
-    def-use walk there.
-    """
-
-    name: str
-    instructions: List[Instruction] = field(default_factory=list)
-    program: Optional["SmaliProgram"] = field(
-        default=None, compare=False, repr=False)
-    start: int = field(default=0, compare=False, repr=False)
-
-    def invokes(self) -> Iterator[Instruction]:
-        """All invoke instructions in order."""
-        return (ins for ins in self.instructions if ins.op == "invoke")
-
-    def string_constants(self) -> List[str]:
-        """All string literals loaded anywhere in the method."""
-        return [
-            ins.literal
-            for ins in self.instructions
-            if ins.op == "const-string" and isinstance(ins.literal, str)
-        ]
-
-    def resolve_argument(self, invoke: Instruction,
-                         arg_index: int) -> Union[str, int, None]:
-        """Value of an invoke's argument, if a constant reaches it.
-
-        Runs :meth:`SmaliProgram.resolve_argument` at the invoke's
-        position in the flat program.
-        """
-        if self.program is None:
-            raise SmaliParseError("method is not part of a parsed program")
-        return self.program.resolve_argument(self.start + invoke.index,
-                                             arg_index)
-
-
-@dataclass
-class SmaliClass:
-    """A class of the tree view: name plus methods."""
-
-    name: str
-    methods: List[SmaliMethod] = field(default_factory=list)
-
-
 class SmaliProgram:
     """A whole app's decompiled code, flat.
 
@@ -238,8 +158,7 @@ class SmaliProgram:
     mutate them.
     """
 
-    __slots__ = ("ops", "line_nos", "regions", "unparsed", "_strings",
-                 "_classes")
+    __slots__ = ("ops", "line_nos", "regions", "unparsed", "_strings")
 
     def __init__(self, ops: List[Op], line_nos: List[int],
                  regions: List[Tuple[str, Optional[str], int]],
@@ -249,7 +168,6 @@ class SmaliProgram:
         self.regions = regions
         self.unparsed = unparsed
         self._strings: Optional[List[str]] = None
-        self._classes: Optional[List[SmaliClass]] = None
 
     @property
     def instruction_count(self) -> int:
@@ -307,39 +225,6 @@ class SmaliProgram:
                 continue
             return None if op[0] == "iget" else op[3]
         return None
-
-    @property
-    def classes(self) -> List[SmaliClass]:
-        """The class/method/instruction tree, built on first access.
-
-        A read-only view for tests and inspection; the analysis passes
-        read :attr:`ops` instead.
-        """
-        view = self._classes
-        if view is None:
-            view = []
-            ops, line_nos, regions = self.ops, self.line_nos, self.regions
-            stops = [region[2] for region in regions[1:]] + [len(ops)]
-            for (class_name, method_name, start), stop in zip(regions, stops):
-                if method_name is None:
-                    view.append(SmaliClass(name=class_name))
-                    continue
-                method = SmaliMethod(name=method_name, program=self,
-                                     start=start)
-                for position in range(start, stop):
-                    op, dest, sources, literal, sig, _name = ops[position]
-                    method.instructions.append(Instruction(
-                        op=op, line_no=line_nos[position], dest=dest,
-                        sources=sources, literal=literal, method_sig=sig,
-                        index=position - start))
-                view[-1].methods.append(method)
-            self._classes = view
-        return view
-
-    def all_methods(self) -> Iterator[SmaliMethod]:
-        """Every method of every class (tree view)."""
-        for cls in self.classes:
-            yield from cls.methods
 
 
 def _expand_registers(spec: str) -> Tuple[str, ...]:

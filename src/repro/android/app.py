@@ -58,7 +58,7 @@ class App:
 
         Rebuilt only when the installed record's uid or permission
         snapshot changed: :attr:`PermissionState.granted` returns a new
-        frozenset after every grant or revoke, so an identity check
+        frozenset after every grant, so an identity check
         suffices to keep the principal current.
         """
         installed = self.system.pms.require_package(self.package)
@@ -78,11 +78,6 @@ class App:
     def has_permission(self, permission: str) -> bool:
         """True if the app currently holds ``permission``."""
         return self.system.pms.check_permission(permission, self.package)
-
-    def request_permission(self, permission: str, user_approves: bool = True) -> bool:
-        """Runtime permission request (honours the same-group silent grant)."""
-        installed = self.system.pms.require_package(self.package)
-        return installed.permissions.request(permission, user_approves)
 
     # -- storage -------------------------------------------------------------------
 

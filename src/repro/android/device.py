@@ -35,11 +35,6 @@ class DeviceProfile:
     watch_limits: Optional[WatchLimits] = None
 
     @property
-    def runtime_permissions(self) -> bool:
-        """Android >= 6.0 uses the runtime permission model."""
-        return self._version_tuple() >= (6, 0)
-
-    @property
     def dm_symlink_mode(self) -> SymlinkMode:
         """How this build's Download Manager treats symlinked paths."""
         if self._version_tuple() >= (6, 0):

@@ -77,7 +77,6 @@ class DownloadRecord:
     destination: str
     requesting_package: str
     status: DownloadStatus = DownloadStatus.PENDING
-    bytes_total: int = 0
     bytes_so_far: int = 0
 
     def to_json(self) -> Dict[str, object]:
@@ -173,10 +172,6 @@ class DownloadManager:
         """Event-hub topic published when ``download_id`` finishes."""
         return f"dm:complete:{download_id}"
 
-    def database_path(self) -> str:
-        """Path of the DM's private database (an attack target)."""
-        return DM_DATABASE_PATH
-
     # -- authorization ---------------------------------------------------------
 
     def _authorize_destination(self, caller: Caller, destination: str,
@@ -247,7 +242,6 @@ class DownloadManager:
             self._persist_database()
             self._announce(record)
             return
-        record.bytes_total = len(content)
         yield Sleep(self._network.latency_ns)
         physical = self._physical_destination(record.destination)
         parent, _name = split(physical)

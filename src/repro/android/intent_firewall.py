@@ -70,7 +70,3 @@ class IntentFirewall:
         if not allowed:
             self.blocked.append(record)
         return allowed
-
-    def alarm_count(self) -> int:
-        """Number of alarms raised so far."""
-        return len(self.alarms)

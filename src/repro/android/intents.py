@@ -9,7 +9,6 @@ the hidden ``set_intent_origin`` API.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -29,7 +28,6 @@ class Intent:
     data: str = ""
     extras: Dict[str, Any] = field(default_factory=dict)
     flags: int = 0
-    intent_id: int = field(default_factory=lambda: next(_intent_ids))
     # Hidden field added by the paper's defense (mIntentOrigin).
     _origin: Optional[str] = None
 
@@ -54,6 +52,3 @@ class Intent:
     def __repr__(self) -> str:
         target = self.target_package or "<unresolved>"
         return f"Intent({self.action!r} -> {target}/{self.target_activity})"
-
-
-_intent_ids = itertools.count(1)

@@ -45,23 +45,6 @@ class Network:
         """True if ``url`` is registered."""
         return url in self._content
 
-    def host_flaky(self, url: str, content: bytes, failures: int) -> None:
-        """Serve ``content`` at ``url`` after ``failures`` failed fetches.
-
-        Failure injection for resilience testing: the first ``failures``
-        fetches raise :class:`~repro.errors.DownloadError` (a dropped
-        connection), subsequent ones succeed.
-        """
-        state = {"remaining": failures}
-
-        def provider() -> bytes:
-            if state["remaining"] > 0:
-                state["remaining"] -= 1
-                raise DownloadError(f"connection reset: {url}")
-            return content
-
-        self._content[url] = provider
-
     def transfer_time_ns(self, size_bytes: int) -> int:
         """Simulated time to move ``size_bytes`` over this link."""
         return self.latency_ns + (size_bytes * 1_000_000_000) // self.bandwidth_bytes_per_sec

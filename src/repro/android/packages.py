@@ -80,16 +80,5 @@ class PackageDatabase:
         """All installed packages, sorted by name."""
         return [self._packages[name] for name in sorted(self._packages)]
 
-    def system_packages(self) -> List[InstalledPackage]:
-        """Installed packages flagged as part of the system image."""
-        return [pkg for pkg in self.all_packages() if pkg.is_system]
-
-    def by_uid(self, uid: int) -> Optional[InstalledPackage]:
-        """Look a package up by its Linux UID."""
-        for package in self._packages.values():
-            if package.uid == uid:
-                return package
-        return None
-
     def __len__(self) -> int:
         return len(self._packages)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.errors import PermissionUnknown
 
@@ -119,13 +119,6 @@ class PermissionRegistry:
             raise PermissionUnknown(name)
         return definition
 
-    def is_defined(self, name: str) -> bool:
-        """True if some party has defined ``name`` on this device."""
-        return name in self._definitions
-
-    def hares(self, used_permissions: Iterable[str]) -> List[str]:
-        """Among ``used_permissions``, those nobody defines (Hare candidates)."""
-        return [name for name in used_permissions if name not in self._definitions]
 
 
 class PermissionState:
@@ -145,7 +138,7 @@ class PermissionState:
     def granted(self) -> frozenset:
         """Immutable view of granted permission names.
 
-        The same object is returned until the next grant or revoke, so
+        The same object is returned until the next grant, so
         callers may detect a change by identity.
         """
         frozen = self._frozen
@@ -156,11 +149,6 @@ class PermissionState:
     def grant(self, name: str) -> None:
         """Grant unconditionally (install-time / system decision)."""
         self._granted.add(name)
-        self._frozen = None
-
-    def revoke(self, name: str) -> None:
-        """Remove a grant if present."""
-        self._granted.discard(name)
         self._frozen = None
 
     def has(self, name: str) -> bool:

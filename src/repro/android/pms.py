@@ -150,10 +150,6 @@ class PackageManagerService:
         """True if ``name`` is installed."""
         return self._db.is_installed(name)
 
-    def installed_signature(self, name: str) -> Certificate:
-        """Certificate of the installed package ``name``."""
-        return self._db.require(name).certificate
-
     def check_permission(self, permission: str, package: str) -> bool:
         """Android's ``checkPermission``: does ``package`` hold ``permission``?"""
         installed = self._db.get(package)

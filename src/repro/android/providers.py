@@ -77,10 +77,6 @@ class ContentResolver:
         self._enforce(caller, registration.write_permission, authority, "write")
         registration.rows.append(row)
 
-    def has_provider(self, authority: str) -> bool:
-        """True if ``authority`` is registered."""
-        return authority in self._providers
-
     # -- internals ----------------------------------------------------------------
 
     def _require(self, authority: str) -> ProviderRegistration:

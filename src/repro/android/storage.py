@@ -74,7 +74,6 @@ class StorageLayout:
     app_data_root: str = "/data/data"
     app_install_root: str = "/data/app"
     external_root: str = "/sdcard"
-    download_cache: str = "/cache"
 
     def app_private_dir(self, package: str) -> str:
         """Private data directory of ``package`` on internal storage."""

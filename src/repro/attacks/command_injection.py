@@ -36,10 +36,6 @@ class AmazonJsInjectionAttacker(MaliciousApp):
         """Command Amazon to silently uninstall ``target_package``."""
         return self._inject({"op": "uninstall", "package": target_package})
 
-    def inject_service_call(self, service: str) -> bool:
-        """Invoke one of Amazon's private services."""
-        return self._inject({"op": "invokeService", "service": service})
-
     def result(self, target_package: str, expect_installed: bool) -> AttackResult:
         """Check whether the injected command took effect."""
         installed = self.system.pms.is_installed(target_package)

@@ -81,14 +81,6 @@ class VulnerableSystemAppAttacker(MaliciousApp):
         ).with_extra(TV_COMMAND_EXTRA, {"op": "install", "path": staged_apk_path})
         return self.start_activity(intent)
 
-    def exploit_uninstall(self, package: str) -> bool:
-        """Have the vulnerable app silently remove ``package``."""
-        intent = Intent(
-            target_package=VULNERABLE_APP_PACKAGE,
-            target_activity="RemoteCommandActivity",
-        ).with_extra(TV_COMMAND_EXTRA, {"op": "uninstall", "package": package})
-        return self.start_activity(intent)
-
     def result(self, payload_package: str) -> AttackResult:
         """Did the second-stage payload land with system help?"""
         installed = self.system.pms.get_package(payload_package)

@@ -55,11 +55,6 @@ class FileObserverHijacker(MaliciousApp):
         self.observer.start_watching()
         self.note_armed()
 
-    def disarm(self) -> None:
-        """Stop watching."""
-        if self.observer is not None:
-            self.observer.stop_watching()
-
     def rearm(self) -> None:
         """Reset state for the next transaction (after a successful swap)."""
         self._dormant = False

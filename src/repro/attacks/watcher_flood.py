@@ -66,7 +66,6 @@ class WatcherFloodHijacker(WaitAndSeeHijacker):
         super().__init__(fingerprint, poll_interval_ns=poll_interval_ns,
                          package=package)
         self.flood_burst = flood_burst
-        self.flood_writes = 0
         self._flood_denied = False
         self._strikes_at_arm = 0
         self._flood_deadline_ns = 0
@@ -113,4 +112,3 @@ class WatcherFloodHijacker(WaitAndSeeHijacker):
                 # flood, and the strike will be blocked anyway.
                 self._flood_denied = True
                 return
-            self.flood_writes += 1

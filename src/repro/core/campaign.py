@@ -126,11 +126,6 @@ class CampaignStats:
         """Fraction of runs that ended with the attacker's package installed."""
         return self.hijacks / self.runs if self.runs else 0.0
 
-    @property
-    def false_positive_rate(self) -> float:
-        """Alarms per run — meaningful on all-benign campaigns."""
-        return self.alarms / self.runs if self.runs else 0.0
-
 
 class Campaign:
     """Run a sequence of installs through one scenario.

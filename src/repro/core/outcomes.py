@@ -19,7 +19,6 @@ class InstallOutcome:
 
     requested_package: str
     installed: bool = False
-    installed_version: Optional[int] = None
     installed_certificate_owner: Optional[str] = None
     genuine_certificate_owner: Optional[str] = None
     hijacked: bool = False

@@ -318,7 +318,6 @@ class Scenario:
             outcome.error = str(process.error)
         if installed is not None:
             outcome.installed = True
-            outcome.installed_version = installed.version_code
             outcome.installed_certificate_owner = installed.certificate.owner
             outcome.hijacked = (
                 installed.certificate != listing.apk.certificate
@@ -340,11 +339,3 @@ class Scenario:
         if self.intent_origin is not None:
             reports.append(self.intent_origin.report)
         return reports
-
-    @property
-    def any_defense_reacted(self) -> bool:
-        """True if any active defense detected or prevented something."""
-        return any(
-            report.detected or report.prevented
-            for report in self.defense_reports()
-        )

@@ -87,10 +87,6 @@ class Timeline:
             )
         return "\n".join(lines)
 
-    def events_for(self, name_fragment: str) -> List[TimelineEntry]:
-        """Entries mentioning ``name_fragment`` (e.g. an APK name)."""
-        return [entry for entry in self.entries if name_fragment in entry.text]
-
     # -- taps -----------------------------------------------------------------
 
     def _on_fs_event(self, event: FileEvent) -> None:

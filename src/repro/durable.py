@@ -14,7 +14,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 #: A frame's header: payload length, then the payload's sha256.
@@ -38,12 +38,13 @@ def _fsync_directory(path) -> None:
 
 
 def atomic_write(path: PathLike, blob: bytes, *, durable: bool) -> None:
-    """Replace ``path`` with ``blob`` via a ``.tmp-*`` file and a rename.
+    """Replace ``path`` with ``blob`` via a ``.tmp-<pid>-*`` file and a rename.
 
     Readers see the old file or the new one, never a torn one.  A failed
-    write removes the temp file; a crash may leave it, unread."""
+    write removes the temp file; a crash may leave it, unread, for
+    :func:`sweep_staging` to remove once its writer is gone."""
     fd, staged = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                  prefix=".tmp-")
+                                  prefix=f".tmp-{os.getpid()}-")
     try:
         with open(fd, "wb", buffering=0):  # closes fd
             _write(fd, blob)
@@ -56,6 +57,42 @@ def atomic_write(path: PathLike, blob: bytes, *, durable: bool) -> None:
         raise
     if durable:
         _fsync_directory(path)
+
+
+def sweep_staging(directory: PathLike,
+                  names: Optional[Iterable[str]] = None) -> None:
+    """Remove the ``.tmp-*`` files in ``directory`` whose writer is gone.
+
+    A staged name carries its writer's pid (``.tmp-<pid>-*``).  A file
+    whose name carries no pid, or the pid of a process that is not
+    running, was left by a crash and is removed; a live writer's file
+    is kept, so stores that share a directory may each sweep it at
+    open.  ``names`` is the directory's listing when the caller already
+    holds one.
+    """
+    if names is None:
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            return
+    for name in names:
+        if not name.startswith(".tmp-"):
+            continue
+        pid = name[len(".tmp-"):].split("-", 1)[0]
+        if pid.isdigit() and _running(int(pid)):
+            continue
+        with contextlib.suppress(OSError):
+            os.unlink(os.path.join(directory, name))
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # running, under another user
+    return True
 
 
 def frame(payload: bytes) -> bytes:

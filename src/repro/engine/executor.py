@@ -250,7 +250,6 @@ class WarmPool:
         self.workers = workers
         self.result_queue = context.Queue()
         self.restarts = 0
-        self.tasks_done = 0
         self._closed = False
         self._workers: Dict[int, _WarmWorker] = {}
         self._idle: List[int] = []
@@ -384,7 +383,6 @@ class WarmPool:
                 return  # stale: that attempt was reaped as timeout/crash
             ticket, slot, _ = entry
             self._idle.append(slot)
-            self.tasks_done += 1
             events.append((ticket, status, payload))
 
         processes = [w.process for w in self._workers.values()]

@@ -135,7 +135,6 @@ class BaseInstaller(App):
         super().__init__(package=self.profile.package)
         self.backend: Optional[AppStoreBackend] = None
         self.displayed_package: Optional[str] = None
-        self.displayed_origin: Optional[str] = None
         self.display_history: List[Any] = []
         self.traces: List[TransactionTrace] = []
         self.tampered = False  # set by the repackaging attack
@@ -156,10 +155,6 @@ class BaseInstaller(App):
         shown = intent.extras.get("show_package")
         if shown is not None:
             self.displayed_package = shown
-            # Suggestion 4: surface the redirect's origin when the
-            # platform delivers it (the Intent-origin defense).  On
-            # stock Android this is always None.
-            self.displayed_origin = intent.get_intent_origin()
             self.display_history.append((self.system.now_ns, shown, intent))
 
     def user_clicks_install(self, user: Optional[ConsentUser] = None):
@@ -175,20 +170,6 @@ class BaseInstaller(App):
             self.run_ait(self.displayed_package, user=user),
             name=f"{self.profile.label}-install-{self.displayed_package}",
         )
-
-    def user_clicks_install_if_trusted(self, trusted_origins,
-                                       user: Optional[ConsentUser] = None):
-        """Suggestion 4's origin-aware tap: decline unfamiliar senders.
-
-        With the Intent-origin defense installed, the store can show the
-        user *who* redirected them here.  A cautious user installs only
-        when the origin is one they recognize.  Returns the spawned
-        install process, or None when the user backs out.
-        """
-        if self.displayed_origin is not None \
-                and self.displayed_origin not in trusted_origins:
-            return None
-        return self.user_clicks_install(user=user)
 
     # -- the transaction (Steps 2-4) -------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, Type
 
 from repro.errors import ReproError
 from repro.installers.amazon import AmazonInstaller, NewAmazonInstaller
@@ -47,9 +47,3 @@ def installer_by_name(name: str) -> Type[BaseInstaller]:
             f"unknown installer {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
 
-
-def sdcard_installer_names() -> List[str]:
-    """Names of registered installers that stage on the SD-Card."""
-    return sorted(
-        name for name, cls in _REGISTRY.items() if cls.profile.uses_sdcard
-    )

@@ -28,7 +28,6 @@ function of the records, so its report is byte-identical too.
 """
 
 from repro.obs.analyze import (
-    NameProfile,
     PathStep,
     RecordDelta,
     SpanNode,
@@ -100,7 +99,6 @@ __all__ = [
     "GateResult",
     "Histogram",
     "MetricsRegistry",
-    "NameProfile",
     "NullRecorder",
     "PathStep",
     "RecordDelta",

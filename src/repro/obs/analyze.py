@@ -58,51 +58,23 @@ def layer_of(name: str) -> str:
 
 
 @dataclass
-class NameProfile:
-    """Aggregate of every span (or event) sharing one record name."""
-
-    name: str
-    kind: str  # SPAN or EVENT
-    count: int = 0
-    total_ns: int = 0
-    min_ns: Optional[int] = None
-    max_ns: Optional[int] = None
-    histogram: Histogram = field(default_factory=Histogram)
-
-    def add(self, duration_ns: int) -> None:
-        """Fold one span duration into the profile."""
-        self.count += 1
-        self.total_ns += duration_ns
-        if self.min_ns is None or duration_ns < self.min_ns:
-            self.min_ns = duration_ns
-        if self.max_ns is None or duration_ns > self.max_ns:
-            self.max_ns = duration_ns
-        self.histogram.observe(duration_ns)
-
-    @property
-    def mean_ns(self) -> float:
-        """Average span duration, 0.0 when empty."""
-        return self.total_ns / self.count if self.count else 0.0
-
-    def percentile_ns(self, q: float) -> Optional[int]:
-        """Deterministic log-bucket percentile estimate of duration."""
-        return self.histogram.percentile(q)
-
-
-@dataclass
 class TraceProfile:
-    """Per-name and per-layer aggregates of one record stream."""
+    """Per-name and per-layer aggregates of one record stream.
+
+    ``spans`` and ``layers`` hold one duration :class:`Histogram` per
+    span name or layer; ``events`` counts each event name.
+    """
 
     records: int = 0
     shards: int = 0
-    spans: Dict[str, NameProfile] = field(default_factory=dict)
-    events: Dict[str, NameProfile] = field(default_factory=dict)
-    layers: Dict[str, NameProfile] = field(default_factory=dict)
+    spans: Dict[str, Histogram] = field(default_factory=dict)
+    events: Dict[str, int] = field(default_factory=dict)
+    layers: Dict[str, Histogram] = field(default_factory=dict)
 
     @property
     def total_span_ns(self) -> int:
         """Simulated time summed over every span in the trace."""
-        return sum(profile.total_ns for profile in self.spans.values())
+        return sum(histogram.total for histogram in self.spans.values())
 
 
 def profile_trace(records: Iterable[Dict[str, Any]]) -> TraceProfile:
@@ -122,18 +94,15 @@ def profile_trace(records: Iterable[Dict[str, Any]]) -> TraceProfile:
             duration = record["end_ns"] - record["start_ns"]
             entry = profile.spans.get(name)
             if entry is None:
-                entry = profile.spans[name] = NameProfile(name, SPAN)
-            entry.add(duration)
+                entry = profile.spans[name] = Histogram()
+            entry.observe(duration)
             layer = layer_of(name)
             rollup = profile.layers.get(layer)
             if rollup is None:
-                rollup = profile.layers[layer] = NameProfile(layer, SPAN)
-            rollup.add(duration)
+                rollup = profile.layers[layer] = Histogram()
+            rollup.observe(duration)
         else:
-            entry = profile.events.get(name)
-            if entry is None:
-                entry = profile.events[name] = NameProfile(name, EVENT)
-            entry.count += 1
+            profile.events[name] = profile.events.get(name, 0) + 1
     profile.shards = len(seen_shards)
     return profile
 
@@ -151,23 +120,22 @@ def render_profile(profile: TraceProfile) -> str:
         entry = profile.spans[name]
         lines.append(
             f"  span  {name:{width}s} x{entry.count:<6d} "
-            f"total {entry.total_ns / 1e6:>10.2f} ms  "
-            f"mean {entry.mean_ns / 1e6:>8.2f} ms  "
-            f"p50~{_ms(entry.percentile_ns(50)):>8s}  "
-            f"p95~{_ms(entry.percentile_ns(95)):>8s}  "
-            f"p99~{_ms(entry.percentile_ns(99)):>8s}")
+            f"total {entry.total / 1e6:>10.2f} ms  "
+            f"mean {entry.mean / 1e6:>8.2f} ms  "
+            f"p50~{_ms(entry.percentile(50)):>8s}  "
+            f"p95~{_ms(entry.percentile(95)):>8s}  "
+            f"p99~{_ms(entry.percentile(99)):>8s}")
     for name in sorted(profile.events):
-        lines.append(f"  event {name:{width}s} "
-                     f"x{profile.events[name].count}")
+        lines.append(f"  event {name:{width}s} x{profile.events[name]}")
     if profile.layers:
         lines.append("by layer (span time):")
         for name in sorted(profile.layers):
             entry = profile.layers[name]
-            share = (entry.total_ns / profile.total_span_ns * 100.0
+            share = (entry.total / profile.total_span_ns * 100.0
                      if profile.total_span_ns else 0.0)
             lines.append(
                 f"  layer {name:{width}s} x{entry.count:<6d} "
-                f"total {entry.total_ns / 1e6:>10.2f} ms  "
+                f"total {entry.total / 1e6:>10.2f} ms  "
                 f"({share:5.1f}% of span time)")
     return "\n".join(lines)
 

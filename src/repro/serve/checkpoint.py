@@ -18,16 +18,14 @@ journal, the archived trace, and the final result.  Older layouts
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
 import json
 import pickle
 import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.durable import RecordLog, atomic_write
+from repro.durable import RecordLog, atomic_write, sweep_staging
 from repro.engine.spec import CampaignSpec, ShardResult
 from repro.errors import ReproError
 from repro.obs.export import canonical_json
@@ -165,10 +163,6 @@ class ShardJournal:
                 restored[result.shard_index] = result
         return restored
 
-    def completed_indices(self) -> List[int]:
-        """Shard indices the log currently holds, sorted."""
-        return sorted(self.restore(self.spec, self.shard_count))
-
 
 class JobStore:
     """The serve daemon's state directory.
@@ -188,10 +182,10 @@ class JobStore:
     Opening the store removes the ``.tmp-*`` staging files that a
     process killed inside an ``atomic_write`` left in the directory or
     in a job directory (an archived trace, a result, a flight-sidecar
-    compaction).  That is safe only while one daemon owns the
-    directory: :func:`repro.serve.daemon.run_daemon` holds an exclusive
-    lock on it from before it opens the store, so a second daemon
-    refuses to start instead of sweeping the first one's live writes.
+    compaction); :func:`repro.durable.sweep_staging` keeps a running
+    writer's.  :func:`repro.serve.daemon.run_daemon` also holds an
+    exclusive lock on the directory, so a second daemon refuses to
+    start.
     """
 
     def __init__(self, state_dir: Union[str, Path]) -> None:
@@ -199,11 +193,10 @@ class JobStore:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         _refuse_legacy(self.state_dir / "jobs.jsonl")
         self._journal = RecordLog(self.journal_path, durable=True)
-        for staged in itertools.chain(
-                self.state_dir.glob(".tmp-*"),
-                self.state_dir.glob("jobs/*/.tmp-*")):
-            with contextlib.suppress(OSError):
-                staged.unlink()
+        sweep_staging(self.state_dir)
+        for directory in self.state_dir.glob("jobs/*"):
+            if directory.is_dir():
+                sweep_staging(directory)
 
     # -- paths -----------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
 from repro.fuzz.gen import FuzzCase
 from repro.serve.protocol import (
+    TERMINAL_STATES,
     decode_message,
     encode_message,
     job_request,
@@ -25,9 +26,6 @@ from repro.serve.protocol import (
     submit_campaign_request,
     submit_fuzz_request,
 )
-
-#: Terminal watch-frame events (mirrors the daemon's contract).
-TERMINAL_EVENTS = ("done", "failed", "cancelled")
 
 
 class ServeClient:
@@ -169,7 +167,7 @@ class ServeClient:
                     frames.append(frame)
                     if on_frame is not None:
                         on_frame(frame)
-                    if frame.get("event") in TERMINAL_EVENTS:
+                    if frame.get("event") in TERMINAL_STATES:
                         return frames
 
     def wait(self, job_id: str,

@@ -45,6 +45,7 @@ from repro.obs.runtime import (
 )
 from repro.serve.checkpoint import JOURNAL_VERSION, JobStore, ShardJournal
 from repro.serve.protocol import (
+    TERMINAL_STATES,
     Submission,
     decode_request,
     encode_message,
@@ -54,17 +55,7 @@ from repro.serve.protocol import (
     parse_submission,
     stats_counters,
 )
-from repro.serve.queue import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    Job,
-    JobQueue,
-    TERMINAL_STATES,
-)
-
-#: Stream-frame events that end a ``watch``.
-TERMINAL_EVENTS = ("done", "failed", "cancelled")
+from repro.serve.queue import DONE, FAILED, Job, JobQueue
 
 #: How long an idle scheduler sleeps between queue checks when no
 #: submission wake-up arrives (a robustness backstop, not the normal
@@ -669,15 +660,13 @@ class ServeDaemon:
             await self._write(writer,
                               event_frame("status", job=job.to_dict()))
             if job.terminal:
-                event = {DONE: "done", FAILED: "failed",
-                         CANCELLED: "cancelled"}[job.state]
                 await self._write(writer,
-                                  event_frame(event, job=job.to_dict()))
+                                  event_frame(job.state, job=job.to_dict()))
                 return
             while True:
                 frame = await frames.get()
                 await self._write(writer, frame)
-                if frame.get("event") in TERMINAL_EVENTS:
+                if frame.get("event") in TERMINAL_STATES:
                     return
         finally:
             self.service.unsubscribe(job_id, listener)

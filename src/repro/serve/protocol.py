@@ -53,6 +53,10 @@ OPS = ("submit", "status", "jobs", "watch", "cancel", "health", "trace",
 #: Job lifecycle states, in the order they can occur.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
+#: States a job can never leave; each is also the event of the watch
+#: frame that ends a stream.
+TERMINAL_STATES = JOB_STATES[2:]
+
 #: Submission kinds and the payload field each carries.
 SUBMIT_KINDS = {"campaign": "spec", "fuzz": "case"}
 

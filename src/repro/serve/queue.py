@@ -18,13 +18,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
-from repro.serve.protocol import JOB_STATES, stats_counters
+from repro.serve.protocol import JOB_STATES, TERMINAL_STATES, stats_counters
 from repro.sim.rand import DeterministicRandom
 
 QUEUED, RUNNING, DONE, FAILED, CANCELLED = JOB_STATES
-
-#: States a job can never leave.
-TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
 @dataclass

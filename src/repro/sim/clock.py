@@ -38,11 +38,6 @@ class SimClock:
         """Current simulated time in nanoseconds since boot."""
         return self._now_ns
 
-    @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds (float, for reports)."""
-        return self._now_ns / NANOS_PER_MILLI
-
     def advance_to(self, when_ns: int) -> None:
         """Move the clock forward to ``when_ns``.
 

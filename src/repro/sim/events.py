@@ -225,10 +225,6 @@ class EventHub:
                 self._offer(sub, payload, delay_ns)
         return scheduled
 
-    def subscriber_count(self, topic: str) -> int:
-        """Number of active subscriptions on ``topic``."""
-        return sum(1 for sub in self._subs.get(topic, []) if sub.active)
-
     # -- bounded (lossy) delivery ----------------------------------------------------------
 
     def _offer(self, sub: Subscription, payload: Any, delay_ns: int) -> None:

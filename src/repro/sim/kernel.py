@@ -195,12 +195,6 @@ class Kernel:
 
     # -- scheduling ---------------------------------------------------------
 
-    def call_at(self, when_ns: int, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute simulated time ``when_ns``."""
-        if when_ns < self.clock.now_ns:
-            raise SimulationError("cannot schedule an event in the past")
-        heapq.heappush(self._queue, (when_ns, next(self._sequence), callback))
-
     def call_later(self, delay_ns: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay_ns`` nanoseconds from now."""
         if delay_ns < 0:
@@ -309,12 +303,6 @@ class Kernel:
     def failures(self) -> List[Any]:
         """(process, exception) pairs for processes that died with errors."""
         return list(self._failures)
-
-    def check_failures(self) -> None:
-        """Raise the first recorded process failure, if any."""
-        if self._failures:
-            _proc, error = self._failures[0]
-            raise error
 
     def pending_events(self) -> int:
         """Number of events still queued."""

@@ -102,10 +102,3 @@ def audit_profile(profile: InstallerProfile) -> List[AuditFinding]:
                                        finding.suggestion))
     return findings
 
-
-def is_clean(profile: InstallerProfile) -> bool:
-    """True when the design has no critical findings."""
-    return not any(
-        finding.severity is Severity.CRITICAL
-        for finding in audit_profile(profile)
-    )

@@ -35,11 +35,6 @@ class StorageDecision:
     required_internal_bytes: int
     free_internal_bytes: int
 
-    @property
-    def internal_viable(self) -> bool:
-        """Whether the internal path would have fit."""
-        return self.free_internal_bytes >= self.required_internal_bytes
-
 
 def choose_storage(internal: StorageVolume, apk_size_bytes: int,
                    headroom_bytes: int = DEFAULT_HEADROOM_BYTES) -> StorageDecision:

@@ -1,21 +1,19 @@
 """The retained regex smali parser — differential-test reference.
 
 This is the pre-scanner implementation of ``repro.analysis.smali``'s
-parse path, kept verbatim as the ground truth for the differential
-property suite (``test_smali_differential.py``).  The production
-scanner (first-token dispatch + combined rare-form alternation) must
-produce the exact same program (its tree view, string list and
-instruction count) for every input — including lenient-mode
-``unparsed`` evidence lines and the exceptions raised on malformed
-input.
+parse path, kept as the ground truth for the differential property
+suite (``test_smali_differential.py``).  The production scanner
+(first-token dispatch + combined rare-form alternation) must produce
+the exact same program (its op list, line numbers, class/method
+regions, string list and instruction count) for every input —
+including lenient-mode ``unparsed`` evidence lines and the exceptions
+raised on malformed input.
 
-It builds the production tree dataclasses (``Instruction``,
-``SmaliMethod``, ``SmaliClass``) so its trees compare structurally with
-the production program's tree view by plain ``==``; only the parsing
-strategy differs.  The production ``SmaliProgram`` is a flat op list
-whose ``classes`` is a read-only view, so the reference returns its
-tree in :class:`ReferenceProgram`, a plain container with the same
-``classes``/``unparsed`` fields and the flat program's derived reads.
+It emits the production's flat shape — ``(op, dest, sources, literal,
+method_sig, invoked_name)`` tuples, a parallel line-number list and
+``(class, method, start)`` regions — in :class:`ReferenceProgram`, so
+the two programs compare field by field with plain ``==``; only the
+parsing strategy differs.
 
 Do not \"fix\" behaviour here: quirks (greedy const-string values,
 ``int(..., 0)`` rejecting leading zeros, descending register ranges
@@ -29,34 +27,26 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.analysis.smali import (
-    Instruction,
-    SmaliClass,
-    SmaliMethod,
-)
 from repro.errors import SmaliParseError
 
 
 @dataclass
 class ReferenceProgram:
-    """The reference parse's output: a class/method/instruction tree."""
+    """The reference parse's output, in the production's flat shape."""
 
-    classes: List[SmaliClass] = field(default_factory=list)
+    ops: List[tuple] = field(default_factory=list)
+    line_nos: List[int] = field(default_factory=list)
+    regions: List[Tuple[str, Optional[str], int]] = field(
+        default_factory=list)
     unparsed: List[Tuple[int, str]] = field(default_factory=list)
 
     def string_list(self) -> List[str]:
-        return [
-            ins.literal
-            for cls in self.classes
-            for method in cls.methods
-            for ins in method.instructions
-            if ins.op == "const-string" and isinstance(ins.literal, str)
-        ]
+        return [op[3] for op in self.ops
+                if op[0] == "const-string" and isinstance(op[3], str)]
 
     @property
     def instruction_count(self) -> int:
-        return sum(len(method.instructions)
-                   for cls in self.classes for method in cls.methods)
+        return len(self.ops)
 
 
 _INVOKE_RE = re.compile(
@@ -79,6 +69,7 @@ _IGET_RE = re.compile(
 _RANGE_RE = re.compile(
     r"^(?P<kind>[vp])(?P<start>\d+)\s*\.\.\s*(?P=kind)(?P<stop>\d+)$"
 )
+_INVOKED_NAME_RE = re.compile(r"->(\w+)\(")
 
 _BLOCK_DIRECTIVES = {
     ".annotation": ".end annotation",
@@ -110,8 +101,8 @@ def _expand_registers(spec: str) -> Tuple[str, ...]:
 def parse_program(text: str, lenient: bool = False) -> ReferenceProgram:
     """Reference parse: the original per-line regex cascade."""
     program = ReferenceProgram()
-    current_class: Optional[SmaliClass] = None
-    current_method: Optional[SmaliMethod] = None
+    class_name: Optional[str] = None
+    in_method = False
     block_end: Optional[str] = None
     block_depth = 0
     block_start: Optional[str] = None
@@ -128,24 +119,26 @@ def parse_program(text: str, lenient: bool = False) -> ReferenceProgram:
                 block_depth += 1
             continue
         if line.startswith(".class"):
-            current_class = SmaliClass(name=line.split(None, 1)[1])
-            program.classes.append(current_class)
-            current_method = None
+            class_name = line.split(None, 1)[1]
+            program.regions.append((class_name, None, len(program.ops)))
+            in_method = False
             continue
         if line.startswith(".method"):
-            if current_class is None:
+            if class_name is None:
                 if lenient:
                     program.unparsed.append((line_no, line))
-                    current_class = SmaliClass(name="<anonymous>")
-                    program.classes.append(current_class)
+                    class_name = "<anonymous>"
+                    program.regions.append(
+                        (class_name, None, len(program.ops)))
                 else:
                     raise SmaliParseError(
                         f"line {line_no}: method outside class")
-            current_method = SmaliMethod(name=line.split(None, 1)[1])
-            current_class.methods.append(current_method)
+            program.regions.append(
+                (class_name, line.split(None, 1)[1], len(program.ops)))
+            in_method = True
             continue
         if line.startswith(".end method"):
-            current_method = None
+            in_method = False
             continue
         matched_block = next(
             (d for d in _BLOCK_DIRECTIVES
@@ -158,46 +151,44 @@ def parse_program(text: str, lenient: bool = False) -> ReferenceProgram:
         if any(line == d or line.startswith(d + " ")
                for d in _SKIP_DIRECTIVES):
             continue
-        if current_method is None:
+        if not in_method:
             if lenient:
                 program.unparsed.append((line_no, line))
                 continue
             raise SmaliParseError(f"line {line_no}: instruction outside method")
-        instruction = _parse_instruction(
-            line, line_no, index=len(current_method.instructions),
-            lenient=lenient)
-        if instruction is None:
+        op = _parse_instruction(line, line_no, lenient=lenient)
+        if op is None:
             program.unparsed.append((line_no, line))
         else:
-            current_method.instructions.append(instruction)
+            program.ops.append(op)
+            program.line_nos.append(line_no)
     return program
 
 
-def _parse_instruction(line: str, line_no: int, index: int = -1,
-                       lenient: bool = False) -> Optional[Instruction]:
+def _parse_instruction(line: str, line_no: int,
+                       lenient: bool = False) -> Optional[tuple]:
     match = _CONST_STRING_RE.match(line)
     if match:
-        return Instruction(op="const-string", line_no=line_no,
-                           dest=match.group("reg"),
-                           literal=match.group("value"), index=index)
+        return ("const-string", match.group("reg"), (), match.group("value"),
+                "", "")
     match = _CONST_INT_RE.match(line)
     if match:
-        return Instruction(op="const-int", line_no=line_no,
-                           dest=match.group("reg"),
-                           literal=int(match.group("value"), 0), index=index)
+        return ("const-int", match.group("reg"), (),
+                int(match.group("value"), 0), "", "")
     match = _MOVE_RE.match(line)
     if match:
-        return Instruction(op="move", line_no=line_no, dest=match.group("dst"),
-                           sources=(match.group("src"),), index=index)
+        return ("move", match.group("dst"), (match.group("src"),), None,
+                "", "")
     match = _INVOKE_RE.match(line)
     if match:
         registers = _expand_registers(match.group("regs"))
-        return Instruction(op="invoke", line_no=line_no, sources=registers,
-                           method_sig=match.group("sig").strip(), index=index)
+        sig = match.group("sig").strip()
+        name = _INVOKED_NAME_RE.search(sig)
+        return ("invoke", None, registers, None, sig,
+                name.group(1) if name else "")
     match = _IGET_RE.match(line)
     if match:
-        return Instruction(op="iget", line_no=line_no,
-                           dest=match.group("reg"), index=index)
+        return ("iget", match.group("reg"), (), None, "", "")
     if lenient:
         return None
     raise SmaliParseError(f"line {line_no}: cannot parse {line!r}")

@@ -11,8 +11,6 @@ that preceded the flat op list.
 import hashlib
 import json
 
-from repro.analysis import pipeline as pipeline_mod
-from repro.analysis import smali as smali_mod
 from repro.analysis.classifier import InstallerClassifier
 from repro.analysis.corpus import (
     PlayCorpusPlan,
@@ -57,26 +55,3 @@ def test_preinstalled_seed_7_evidence_digest():
     plan = PreinstalledCorpusPlan(seed=7,
                                   spec=scaled_preinstalled_spec(200))
     assert evidence_digest(plan, range(plan.size)) == PREINSTALLED_7_AT_200
-
-
-def test_analyze_app_builds_no_instruction_tree(monkeypatch):
-    """The pipeline path reads the flat op list only: no Instruction,
-    SmaliMethod or SmaliClass is constructed for 500 Play apps."""
-    built = []
-    for name in ("Instruction", "SmaliMethod", "SmaliClass"):
-        cls = getattr(smali_mod, name)
-        original = cls.__init__
-
-        def counting_init(self, *args, _original=original, **kwargs):
-            built.append(type(self).__name__)
-            _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting_init)
-    plan = PlayCorpusPlan(seed=1)
-    classifier = InstallerClassifier()
-    installers = 0
-    for index in range(500):
-        record = pipeline_mod.analyze_app(plan.app_at(index), classifier)
-        installers += record.has_install_api
-    assert installers > 0  # the def-use walk ran on some of them
-    assert built == []

@@ -15,18 +15,18 @@ from repro.analysis.factory_images import (
 )
 
 
-def test_image_and_model_counts_match_paper(fleet):
-    by_vendor = {spec.vendor: fleet.by_vendor(spec.vendor) for spec in ALL_SPECS}
-    assert len(by_vendor["samsung"]) == 1239
-    assert len({i.model for i in by_vendor["samsung"]}) == 849
-    assert len(by_vendor["xiaomi"]) == 382
-    assert len({i.model for i in by_vendor["xiaomi"]}) == 149
-    assert len(by_vendor["huawei"]) == 234
-    assert len({i.model for i in by_vendor["huawei"]}) == 135
+def test_image_and_model_counts_match_paper(vendor_images):
+    assert len(vendor_images["samsung"]) == 1239
+    assert len({i.model for i in vendor_images["samsung"]}) == 849
+    assert len(vendor_images["xiaomi"]) == 382
+    assert len({i.model for i in vendor_images["xiaomi"]}) == 149
+    assert len(vendor_images["huawei"]) == 234
+    assert len({i.model for i in vendor_images["huawei"]}) == 135
 
 
 def test_distinct_records_exactly_206674(fleet):
-    assert fleet.distinct_records() == TOTAL_DISTINCT_APPS
+    records = {app.record_id for image in fleet.images for app in image.apps}
+    assert len(records) == TOTAL_DISTINCT_APPS
 
 
 def test_region_codes_and_countries(fleet):
@@ -34,16 +34,18 @@ def test_region_codes_and_countries(fleet):
     assert len({image.country for image in fleet.images}) == 79
 
 
-def test_platform_package_pools_match_paper(fleet):
-    assert len(fleet.distinct_platform_packages("samsung")) == 884
-    assert len(fleet.distinct_platform_packages("huawei")) == 301
-    assert len(fleet.distinct_platform_packages("xiaomi")) == 216
+def test_platform_package_pools_match_paper(vendor_images):
+    for vendor, expected in (("samsung", 884), ("huawei", 301),
+                             ("xiaomi", 216)):
+        packages = {app.package for image in vendor_images[vendor]
+                    for app in image.apps if app.platform_signed}
+        assert len(packages) == expected
 
 
-def test_platform_signed_per_image_near_paper(fleet):
+def test_platform_signed_per_image_near_paper(vendor_images):
     expectations = {"samsung": 142, "huawei": 68, "xiaomi": 84}
     for vendor, expected in expectations.items():
-        images = fleet.by_vendor(vendor)
+        images = vendor_images[vendor]
         average = sum(
             sum(1 for app in image.apps if app.platform_signed)
             for image in images
@@ -51,18 +53,18 @@ def test_platform_signed_per_image_near_paper(fleet):
         assert abs(average - expected) < 4
 
 
-def test_install_packages_ratio_near_10_percent(fleet):
+def test_install_packages_ratio_near_10_percent(vendor_images):
     targets = {"samsung": 0.0845, "huawei": 0.1032, "xiaomi": 0.1187}
     for vendor, target in targets.items():
-        images = fleet.by_vendor(vendor)
+        images = vendor_images[vendor]
         apps = sum(len(image.apps) for image in images)
         privileged = sum(len(image.install_packages_apps()) for image in images)
         assert privileged / apps == pytest.approx(target, abs=0.005)
 
 
-def test_privilege_count_doubles_over_period(fleet):
+def test_privilege_count_doubles_over_period(vendor_images):
     for spec in ALL_SPECS:
-        images = fleet.by_vendor(spec.vendor)
+        images = vendor_images[spec.vendor]
         oldest = [i for i in images if i.year_index == 0 and not i.flagship]
         newest = [i for i in images if i.year_index == 3 and not i.flagship]
         avg_old = sum(len(i.install_packages_apps()) for i in oldest) / len(oldest)
@@ -79,38 +81,47 @@ def test_flagships_carry_25_to_31_privileged_apps(fleet):
 
 
 def test_carrier_installer_placement(fleet):
-    amazon_images = fleet.images_with_package(AMAZON_PKG)
+    images_with = {
+        package: [image for image in fleet.images
+                  if image.has_package(package)]
+        for package in (AMAZON_PKG, DTIGNITE_PKG, XIAOMI_STORE_PKG,
+                        HUAWEI_STORE_PKG, SPRINTZONE_PKG)}
+    amazon_images = images_with[AMAZON_PKG]
     assert amazon_images
     assert all(image.carrier in ("verizon", "uscellular")
                for image in amazon_images)
     assert all(image.vendor == "samsung" for image in amazon_images)
-    dtignite_images = fleet.images_with_package(DTIGNITE_PKG)
+    dtignite_images = images_with[DTIGNITE_PKG]
     assert len({image.carrier for image in dtignite_images}) >= 8
     assert all(image.carrier in DTIGNITE_CARRIERS for image in dtignite_images)
     assert all(image.vendor == "xiaomi"
-               for image in fleet.images_with_package(XIAOMI_STORE_PKG))
-    assert len(fleet.images_with_package(XIAOMI_STORE_PKG)) == 382
-    assert len(fleet.images_with_package(HUAWEI_STORE_PKG)) == 234
+               for image in images_with[XIAOMI_STORE_PKG])
+    assert len(images_with[XIAOMI_STORE_PKG]) == 382
+    assert len(images_with[HUAWEI_STORE_PKG]) == 234
     assert all(image.carrier == "sprint"
-               for image in fleet.images_with_package(SPRINTZONE_PKG))
+               for image in images_with[SPRINTZONE_PKG])
 
 
 def test_carrier_installers_hold_install_packages(fleet):
-    for image in fleet.images_with_package(DTIGNITE_PKG)[:10]:
+    dtignite_images = [image for image in fleet.images
+                       if image.has_package(DTIGNITE_PKG)]
+    for image in dtignite_images[:10]:
         privileged = {app.package for app in image.install_packages_apps()}
         assert DTIGNITE_PKG in privileged
 
 
-def test_per_image_app_counts(fleet):
+def test_per_image_app_counts(vendor_images):
     for spec in ALL_SPECS:
-        for image in fleet.by_vendor(spec.vendor)[:20]:
+        for image in vendor_images[spec.vendor][:20]:
             assert len(image.apps) == spec.apps_per_image
 
 
 def test_fleet_is_deterministic():
     first = generate_fleet(seed=3)
     second = generate_fleet(seed=3)
-    assert first.distinct_records() == second.distinct_records()
+    assert ({app.record_id for image in first.images for app in image.apps}
+            == {app.record_id for image in second.images
+                for app in image.apps})
     assert [i.carrier for i in first.images[:50]] == [
         i.carrier for i in second.images[:50]
     ]
@@ -136,7 +147,9 @@ def test_plan_at_paper_scale_matches_generate_fleet(fleet):
     planned = plan.fleet()
     assert planned.sample_image_ids == fleet.sample_image_ids
     assert planned.search_image_ids == fleet.search_image_ids
-    assert planned.distinct_records() == fleet.distinct_records()
+    assert ({app.record_id for image in planned.images for app in image.apps}
+            == {app.record_id for image in fleet.images
+                for app in image.apps})
 
 
 def test_scaled_image_specs_preserve_vendor_mix():
@@ -168,7 +181,7 @@ def test_scaled_fleet_keeps_traits_and_hare_density():
 
     scaled = generate_fleet(seed=2016, specs=scaled_image_specs(300))
     assert len(scaled.images) == 300
-    samsung = scaled.by_vendor("samsung")
+    samsung = [image for image in scaled.images if image.vendor == "samsung"]
     assert len(scaled.search_image_ids) == len(samsung) - HARE_SAMPLE_IMAGES
     assert len(scaled.hare_permissions) == HARE_APP_COUNT
     for image in scaled.images:

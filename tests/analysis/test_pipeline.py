@@ -173,7 +173,8 @@ def test_images_pipeline_matches_table5(images_report, fleet):
     expected = {}
     for package in (AMAZON_PKG, DTIGNITE_PKG, XIAOMI_STORE_PKG,
                     HUAWEI_STORE_PKG, SPRINTZONE_PKG):
-        images = fleet.images_with_package(package)
+        images = [image for image in fleet.images
+                  if image.has_package(package)]
         expected[package] = (
             len(images),
             len({image.carrier for image in images}),
@@ -187,10 +188,10 @@ def test_images_pipeline_matches_table5(images_report, fleet):
                 counts["models"]) == expected[package]
 
 
-def test_images_pipeline_matches_table6(images_report, fleet):
+def test_images_pipeline_matches_table6(images_report, fleet, vendor_images):
     counts = table6_counts(images_report.stats)
     for vendor, totals in counts["vendors"].items():
-        images = fleet.by_vendor(vendor)
+        images = vendor_images[vendor]
         assert totals == {
             "images": len(images),
             "apps": sum(len(image.apps) for image in images),
@@ -226,16 +227,18 @@ def test_images_pipeline_matches_hare_study(images_report, fleet):
     assert hare.searched_images == len(fleet.search_image_ids) == 1181
 
 
-def test_images_pipeline_matches_platform_key_study(images_report, fleet):
+def test_images_pipeline_matches_platform_key_study(images_report,
+                                                   vendor_images):
     platform = build_platform_keys(images_report.stats, catalogs=())
     assert set(platform.keys) == {"samsung", "huawei", "xiaomi"}
     for vendor in platform.keys:
-        images = fleet.by_vendor(vendor)
+        images = vendor_images[vendor]
         signed = sum(app.platform_signed
                      for image in images for app in image.apps)
         assert platform.avg_signed_per_image[vendor] == signed / len(images)
         assert platform.distinct_signed[vendor] == len(
-            fleet.distinct_platform_packages(vendor))
+            {app.package for image in images for app in image.apps
+             if app.platform_signed})
         assert platform.keys[vendor] == 1
 
 

@@ -23,9 +23,9 @@ const-string v5, "hello"
 
 def test_parse_classes_and_methods():
     program = parse_program(SAMPLE)
-    assert len(program.classes) == 1
-    assert program.classes[0].name == "Lcom/example/Foo;"
-    assert [m.name for m in program.classes[0].methods] == ["install()V", "other()V"]
+    assert program.regions == [("Lcom/example/Foo;", None, 0),
+                               ("Lcom/example/Foo;", "install()V", 0),
+                               ("Lcom/example/Foo;", "other()V", 4)]
 
 
 def test_string_constants_collected():
@@ -42,18 +42,16 @@ def test_contains_string():
 
 def test_invoke_parsed_with_registers_and_name():
     program = parse_program(SAMPLE)
-    method = program.classes[0].methods[0]
-    invoke = next(method.invokes())
-    assert invoke.sources == ("v0", "v1", "v3")
-    assert invoke.invoked_name == "openFileOutput"
+    op, _dest, sources, _literal, _sig, invoked_name = program.ops[3]
+    assert op == "invoke"
+    assert sources == ("v0", "v1", "v3")
+    assert invoked_name == "openFileOutput"
 
 
 def test_reaching_def_follows_move_chain():
     program = parse_program(SAMPLE)
-    method = program.classes[0].methods[0]
-    invoke = next(method.invokes())
-    assert method.resolve_argument(invoke, 2) == 1   # v3 <- v2 <- const 1
-    assert method.resolve_argument(invoke, 1) == "/sdcard/app.apk"
+    assert program.resolve_argument(3, 2) == 1   # v3 <- v2 <- const 1
+    assert program.resolve_argument(3, 1) == "/sdcard/app.apk"
 
 
 def test_resolve_unresolvable_returns_none():
@@ -65,32 +63,28 @@ invoke-virtual {v0, v1, v2}, Landroid/content/Context;->openFileOutput(Ljava/lan
 .end method
 """
     program = parse_program(text)
-    method = program.classes[0].methods[0]
-    invoke = next(method.invokes())
-    assert method.resolve_argument(invoke, 2) is None  # field load dead-end
-    assert method.resolve_argument(invoke, 1) is None  # v1 never defined
+    assert program.ops[1][0] == "invoke"
+    assert program.resolve_argument(1, 2) is None  # field load dead-end
+    assert program.resolve_argument(1, 1) is None  # v1 never defined
 
 
 def test_resolve_out_of_range_argument():
     program = parse_program(SAMPLE)
-    method = program.classes[0].methods[0]
-    invoke = next(method.invokes())
-    assert method.resolve_argument(invoke, 9) is None
+    assert program.resolve_argument(3, 9) is None
 
 
 def test_const_int_hex_parsing():
     program = parse_program(
         ".class La;\n.method m()V\nconst/high16 v1, 0x10\n.end method"
     )
-    instruction = program.classes[0].methods[0].instructions[0]
-    assert instruction.literal == 16
+    assert program.ops[0][3] == 16
 
 
 def test_comments_and_blank_lines_ignored():
     program = parse_program(
         ".class La;\n\n# comment\n.method m()V\nconst/4 v0, 1 # inline\n.end method"
     )
-    assert len(program.classes[0].methods[0].instructions) == 1
+    assert program.instruction_count == 1
 
 
 def test_instruction_outside_method_rejected():
@@ -113,17 +107,16 @@ def test_invoke_static_form():
         '.class La;\n.method m()V\nconst-string v1, "u"\n'
         "invoke-static {v1}, Lcom/h/Net;->get(Ljava/lang/String;)V\n.end method"
     )
-    invoke = next(program.classes[0].methods[0].invokes())
-    assert invoke.invoked_name == "get"
+    assert program.ops[1][0] == "invoke"
+    assert program.ops[1][5] == "get"
 
 
 def test_const_wide_16_parses():
     program = parse_program(
         ".class La;\n.method m()V\nconst-wide/16 v4, 0x10\n.end method"
     )
-    instruction = program.classes[0].methods[0].instructions[0]
-    assert instruction.op == "const-int"
-    assert instruction.literal == 16
+    assert program.ops[0][0] == "const-int"
+    assert program.ops[0][3] == 16
 
 
 def test_const_16_and_wide_variants_parse():
@@ -137,8 +130,7 @@ const-wide/high16 v6, 0x4000
 .end method
 """
     program = parse_program(text)
-    literals = [ins.literal
-                for ins in program.classes[0].methods[0].instructions]
+    literals = [op[3] for op in program.ops]
     assert literals == [256, 0x1234, -5, 0x4000]
 
 
@@ -152,10 +144,9 @@ invoke-virtual/range {v0 .. v1}, Landroid/content/Context;->openFileOutput(Ljava
 .end method
 """
     program = parse_program(text)
-    method = program.classes[0].methods[0]
-    invoke = next(method.invokes())
-    assert invoke.sources == ("v0", "v1")
-    assert method.resolve_argument(invoke, 1) == 1
+    assert program.ops[2][0] == "invoke"
+    assert program.ops[2][2] == ("v0", "v1")
+    assert program.resolve_argument(2, 1) == 1
 
 
 def test_invoke_super_and_jumbo_string():
@@ -167,9 +158,9 @@ invoke-super {v0, v1}, Lb;->log(Ljava/lang/String;)V
 .end method
 """
     program = parse_program(text)
-    method = program.classes[0].methods[0]
-    assert method.string_constants() == ["big"]
-    assert next(method.invokes()).invoked_name == "log"
+    assert program.string_list() == ["big"]
+    assert program.ops[1][0] == "invoke"
+    assert program.ops[1][5] == "log"
 
 
 def test_annotation_blocks_skipped():
@@ -188,7 +179,7 @@ const/4 v0, 1
 .end method
 """
     program = parse_program(text)
-    assert len(program.classes[0].methods[0].instructions) == 1
+    assert program.instruction_count == 1
     assert not program.unparsed
 
 
@@ -207,7 +198,7 @@ const/4 v0, 1
 .end method
 """
     program = parse_program(text)
-    assert len(program.classes[0].methods[0].instructions) == 1
+    assert program.instruction_count == 1
 
 
 def test_bookkeeping_directives_skipped():
@@ -228,14 +219,14 @@ const/4 v0, 1
 .end method
 """
     program = parse_program(text)
-    assert len(program.classes[0].methods[0].instructions) == 1
+    assert program.instruction_count == 1
 
 
 def test_lenient_mode_records_unparsed_lines():
     text = ".class La;\n.method m()V\nwobble v0\nconst/4 v1, 1\n.end method"
     program = parse_program(text, lenient=True)
     assert program.unparsed == [(3, "wobble v0")]
-    assert len(program.classes[0].methods[0].instructions) == 1
+    assert program.instruction_count == 1
     # strict mode still refuses the same input
     with pytest.raises(SmaliParseError):
         parse_program(text)
@@ -244,16 +235,9 @@ def test_lenient_mode_records_unparsed_lines():
 def test_lenient_mode_survives_structure_errors():
     program = parse_program(".method m()V\nconst/4 v0, 1\n.end method",
                             lenient=True)
-    assert program.classes[0].name == "<anonymous>"
+    assert program.regions[0] == ("<anonymous>", None, 0)
     assert len(program.unparsed) == 1
     assert program.instruction_count == 1
-
-
-def test_instruction_index_recorded_at_parse_time():
-    program = parse_program(SAMPLE)
-    for method in program.all_methods():
-        assert [ins.index for ins in method.instructions] == list(
-            range(len(method.instructions)))
 
 
 def test_descending_register_range_rejected():
@@ -274,9 +258,8 @@ invoke-virtual {v0, v2, v1}, Landroid/content/Context;->openFileOutput(Ljava/lan
 .end method
 """
     program = parse_program(text)
-    method = program.classes[0].methods[0]
-    invoke = next(method.invokes())
-    assert method.resolve_argument(invoke, 2) == 1
+    assert program.ops[2][0] == "invoke"
+    assert program.resolve_argument(2, 2) == 1
 
 
 # -- method-region boundaries of the flat def-use walk ---------------------------
@@ -311,8 +294,7 @@ def test_def_use_stops_at_its_method_region(name):
     assert program.instruction_count == 2
     assert program.ops[1][5] == "openFileOutput"
     assert program.resolve_argument(1, 2) is None
-    method = program.classes[-1].methods[-1]
-    assert method.resolve_argument(next(method.invokes()), 2) is None
+    assert program.regions[-1][2] == 1  # the setter opens its region
 
 
 def test_empty_method_shares_its_start_with_the_next():
@@ -321,10 +303,6 @@ def test_empty_method_shares_its_start_with_the_next():
     program = parse_program(text)
     assert [region[2] for region in program.regions] == [0, 0, 0]
     assert program.resolve_argument(1, 2) == 1
-    first, second = program.classes[0].methods
-    assert first.instructions == []
-    assert [ins.index for ins in second.instructions] == [0, 1]
-    assert second.resolve_argument(second.instructions[1], 2) == 1
 
 
 def test_lenient_anonymous_class_resolves_within_its_method():
@@ -334,7 +312,6 @@ def test_lenient_anonymous_class_resolves_within_its_method():
     assert program.regions == [("<anonymous>", None, 0),
                                ("<anonymous>", "m()V", 0)]
     assert program.resolve_argument(1, 2) == 1
-    assert program.classes[0].name == "<anonymous>"
 
 
 def test_invoke_with_fewer_sources_than_the_argument_index():
@@ -345,8 +322,6 @@ def test_invoke_with_fewer_sources_than_the_argument_index():
     program = parse_program(text)
     assert program.resolve_argument(1, 0) is None  # v0 has no definition
     assert program.resolve_argument(1, 2) is None
-    method = program.classes[0].methods[0]
-    assert method.resolve_argument(method.instructions[1], 2) is None
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -112,15 +112,11 @@ def test_request_permission_group_trick(system):
     app = Sneaky()
     system.attach(app)
     # WRITE arrives silently because READ (same group) is already held.
-    assert app.request_permission(WRITE_EXTERNAL_STORAGE, user_approves=False)
+    permissions = system.pms.require_package(app.package).permissions
+    assert permissions.request(WRITE_EXTERNAL_STORAGE, user_approves=False)
 
 
 # -- DeviceProfile -----------------------------------------------------------------
-
-
-def test_runtime_permissions_by_version():
-    assert not device.nexus5().runtime_permissions
-    assert device.nexus5_marshmallow().runtime_permissions
 
 
 def test_dm_mode_by_version():

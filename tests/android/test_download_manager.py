@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DownloadDestinationError, DownloadError
 from repro.android.device import nexus5, xiaomi_mi4
 from repro.android.download_manager import (
+    DM_DATABASE_PATH,
     DownloadStatus,
     SymlinkMode,
 )
@@ -116,7 +117,7 @@ def test_database_file_exists_and_lists_downloads():
     system, caller = make_system()
     system.dm.enqueue(caller, URL, "/sdcard/f.bin")
     system.run()
-    raw = system.fs.read_bytes(system.dm.database_path(), system.system_caller)
+    raw = system.fs.read_bytes(DM_DATABASE_PATH, system.system_caller)
     assert URL.encode() in raw
 
 

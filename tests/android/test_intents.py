@@ -28,10 +28,6 @@ def test_with_extra_is_fluent_and_mutating():
     assert intent.extras == {"a": 1, "b": "two"}
 
 
-def test_intent_ids_unique():
-    assert Intent().intent_id != Intent().intent_id
-
-
 def test_origin_hidden_api_defaults_none():
     intent = Intent()
     assert intent.get_intent_origin() is None

@@ -59,19 +59,6 @@ def test_all_packages_sorted(db):
     assert [pkg.package for pkg in db.all_packages()] == ["com.a", "com.b"]
 
 
-def test_system_packages_filter(db):
-    db.add(make_package(db, "com.user"))
-    db.add(make_package(db, "com.sys", is_system=True))
-    assert [pkg.package for pkg in db.system_packages()] == ["com.sys"]
-
-
-def test_by_uid(db):
-    package = make_package(db)
-    db.add(package)
-    assert db.by_uid(package.uid) is package
-    assert db.by_uid(99999) is None
-
-
 def test_len(db):
     assert len(db) == 0
     db.add(make_package(db))

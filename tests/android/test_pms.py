@@ -200,7 +200,7 @@ def test_defining_app_registers_permission(system):
         .build(DEV)
     )
     package = system.install_user_app(apk)
-    assert system.permission_registry.is_defined("com.definer.PERM")
+    assert system.permission_registry.lookup("com.definer.PERM") is not None
     assert package.permissions.has("com.definer.PERM")
 
 
@@ -236,7 +236,7 @@ def test_uninstall_removes_package_and_definitions(system):
     system.install_user_app(apk)
     system.pms.uninstall_package("com.definer", system.system_caller)
     assert not system.pms.is_installed("com.definer")
-    assert not system.permission_registry.is_defined("com.definer.PERM")
+    assert system.permission_registry.lookup("com.definer.PERM") is None
 
 
 def test_uninstall_missing_package(system):
@@ -274,7 +274,8 @@ def test_check_permission_api(system):
 
 def test_installed_signature(system):
     system.install_user_app(build())
-    assert system.pms.installed_signature("com.example.app") == DEV.certificate
+    installed = system.pms.require_package("com.example.app")
+    assert installed.certificate == DEV.certificate
 
 
 def test_installed_copy_materialized(system):

@@ -108,4 +108,5 @@ def test_unregister_by_package(system):
     caller = install(system, "com.reader")
     system.content_resolver.register("com.data", owner_package="com.owner")
     system.content_resolver.unregister_by("com.owner")
-    assert not system.content_resolver.has_provider("com.data")
+    with pytest.raises(AndroidError, match="no provider"):
+        system.content_resolver.query(caller, "com.data")

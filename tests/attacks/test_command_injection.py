@@ -1,13 +1,17 @@
 """Tests for the Amazon JS-bridge and Xiaomi push-forgery attacks (Step 1)."""
 
+import json
+
 import pytest
 
+from repro.android.intents import FLAG_ACTIVITY_SINGLE_TOP, Intent
 from repro.attacks.command_injection import (
     AmazonJsInjectionAttacker,
     XiaomiPushForgeryAttacker,
 )
 from repro.core.scenario import Scenario
 from repro.installers import AmazonInstaller, XiaomiInstaller
+from repro.installers.amazon import AMAZON_PACKAGE, VENEZIA_JS_EXTRA
 from repro.installers.xiaomi import XIAOMI_PUSH_PERMISSION
 
 PAYLOAD = "com.evil.payload"
@@ -52,7 +56,13 @@ def test_amazon_js_silent_uninstall():
 
 def test_amazon_js_private_service_invocation():
     scenario = amazon_scenario()
-    scenario.attacker.inject_service_call("com.amazon.internal.BillingService")
+    command = {"op": "invokeService",
+               "service": "com.amazon.internal.BillingService"}
+    scenario.attacker.start_activity(Intent(
+        target_package=AMAZON_PACKAGE,
+        target_activity="com.amazon.venezia.Venezia",
+        flags=FLAG_ACTIVITY_SINGLE_TOP,
+    ).with_extra(VENEZIA_JS_EXTRA, json.dumps(command)))
     scenario.system.run()
     executed = scenario.installer.js_executions
     assert executed[-1]["service_invoked"] == "com.amazon.internal.BillingService"

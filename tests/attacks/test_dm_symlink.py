@@ -3,7 +3,7 @@
 import pytest
 
 from repro.android.device import nexus5_marshmallow, xiaomi_mi4
-from repro.android.download_manager import SymlinkMode
+from repro.android.download_manager import DM_DATABASE_PATH, SymlinkMode
 from repro.attacks.dm_symlink import DMSymlinkAttacker
 from repro.core.ait import AITStep
 from repro.core.scenario import Scenario
@@ -59,7 +59,7 @@ def test_dm_database_leak_exposes_urls():
                       "/sdcard/Download/x.bin")
     system.run()
     loot = system.run_process(
-        scenario.attacker.steal_file(system.dm.database_path())
+        scenario.attacker.steal_file(DM_DATABASE_PATH)
     )
     assert b"hidden-token-url" in loot.leaked
 
@@ -68,7 +68,7 @@ def test_dm_database_deletion_dos():
     """Deleting the DM database: the paper's Google Play DoS."""
     scenario = build_scenario(xiaomi_mi4())
     loot = scenario.system.run_process(
-        scenario.attacker.delete_file(scenario.system.dm.database_path())
+        scenario.attacker.delete_file(DM_DATABASE_PATH)
     )
     assert loot.deleted
     assert scenario.attacker.result(loot).succeeded

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.android.apk import ApkBuilder
+from repro.android.intents import Intent
 from repro.attacks.base import MaliciousApp, fingerprint_for
 from repro.attacks.privilege_escalation import (
+    TV_COMMAND_EXTRA,
     VULNERABLE_APP_PACKAGE,
     VulnerableSystemApp,
     VulnerableSystemAppAttacker,
@@ -75,7 +77,11 @@ def test_vulnerable_app_uninstalls_on_command():
     attacker = install_exploiter(scenario)
     scenario.publish_app("com.victim.remove")
     scenario.run_install("com.victim.remove", arm_attacker=False)
-    attacker.exploit_uninstall("com.victim.remove")
+    attacker.start_activity(Intent(
+        target_package=VULNERABLE_APP_PACKAGE,
+        target_activity="RemoteCommandActivity",
+    ).with_extra(TV_COMMAND_EXTRA,
+                 {"op": "uninstall", "package": "com.victim.remove"}))
     scenario.system.run()
     assert not scenario.system.pms.is_installed("com.victim.remove")
 

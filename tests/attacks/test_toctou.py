@@ -143,6 +143,6 @@ def test_attacker_dormant_after_success():
 def test_disarm_stops_attack():
     scenario = hijack_scenario(AmazonInstaller)
     scenario.attacker.arm()
-    scenario.attacker.disarm()
+    scenario.attacker.observer.stop_watching()
     outcome = scenario.run_install(TARGET, arm_attacker=False)
     assert outcome.clean_install

@@ -14,7 +14,7 @@ def test_benign_campaign_counts_clean_installs():
     assert stats.runs == 5
     assert stats.clean_installs == 5
     assert stats.hijacks == 0
-    assert stats.false_positive_rate == 0.0
+    assert stats.alarms == 0
 
 
 def test_attack_campaign_counts_hijacks():

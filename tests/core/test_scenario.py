@@ -68,7 +68,8 @@ def test_defense_reports_collected():
     assert sorted(report.defense_name for report in reports) == [
         "DAPP", "FUSE-DAC", "Intent-Detection", "Intent-Origin",
     ]
-    assert not scenario.any_defense_reacted
+    assert not any(report.detected or report.prevented
+                   for report in scenario.defense_reports())
 
 
 def test_all_defenses_coexist_with_attack():

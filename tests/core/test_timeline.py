@@ -61,7 +61,8 @@ def test_hijack_transcript_shows_the_swap():
     scenario.publish_app(TARGET)
     outcome = scenario.run_install(TARGET)
     assert outcome.hijacked
-    staged_events = timeline.events_for("/sdcard/DTIgnite/com.victim.app.apk")
+    staged_events = [entry for entry in timeline.entries
+                     if "/sdcard/DTIgnite/com.victim.app.apk" in entry.text]
     # Two CLOSE_WRITEs on the staged file: the download and the swap.
     close_writes = [
         entry for entry in staged_events if "CLOSE_WRITE" in entry.text

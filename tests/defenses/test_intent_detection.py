@@ -114,7 +114,7 @@ def test_install_registers_with_firewall():
     scheme = IntentDetectionScheme().install(firewall)
     firewall.check_intent(make_record(sender="com.a", time_ns=0))
     firewall.check_intent(make_record(sender="com.evil", time_ns=millis(100)))
-    assert firewall.alarm_count() == 1
+    assert len(firewall.alarms) == 1
     assert scheme.detected
 
 

@@ -35,7 +35,7 @@ def test_scheme_never_blocks():
     firewall = IntentFirewall()
     IntentOriginScheme().install(firewall)
     assert firewall.check_intent(make_record())
-    assert firewall.alarm_count() == 0
+    assert len(firewall.alarms) == 0
 
 
 def test_stamp_log_tracks_senders():

@@ -82,11 +82,10 @@ def test_warm_pool_reuses_the_same_worker_processes():
     spec = CampaignSpec(installs=24, seed=7)
     with WarmPool(2) as pool:
         first = pool.worker_pids()
-        _drive(pool, spec)
-        _drive(pool, spec)
+        done = len(_drive(pool, spec)) + len(_drive(pool, spec))
         assert pool.worker_pids() == first  # no respawn between runs
         assert pool.restarts == 0
-        assert pool.tasks_done == 8
+        assert done == 8
 
 
 @needs_multiprocessing

@@ -142,7 +142,8 @@ def test_update_flow_replaces_version():
     scenario.run_install(TARGET)
     scenario.publish_app(TARGET, version=2)
     outcome = scenario.run_install(TARGET)
-    assert outcome.installed_version == 2
+    assert outcome.installed
+    assert scenario.system.pms.require_package(TARGET).version_code == 2
 
 
 def test_store_ui_displays_requested_app():

@@ -15,7 +15,6 @@ from repro.installers import (
     all_installer_types,
     installer_by_name,
 )
-from repro.installers.registry import sdcard_installer_names
 from repro.errors import ReproError
 
 
@@ -84,7 +83,8 @@ def test_registry_is_complete():
 
 
 def test_sdcard_installer_names():
-    names = sdcard_installer_names()
+    names = {name for name, cls in all_installer_types().items()
+             if cls.profile.uses_sdcard}
     assert "amazon" in names
     assert "google-play" not in names
 

@@ -3,16 +3,28 @@
 import pytest
 
 from repro.core.scenario import Scenario
+from repro.errors import DownloadError
 from repro.installers import AmazonInstaller, DTIgniteInstaller
 
 TARGET = "com.victim.app"
+
+
+def flaky(content, failures):
+    """A CDN entry whose first ``failures`` fetches drop the connection."""
+    drops = [DownloadError("connection reset")] * failures
+
+    def provider():
+        if drops:
+            raise drops.pop()
+        return content
+    return provider
 
 
 def test_self_download_retries_through_flaky_network():
     scenario = Scenario.build(installer=AmazonInstaller)
     listing = scenario.publish_app(TARGET)
     genuine_bytes = listing.apk.to_bytes()
-    scenario.system.network.host_flaky(listing.url, genuine_bytes, failures=2)
+    scenario.system.network.host(listing.url, flaky(genuine_bytes, failures=2))
     outcome = scenario.run_install(TARGET)
     assert outcome.clean_install  # max_retries=2 absorbs two drops
 
@@ -20,8 +32,8 @@ def test_self_download_retries_through_flaky_network():
 def test_self_download_gives_up_after_persistent_failures():
     scenario = Scenario.build(installer=AmazonInstaller)
     listing = scenario.publish_app(TARGET)
-    scenario.system.network.host_flaky(listing.url, listing.apk.to_bytes(),
-                                       failures=10)
+    scenario.system.network.host(listing.url,
+                                 flaky(listing.apk.to_bytes(), failures=10))
     outcome = scenario.run_install(TARGET)
     assert not outcome.installed
     assert "download" in outcome.error
@@ -30,8 +42,8 @@ def test_self_download_gives_up_after_persistent_failures():
 def test_dm_download_retries_through_flaky_network():
     scenario = Scenario.build(installer=DTIgniteInstaller)
     listing = scenario.publish_app(TARGET)
-    scenario.system.network.host_flaky(listing.url, listing.apk.to_bytes(),
-                                       failures=1)
+    scenario.system.network.host(listing.url,
+                                 flaky(listing.apk.to_bytes(), failures=1))
     outcome = scenario.run_install(TARGET)
     assert outcome.clean_install
 
@@ -78,7 +90,7 @@ def test_flaky_network_then_attack_still_hijacks():
         ),
     )
     listing = scenario.publish_app(TARGET)
-    scenario.system.network.host_flaky(listing.url, listing.apk.to_bytes(),
-                                       failures=1)
+    scenario.system.network.host(listing.url,
+                                 flaky(listing.apk.to_bytes(), failures=1))
     outcome = scenario.run_install(TARGET)
     assert outcome.hijacked

@@ -239,10 +239,11 @@ def test_claim_hijack_persists_across_updates():
     first = scenario.run_install(TARGET)
     assert first.hijacked
     # The genuine v2 update now fails certificate continuity.
-    scenario.attacker.disarm()
+    scenario.attacker.observer.stop_watching()
     scenario.publish_app(TARGET, version=2)
     second = scenario.run_install(TARGET, arm_attacker=False)
-    assert not second.installed or second.installed_version == 1
+    assert not second.installed or (
+        scenario.system.pms.require_package(TARGET).version_code == 1)
     installed = scenario.system.pms.require_package(TARGET)
     assert installed.certificate.owner == "gia-attacker"
     assert installed.version_code == 1

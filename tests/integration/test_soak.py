@@ -48,8 +48,9 @@ def test_soak_undefended(seed):
             scenario.publish_app(
                 package, version=1, size_bytes=1024 + rng.randint(0, 8192)
             )
-        if not attacked:
-            scenario.attacker.disarm()  # a dormant attacker stays off
+        if not attacked and scenario.attacker.observer is not None:
+            # A dormant attacker stays off.
+            scenario.attacker.observer.stop_watching()
         outcome = scenario.run_install(package, arm_attacker=attacked)
         outcomes.append((attacked, outcome))
         if attacked:
@@ -103,7 +104,8 @@ def test_soak_updates_and_reinstalls(seed):
                              size_bytes=2048)
         outcome = scenario.run_install(package)
         assert outcome.clean_install
-        assert outcome.installed_version == versions[package]
+        installed = scenario.system.pms.require_package(package)
+        assert installed.version_code == versions[package]
     # UIDs are stable across every update.
     uids = {
         package: scenario.system.pms.require_package(package).uid

@@ -52,10 +52,10 @@ def test_profile_counts_spans_events_and_layers():
     assert profile.records == 15
     assert profile.shards == 1
     assert profile.spans["ait/download"].count == 2
-    assert profile.spans["ait/download"].total_ns == 400 + 500
-    assert profile.events["attack/arm"].count == 2
+    assert profile.spans["ait/download"].total == 400 + 500
+    assert profile.events["attack/arm"] == 2
     assert profile.layers["ait"].count == 5
-    assert profile.layers["kernel"].total_ns == 1000 + 900
+    assert profile.layers["kernel"].total == 1000 + 900
     assert layer_of("ait/download") == "ait"
     assert layer_of("bare") == "bare"
 

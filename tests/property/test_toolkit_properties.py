@@ -17,7 +17,6 @@ def test_decision_matches_the_arithmetic(free, size, headroom):
     decision = choose_storage(volume, size, headroom_bytes=headroom)
     fits = free >= 2 * size + headroom
     assert (decision.choice is StorageChoice.INTERNAL) == fits
-    assert decision.internal_viable == fits
     assert decision.required_internal_bytes == 2 * size + headroom
     assert decision.free_internal_bytes == free
 

@@ -70,7 +70,7 @@ def _run_sequence(limits, sequence):
             payload = Payload(event_type, name, serial)
             serial += 1
             published.append(payload)
-            kernel.call_at(when, lambda p=payload: hub.publish("t", p))
+            kernel.call_later(when, lambda p=payload: hub.publish("t", p))
 
     publish_all()
     kernel.run()
@@ -154,9 +154,9 @@ def test_rescan_after_overflow_converges_to_vfs_state(
     observer.on_event(consume)
     observer.start_watching()
     for i in range(writes):
-        kernel.call_at(i * write_gap_ns,
-                       lambda i=i: fs.write_bytes(f"/watched/f{i}",
-                                                  APP, b"x"))
+        kernel.call_later(i * write_gap_ns,
+                          lambda i=i: fs.write_bytes(f"/watched/f{i}",
+                                                     APP, b"x"))
     kernel.run()
     truth = set(fs.listdir("/watched"))
     assert mirror <= truth  # never any phantom entries

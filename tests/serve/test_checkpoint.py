@@ -33,7 +33,7 @@ def test_record_then_restore_round_trips_results(tmp_path):
     journal = ShardJournal(tmp_path, spec, 4)
     for result in results[:2]:
         journal.record(result)
-    assert journal.completed_indices() == [0, 1]
+    assert sorted(journal.restore(spec, 4)) == [0, 1]
     restored = ShardJournal(tmp_path, spec, 4).restore(spec, 4)
     assert sorted(restored) == [0, 1]
     for index in (0, 1):
@@ -80,7 +80,7 @@ def test_missing_payload_is_dropped_not_merged(tmp_path):
     resumed = ShardJournal(tmp_path, spec, 4)
     assert sorted(resumed.restore(spec, 4)) == [0]
     resumed.record(results[2])  # the torn tail is cut, not built on
-    assert ShardJournal(tmp_path, spec, 4).completed_indices() == [0, 2]
+    assert sorted(ShardJournal(tmp_path, spec, 4).restore(spec, 4)) == [0, 2]
 
 
 def test_journal_refuses_a_different_campaign(tmp_path):
@@ -89,7 +89,7 @@ def test_journal_refuses_a_different_campaign(tmp_path):
     journal.record(_shard_results(spec)[0])
     other = _spec(seed=8)
     with pytest.raises(ReproError, match="different campaign"):
-        ShardJournal(tmp_path, other, 4).completed_indices()
+        ShardJournal(tmp_path, other, 4).restore(other, 4)
     with pytest.raises(ReproError, match="different campaign"):
         journal.restore(other, 4)
     with pytest.raises(ReproError, match="different campaign"):

@@ -69,7 +69,7 @@ def _kill_then_resume(spec, shards, kill_after, tmp_path):
              checkpoint=_KillAfter(ShardJournal(journal_dir, spec, shards),
                                    kill_after))
     journal = ShardJournal(journal_dir, spec, shards)
-    assert journal.completed_indices() != []
+    assert journal.restore(spec, shards) != {}
     return _run(spec, shards, checkpoint=journal)
 
 

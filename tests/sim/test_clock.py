@@ -43,11 +43,6 @@ def test_advance_backwards_rejected():
         clock.advance_to(99)
 
 
-def test_now_ms_conversion():
-    clock = SimClock(start_ns=2_500_000)
-    assert clock.now_ms == pytest.approx(2.5)
-
-
 def test_millis_helper():
     assert millis(1) == NANOS_PER_MILLI
     assert millis(2.5) == 2_500_000

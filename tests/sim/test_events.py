@@ -98,9 +98,9 @@ def test_subscriber_count():
     _kernel, hub = make_hub()
     sub1 = hub.subscribe("t", lambda _: None)
     hub.subscribe("t", lambda _: None)
-    assert hub.subscriber_count("t") == 2
+    assert hub.publish("t", None) == 2  # deliveries scheduled
     sub1.cancel()
-    assert hub.subscriber_count("t") == 1
+    assert hub.publish("t", None) == 1
 
 
 def test_cancel_is_idempotent():
@@ -108,7 +108,7 @@ def test_cancel_is_idempotent():
     subscription = hub.subscribe("t", lambda _: None)
     subscription.cancel()
     subscription.cancel()
-    assert hub.subscriber_count("t") == 0
+    assert hub.publish("t", None) == 0
 
 
 # -- bounded (lossy) subscriptions ------------------------------------------

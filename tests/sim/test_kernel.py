@@ -31,13 +31,6 @@ def test_clock_advances_to_event_time():
     assert kernel.clock.now_ns == 1_000
 
 
-def test_cannot_schedule_in_the_past():
-    kernel = Kernel()
-    kernel.clock.advance_to(100)
-    with pytest.raises(SimulationError):
-        kernel.call_at(50, lambda: None)
-
-
 def test_run_until_leaves_future_events_queued():
     kernel = Kernel()
     seen = []
@@ -95,8 +88,8 @@ def test_process_error_recorded_in_failures():
     kernel.spawn(proc())
     kernel.run()
     assert len(kernel.failures) == 1
-    with pytest.raises(RuntimeError):
-        kernel.check_failures()
+    _proc, error = kernel.failures[0]
+    assert isinstance(error, RuntimeError)
 
 
 def test_wait_for_event_receives_value():

@@ -14,19 +14,25 @@ After each crash, recovery runs and the store's contract is checked:
   in ``read_journal()``, a result is either absent or whole, and a
   submit appended after recovery survives the next reopen;
 - pack cache: every ``get`` returns the exact payload put or None, a
-  flush that returned is served in full, and a recovery flush works;
+  flush that returned is served in full, a reopen leaves no staging
+  file behind, and a recovery flush works;
 - flight recorder: ``seq`` values stay continuous across the reload.
 
 The model is a process crash: every operation that returned has reached
-the kernel, and nothing after the crash point has.  Page-cache loss and
+the kernel, and nothing after the crash point has.  The crashed run
+stages its files under the pid of a process that has exited, as the
+dead writer's staged files would carry.  Page-cache loss and
 reordering on power failure are not modelled, so this proves framing,
 ordering and recovery, not where the fsyncs sit.
 """
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,6 +75,25 @@ class _Shim:
         return hooked
 
 
+@functools.lru_cache(maxsize=None)
+def _exited_pid():
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+@contextlib.contextmanager
+def _dead_writer():
+    """Stage files as a process that is no longer running would have."""
+    real = os.getpid
+    os.getpid = _exited_pid
+    try:
+        yield
+    finally:
+        os.getpid = real
+
+
 @contextlib.contextmanager
 def _installed(shim):
     for name in _HOOKS:
@@ -89,7 +114,7 @@ def _crash_everywhere(scenario, tmp_path):
                if name == "_write"]
     for index, tear in points:
         root = tmp_path / f"crash-{index}{'-torn' if tear else ''}"
-        with _installed(_Shim(crash_at=index, tear=tear)):
+        with _dead_writer(), _installed(_Shim(crash_at=index, tear=tear)):
             with pytest.raises(_Crash):
                 scenario.run(root)
         scenario.check(root)
@@ -139,7 +164,7 @@ class FleetScenario:
         for ours, theirs in zip(resumed.shards, self.baseline.shards):
             assert ours.stats.counter_tuple() == theirs.stats.counter_tuple()
         journal = ShardJournal(root, FLEET_SPEC, 4)
-        assert journal.completed_indices() == [0, 1, 2, 3]
+        assert sorted(journal.restore(FLEET_SPEC, 4)) == [0, 1, 2, 3]
 
 
 def test_shard_journal_resumes_bit_identically_after_any_crash(tmp_path):
@@ -201,7 +226,7 @@ def test_reopened_job_store_sweeps_a_staged_result(tmp_path):
         scenario.run(tmp_path / "reference")
     staged_at = reference.ops.index("_replace") - 1  # the staged fsync
     root = tmp_path / "crashed"
-    with _installed(_Shim(crash_at=staged_at)):
+    with _dead_writer(), _installed(_Shim(crash_at=staged_at)):
         with pytest.raises(_Crash):
             scenario.run(root)
     assert len(list(root.glob("jobs/*/.tmp-*"))) == 1
@@ -251,6 +276,7 @@ class PackScenario:
 
     def check(self, root):
         assert self._check_reads(root) <= len(BATCHES)
+        assert not list(root.glob(".tmp-*"))  # swept at open
         for name in os.listdir(root):  # the rebuild path sees the same
             if name.endswith(".idx"):
                 os.unlink(os.path.join(root, name))
@@ -273,6 +299,48 @@ def test_pack_cache_serves_exact_payloads_or_misses_after_any_crash(
         tmp_path):
     ops = _crash_everywhere(PackScenario(), tmp_path)
     assert set(ops) == {"_write", "_replace"}  # best-effort: no fsync
+
+
+def _gets(root):
+    store = PackStore(str(root))
+    try:
+        return {key: store.get(key) for key in PAYLOADS}
+    finally:
+        store.close()
+
+
+def _crash_second_flush(root):
+    """Flush the first batch, then die right after staging the second."""
+    store = PackStore(str(root))
+    for key in BATCHES[0]:
+        store.put(key, BLOBS[key])
+    store.flush()
+    for key in BATCHES[1]:
+        store.put(key, BLOBS[key])
+    with _installed(_Shim(crash_at=0)):  # the segment's staging write
+        with pytest.raises(_Crash):
+            store.flush()
+    store.close()
+
+
+def test_reopened_pack_store_sweeps_a_crashed_flush(tmp_path):
+    root = tmp_path / "pack"
+    with _dead_writer():
+        _crash_second_flush(root)
+    assert len(list(root.glob(".tmp-*"))) == 1
+    served = _gets(root)
+    assert not list(root.glob(".tmp-*"))
+    assert served == {key: PAYLOADS[key] if key in BATCHES[0] else None
+                      for key in PAYLOADS}
+
+
+def test_a_live_writers_staged_file_survives_another_stores_open(tmp_path):
+    root = tmp_path / "pack"
+    _crash_second_flush(root)  # this process, the writer, is still alive
+    staged = list(root.glob(f".tmp-{os.getpid()}-*"))
+    assert len(staged) == 1
+    _gets(root)
+    assert list(root.glob(".tmp-*")) == staged
 
 
 # -- flight recorder --------------------------------------------------------

@@ -12,7 +12,6 @@ def test_small_app_on_roomy_device_goes_internal():
     internal = StorageVolume("internal", 16 * GB, used_bytes=6 * GB)
     decision = choose_storage(internal, 50 * MB)
     assert decision.choice is StorageChoice.INTERNAL
-    assert decision.internal_viable
 
 
 def test_double_space_requirement():
@@ -34,7 +33,6 @@ def test_paper_example_gabriel_knight_on_galaxy_j5():
     game = int(1.6 * GB)
     decision = choose_storage(internal, game)
     assert decision.choice is StorageChoice.EXTERNAL
-    assert not decision.internal_viable
     assert decision.required_internal_bytes > decision.free_internal_bytes
 
 
