@@ -67,34 +67,35 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 
 def _obs_of(args: argparse.Namespace):
-    """(recorder, metrics) sinks for an in-process command, or Nones."""
+    """(recorder, metrics) sinks for an in-process command, or Nones.
+
+    ``--metrics`` records a trace too, as ``observe`` does on the
+    sharded path: most metrics are folded from the trace records.
+    """
     from repro.obs import MetricsRegistry, TraceRecorder
 
-    recorder = TraceRecorder() if args.trace else None
+    recorder = TraceRecorder() if args.trace or args.metrics else None
     metrics = MetricsRegistry() if args.metrics else None
     return recorder, metrics
 
 
-def _emit_obs(args: argparse.Namespace, records, snapshot) -> None:
+def _emit_obs(args: argparse.Namespace, recorder=None, metrics=None) -> None:
     """Export the trace/metrics the user asked for.
 
-    ``records``/``snapshot`` may be None (observability off, or a
+    ``recorder``/``metrics`` may be None (observability off, or a
     command with nothing to record — the export is then valid but
     empty, so downstream tooling can rely on the flags always
-    producing well-formed output).
+    producing well-formed output).  The trace file is written only
+    for ``--trace``.
     """
-    from repro.obs import (
-        empty_snapshot,
-        render_metrics,
-        write_trace_jsonl,
-    )
+    from repro.obs import fold_metrics, render_metrics, write_trace_jsonl
 
+    records = recorder.records() if recorder is not None else []
     if args.trace:
-        count = write_trace_jsonl(args.trace, records or [])
+        count = write_trace_jsonl(args.trace, records)
         print(f"trace: {count} record(s) -> {args.trace}", file=sys.stderr)
     if args.metrics:
-        print(render_metrics(snapshot if snapshot is not None
-                             else empty_snapshot()))
+        print(render_metrics(fold_metrics(metrics, records)))
 
 
 def _run_demo_inline(args: argparse.Namespace) -> int:
@@ -118,9 +119,7 @@ def _run_demo_inline(args: argparse.Namespace) -> int:
         label = "defended" if defenses else "undefended"
         print(f"[{label}] hijacked={outcome.hijacked} "
               f"signer={outcome.installed_certificate_owner}")
-    _emit_obs(args,
-              recorder.records() if recorder is not None else None,
-              metrics.snapshot() if metrics is not None else None)
+    _emit_obs(args, recorder, metrics)
     return 0
 
 
@@ -151,9 +150,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             print(f"[{report.defense_name}] ALARM: {alarm}")
         for blocked in report.blocked_operations:
             print(f"[{report.defense_name}] BLOCKED: {blocked}")
-    _emit_obs(args,
-              recorder.records() if recorder is not None else None,
-              metrics.snapshot() if metrics is not None else None)
+    _emit_obs(args, recorder, metrics)
     return 0
 
 
@@ -184,7 +181,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     # The tables are computed from static corpora, not simulator runs,
     # so there is nothing to trace; honour the flags with valid empty
     # output rather than surprising the caller.
-    _emit_obs(args, None, None)
+    _emit_obs(args)
     return 0
 
 
@@ -204,7 +201,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             print(f"      {finding.detail}")
         print()
     # Static audit, no simulator: valid empty observability output.
-    _emit_obs(args, None, None)
+    _emit_obs(args)
     return 0
 
 
@@ -344,9 +341,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     report = fuzzer.run(args.budget)
     print(report.render())
-    _emit_obs(args,
-              recorder.records() if recorder is not None else None,
-              metrics.snapshot() if metrics is not None else None)
+    _emit_obs(args, recorder, metrics)
     return 0 if report.ok else 1
 
 

@@ -28,7 +28,7 @@ import enum
 import functools
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CorpusError

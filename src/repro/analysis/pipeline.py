@@ -438,13 +438,12 @@ class AnalysisShardSpec(ShardSlice):
     def run(self, recorder, metrics) -> Tuple[AnalysisStats, Dict[str, int]]:
         """Fold the slice's apps or images into fresh stats."""
         if self.campaign.corpus == "images":
-            return self._execute_images(recorder, metrics), {}
-        return self._execute_apps(recorder, metrics)
+            return self._execute_images(recorder), {}
+        return self._execute_apps(recorder)
 
     # -- per-app passes (classifier + redirect scan) --------------------------
 
-    def _execute_apps(self, recorder, metrics
-                      ) -> Tuple[AnalysisStats, Dict[str, int]]:
+    def _execute_apps(self, recorder) -> Tuple[AnalysisStats, Dict[str, int]]:
         """The app passes; the counters are the cache's hits and misses.
 
         Those depend on what a previous run left in the cache
@@ -486,13 +485,6 @@ class AnalysisShardSpec(ShardSlice):
                         package=record.package,
                         category=record.category,
                     )
-                if metrics is not None:
-                    metrics.counter("analysis/apps").inc()
-                    if record.has_install_api:
-                        metrics.counter("analysis/installers").inc()
-                    metrics.histogram(
-                        "analysis/instructions_per_app").observe(
-                            record.instructions)
             if cache is not None:
                 # One segment per shard: the warm re-run opens O(shards)
                 # index files instead of one JSON per analyzed app.
@@ -504,7 +496,7 @@ class AnalysisShardSpec(ShardSlice):
 
     # -- per-image passes (hare + platform keys, Section IV-B) ----------------
 
-    def _execute_images(self, recorder, metrics) -> AnalysisStats:
+    def _execute_images(self, recorder) -> AnalysisStats:
         stats = AnalysisStats()
         plan = self.campaign.plan()
         fleet = plan.fleet()
@@ -555,10 +547,6 @@ class AnalysisShardSpec(ShardSlice):
                     image_id=image.image_id,
                     vendor=vendor,
                 )
-            if metrics is not None:
-                metrics.counter("analysis/images").inc()
-                metrics.histogram("analysis/apps_per_image").observe(
-                    len(image.apps))
         return stats
 
 

@@ -15,7 +15,7 @@ inspector may veto delivery or raise an alarm without vetoing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.android.intents import Intent

@@ -9,7 +9,6 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Union
 
 from repro.errors import DownloadError

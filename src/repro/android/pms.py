@@ -28,7 +28,6 @@ from repro.errors import (
     InstallSignatureError,
     InstallStorageError,
     InstallVerificationError,
-    PackageNotFound,
     SecurityException,
 )
 from repro.android.apk import Apk, MalformedApk

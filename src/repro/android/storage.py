@@ -21,7 +21,6 @@ from repro.android.filesystem import (
     Filesystem,
     Inode,
     ROOT_UID,
-    SYSTEM_UID,
 )
 
 MB = 1024 * 1024

@@ -106,14 +106,6 @@ class MaliciousApp(App):
                 obs.span("attack/window", self._armed_ns, now_ns,
                          attack=type(self).__name__, path=path,
                          blocked=blocked)
-        metrics = self.system.metrics
-        if metrics is not None:
-            metrics.counter("attack/strikes").inc()
-            if blocked:
-                metrics.counter("attack/strikes_blocked").inc()
-            if self._armed_ns is not None:
-                metrics.histogram("attack/window_ns").observe(
-                    now_ns - self._armed_ns)
 
     @staticmethod
     def build_apk(package: str = ATTACKER_PACKAGE) -> Apk:

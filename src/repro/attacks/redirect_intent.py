@@ -12,7 +12,6 @@ the phishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.errors import AndroidError

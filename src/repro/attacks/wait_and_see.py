@@ -12,7 +12,6 @@ repackaged APK over the target.
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.errors import AccessDenied, FilesystemError

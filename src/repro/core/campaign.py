@@ -139,11 +139,6 @@ class Campaign:
                  stats: Optional[CampaignStats] = None) -> None:
         self.scenario = scenario
         self.stats = stats if stats is not None else CampaignStats()
-        # Bound-instrument handles for the per-run counters, resolved on
-        # the first observed run (not at construction) so metric names
-        # appear in snapshots exactly when the legacy per-call lookups
-        # would have created them.
-        self._observe_bound: Optional[tuple] = None
 
     def install_many(self, packages: Sequence[str], arm_attacker: bool = True,
                      rearm_between: bool = True) -> CampaignStats:
@@ -159,40 +154,16 @@ class Campaign:
             alarms_before = self.stats.alarms
             blocked_before = self.stats.blocked
             self.stats.record(outcome, self.scenario.defense_reports())
-            self._observe_run(outcome, index,
-                              self.stats.alarms - alarms_before,
-                              self.stats.blocked - blocked_before)
-        return self.stats
-
-    def _observe_run(self, outcome: InstallOutcome, index: int,
-                     alarm_delta: int, blocked_delta: int) -> None:
-        """Narrate one campaign run to the observability layer."""
-        obs = self.scenario.obs
-        if obs.enabled and (alarm_delta or blocked_delta):
-            obs.event(
-                "campaign/defense_reaction", self.scenario.system.now_ns,
-                package=outcome.requested_package, run_index=index,
-                alarms=alarm_delta, blocked=blocked_delta,
-            )
-        metrics = self.scenario.metrics
-        if metrics is not None:
-            bound = self._observe_bound
-            if bound is None:
-                bound = self._observe_bound = (
-                    metrics.bind_counter("campaign/runs"),
-                    metrics.bind_counter("campaign/alarms"),
-                    metrics.bind_counter("campaign/blocked"),
+            alarms = self.stats.alarms - alarms_before
+            blocked = self.stats.blocked - blocked_before
+            obs = self.scenario.obs
+            if obs.enabled and (alarms or blocked):
+                obs.event(
+                    "campaign/defense_reaction", self.scenario.system.now_ns,
+                    package=outcome.requested_package, run_index=index,
+                    alarms=alarms, blocked=blocked,
                 )
-            inc_runs, inc_alarms, inc_blocked = bound
-            inc_runs()
-            inc_alarms(alarm_delta)
-            inc_blocked(blocked_delta)
-            # Conditional counters stay dynamic lookups: binding would
-            # create them in snapshots before the first nonzero delta.
-            if alarm_delta:
-                metrics.counter("campaign/alarmed_runs").inc()
-            if blocked_delta:
-                metrics.counter("campaign/blocked_runs").inc()
+        return self.stats
 
 
 def benign_workload(scenario: Scenario, count: int,

@@ -40,7 +40,7 @@ from repro.attacks.base import ATTACKER_PAYLOAD, MaliciousApp
 from repro.core.outcomes import DefenseReport, InstallOutcome
 from repro.installers.base import BaseInstaller
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_RECORDER, NullRecorder
+from repro.obs.trace import NullRecorder
 from repro.sim.clock import seconds
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
@@ -73,10 +73,6 @@ class Scenario:
     intent_origin: Optional["IntentOriginScheme"] = None
     listings: Dict[str, object] = field(default_factory=dict)
     extra_installers: List[BaseInstaller] = field(default_factory=list)
-    # Bound-instrument handles for _observe_outcome, resolved lazily
-    # (bookkeeping only — excluded from equality and repr).
-    _outcome_bound: Optional[tuple] = field(
-        default=None, repr=False, compare=False)
 
     @property
     def obs(self) -> NullRecorder:
@@ -274,25 +270,10 @@ class Scenario:
                           signer=outcome.installed_certificate_owner or "")
         metrics = self.system.metrics
         if metrics is not None:
-            # Bound handles for the unconditional instruments, resolved
-            # on the first outcome so snapshot keys appear exactly when
-            # legacy per-call lookups would have created them.  The
-            # conditional counters stay dynamic for the same reason.
-            bound = self._outcome_bound
-            if bound is None:
-                bound = self._outcome_bound = (
-                    metrics.bind_counter("ait/runs"),
-                    metrics.bind_histogram("ait/elapsed_ns"),
-                )
-            inc_runs, observe_elapsed = bound
-            inc_runs()
-            if outcome.installed:
-                metrics.counter("ait/installed").inc()
-            if outcome.hijacked:
-                metrics.counter("ait/hijacked").inc()
-            if outcome.error is not None:
-                metrics.counter("ait/errors").inc()
-            observe_elapsed(outcome.elapsed_ns)
+            # The event above is the ledger of runs, installs, hijacks
+            # and errors (repro.obs.metrics.FOLDED); the elapsed time
+            # is recorded nowhere else.
+            metrics.histogram("ait/elapsed_ns").observe(outcome.elapsed_ns)
 
     def _arm_attacker(self) -> None:
         arm = getattr(self.attacker, "arm", None)
@@ -314,8 +295,8 @@ class Scenario:
             genuine_certificate_owner=listing.apk.certificate.owner,
             trace=runner.traces[-1] if runner.traces else None,
         )
-        if process.error is not None:
-            outcome.error = str(process.error)
+        if process.error is not None:  # never empty: the trace counts it
+            outcome.error = str(process.error) or type(process.error).__name__
         if installed is not None:
             outcome.installed = True
             outcome.installed_certificate_owner = installed.certificate.owner

@@ -85,9 +85,6 @@ class DappRescan(Dapp):
     def _on_overflow(self, event: FileEvent) -> None:
         """Events were lost: the stream is no longer trustworthy."""
         self.overflows_seen += 1
-        metrics = self.system.metrics
-        if metrics is not None:
-            metrics.counter("dapp/overflows").inc()
         obs = self.system.obs
         if obs.enabled:
             obs.event("defense/rescan_mode", event.time_ns,

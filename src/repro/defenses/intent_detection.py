@@ -14,7 +14,6 @@ to the user as a possible attack, **unless**
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.android.intent_firewall import (

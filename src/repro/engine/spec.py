@@ -41,7 +41,7 @@ from repro.core.campaign import Campaign, CampaignStats
 from repro.core.scenario import VALID_DEFENSES, Scenario
 from repro.errors import ReproError
 from repro.installers import installer_by_name
-from repro.obs.metrics import MetricsRegistry, Snapshot
+from repro.obs.metrics import MetricsRegistry, Snapshot, fold_metrics
 from repro.obs.runtime import ShardTelemetry, rusage_now
 from repro.obs.trace import TraceRecorder
 from repro.sim.events import DEFAULT_DRAIN_INTERVAL_NS, WatchLimits
@@ -191,6 +191,16 @@ class CampaignSpec:
     sabotage_defense: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Refused by type: compared or iterated, a str raises TypeError
+        # or reads as one name per character.
+        if not isinstance(self.installs, (int, float)):
+            raise ReproError(
+                f"installs must be an int, got "
+                f"{type(self.installs).__name__} {self.installs!r}")
+        for name in ("defenses", "permission_pool"):
+            if isinstance(getattr(self, name), str):
+                raise ReproError(f"{name} must be a list of names, got "
+                                 f"str {getattr(self, name)!r}")
         if self.installs < 0:
             raise ReproError(f"installs must be >= 0, got {self.installs}")
         parse_chaos(self.chaos)  # raises on a malformed spec
@@ -294,7 +304,7 @@ class CampaignSpec:
             raise ReproError("campaign spec is missing 'installs'")
         fields = dict(data)
         for name in ("defenses", "permission_pool"):
-            if name in fields:
+            if name in fields and not isinstance(fields[name], str):
                 fields[name] = tuple(fields[name])
         return cls(**fields)
 
@@ -425,8 +435,9 @@ class ShardSlice:
         Always samples one rusage pair and one clock pair around the
         shard: the clock pair is both ``wall_seconds`` and the
         telemetry's ``wall_ns``.  When the spec has ``observe=True``
-        the result also carries the shard's trace records and metrics
-        snapshot.
+        the result also carries the shard's trace records and its
+        metrics snapshot, folded from the stats, the records and the
+        registry (:func:`~repro.obs.metrics.fold_metrics`).
         """
         before = rusage_now()
         started = time.perf_counter_ns()
@@ -436,6 +447,7 @@ class ShardSlice:
         stats, counters = self.run(recorder, metrics)
         wall_ns = time.perf_counter_ns() - started
         telemetry = ShardTelemetry.since(self.index, wall_ns, before)
+        records = recorder.records() if recorder is not None else None
         return ShardResult(
             shard_index=self.index,
             start=self.start,
@@ -444,8 +456,9 @@ class ShardSlice:
             wall_seconds=wall_ns / 1e9,
             telemetry=telemetry.to_dict(),
             backend="serial",
-            trace=recorder.records() if recorder is not None else None,
-            metrics=metrics.snapshot() if metrics is not None else None,
+            trace=records,
+            metrics=(fold_metrics(metrics, records, stats)
+                     if observe else None),
             counters=counters,
         )
 

@@ -7,7 +7,10 @@ the defenses and the fleet engine:
   time, with a zero-overhead :data:`NULL_RECORDER` default,
 - :mod:`repro.obs.metrics` — counter/gauge/histogram registry with
   deterministic, mergeable snapshots; histograms are log-bucketed so
-  p50/p90/p99 estimates survive the shard merge,
+  p50/p90/p99 estimates survive the shard merge.  One ledger per fact:
+  :func:`~repro.obs.metrics.fold_metrics` derives every metric another
+  ledger holds from the stats and the trace (table ``FOLDED``); the
+  registry keeps only the rest,
 - :mod:`repro.obs.export` — canonical JSONL trace export, streaming
   re-load, and text summaries (the ``--trace``/``--metrics`` flags),
 - :mod:`repro.obs.analyze` — trace forensics over the exported
@@ -70,6 +73,7 @@ from repro.obs.metrics import (
     bucket_bounds,
     bucket_index,
     empty_snapshot,
+    fold_metrics,
     merge_snapshots,
     snapshot_names,
     summary_percentile,
@@ -116,6 +120,7 @@ __all__ = [
     "critical_path",
     "diff_traces",
     "empty_snapshot",
+    "fold_metrics",
     "host_metadata",
     "iter_trace_jsonl",
     "layer_of",

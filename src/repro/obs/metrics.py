@@ -26,7 +26,8 @@ and therefore always carries ``buckets`` beside the classic
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence)
 
 from repro.errors import ReproError
 
@@ -209,17 +210,8 @@ class MetricsRegistry:
             metric = self._histograms[name] = Histogram()
         return metric
 
-    # -- bound instruments --------------------------------------------------
-    #
-    # Hot paths that observe the same metric thousands of times per run
-    # (the kernel's per-step latency, the scenario's per-AIT counters)
-    # should not pay a registry dict lookup plus a method bind on every
-    # observation.  ``bind_*`` resolves the instrument once and returns
-    # its update method; call sites cache the handle at construction
-    # time and invoke it directly.  Binding creates the instrument, so
-    # only bind metrics that are recorded unconditionally — a bound
-    # name appears in snapshots from the moment of binding, exactly as
-    # a ``counter(name)`` lookup would have created it.
+    # -- bound instruments: resolve once (creating the instrument) and
+    # keep the update method, for the kernel's hot paths.
 
     def bind_counter(self, name: str) -> Callable[..., None]:
         """Resolve once: the ``inc`` method of counter ``name``."""
@@ -301,3 +293,83 @@ def snapshot_names(snapshot: Snapshot) -> List[str]:
     for kind in KINDS:
         names.extend(f"{kind}:{name}" for name in sorted(snapshot.get(kind, {})))
     return names
+
+
+# -- the fold: one ledger per fact -------------------------------------------
+
+#: Every metric that repeats a fact another ledger holds, with its one
+#: source: ``name -> (source, key, attr)``.  ``stats``: counter ``key`` of
+#: the stats (a ``CampaignStats`` field, an ``AnalysisStats`` counter, or
+#: the daemon's rollup).  ``count``: the trace records named ``key``, or
+#: those whose attribute ``attr`` is truthy.  ``duration``: a histogram
+#: of the ``end_ns - start_ns`` of the spans named ``key``.
+FOLDED: Dict[str, tuple] = {
+    "campaign/runs": ("stats", "runs", None),
+    "campaign/alarms": ("stats", "alarms", None),
+    "campaign/blocked": ("stats", "blocked", None),
+    "campaign/alarmed_runs": ("stats", "alarmed_runs", None),
+    "campaign/blocked_runs": ("stats", "blocked_runs", None),
+    "analysis/installers": ("stats", "installers", None),
+    "serve/shards_completed": ("stats", "shards", None),
+    "ait/runs": ("count", "install/outcome", None),
+    "ait/installed": ("count", "install/outcome", "installed"),
+    "ait/hijacked": ("count", "install/outcome", "hijacked"),
+    "ait/errors": ("count", "install/outcome", "error"),
+    "attack/strikes": ("count", "attack/strike", None),
+    "attack/strikes_blocked": ("count", "attack/strike", "blocked"),
+    "kernel/processes_finished": ("count", "kernel/process", None),
+    "kernel/processes_failed": ("count", "kernel/process", "error"),
+    "hub/queue_overflows": ("count", "hub/q_overflow", None),
+    "dapp/overflows": ("count", "defense/rescan_mode", None),
+    "analysis/apps": ("count", "analysis/app", None),
+    "analysis/images": ("count", "analysis/image", None),
+    "attack/window_ns": ("duration", "attack/window", None),
+    "analysis/instructions_per_app": ("duration", "analysis/app", None),
+    "analysis/apps_per_image": ("duration", "analysis/image", None),
+}
+
+#: Folded counters shown at 0 too once the metric they map to is
+#: nonzero; every other folded metric appears only when nonzero.
+SHOWN_AT_ZERO = {"campaign/alarms": "campaign/runs",
+                 "campaign/blocked": "campaign/runs"}
+
+_BY_RECORD: Dict[str, List[tuple]] = {}
+for _name, (_source, _key, _attr) in FOLDED.items():
+    if _source != "stats":
+        _BY_RECORD.setdefault(_key, []).append((_name, _source, _attr))
+
+
+def fold_metrics(registry: Optional[MetricsRegistry] = None,
+                 records: Optional[Iterable[Dict[str, Any]]] = None,
+                 stats: Any = None) -> Snapshot:
+    """One snapshot from the registry, the trace records and the stats.
+
+    The registry holds only what no other ledger records; every
+    :data:`FOLDED` metric is derived here.  ``stats`` is a
+    ``CampaignStats``, an ``AnalysisStats`` or a name -> count mapping.
+    A registry counter of a folded name (the daemon's ``health`` reads
+    create one at 0) keeps that name shown at 0.
+    """
+    snapshot = (registry.snapshot() if registry is not None
+                else empty_snapshot())
+    if stats is not None and not isinstance(stats, Mapping):
+        stats = (dict(zip(stats.COUNTER_FIELDS, stats.counter_tuple()))
+                 if hasattr(stats, "COUNTER_FIELDS") else stats.counters)
+    counters = {name: (stats or {}).get(key, 0)
+                for name, (source, key, _) in FOLDED.items()
+                if source == "stats"}
+    histograms: Dict[str, Histogram] = {}
+    for record in records or ():
+        for name, source, attr in _BY_RECORD.get(record["name"], ()):
+            if source == "duration":
+                histograms.setdefault(name, Histogram()).observe(
+                    record["end_ns"] - record["start_ns"])
+            elif attr is None or record["attrs"][attr]:
+                counters[name] = counters.get(name, 0) + 1
+    shown = snapshot["counters"]
+    for name, value in counters.items():
+        if value or name in shown or counters.get(SHOWN_AT_ZERO.get(name)):
+            shown[name] = value
+    for name, histogram in histograms.items():
+        snapshot["histograms"][name] = histogram.summary()
+    return {kind: dict(sorted(snapshot[kind].items())) for kind in KINDS}

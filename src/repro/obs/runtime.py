@@ -48,9 +48,9 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.durable import RecordLog, atomic_write, frame
 from repro.errors import ReproError

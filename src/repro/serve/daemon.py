@@ -37,7 +37,7 @@ from repro.engine.progress import FleetProgress, NullProgress
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
 from repro.obs.export import trace_to_jsonl
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, fold_metrics
 from repro.obs.runtime import (
     FlightRecorder,
     TelemetryRollup,
@@ -362,7 +362,6 @@ class CampaignService:
             job.progress = (done, total)
             job.telemetry = job_telemetry
             self._rollup.add(payload)
-            self.metrics.counter("serve/shards_completed").inc()
             self.metrics.histogram("serve/shard_wall_ms").observe(
                 payload["wall_ns"] // 1_000_000)
             self.metrics.histogram("serve/shard_cpu_ms").observe(
@@ -418,6 +417,8 @@ class CampaignService:
         """Liveness and load summary (the ``health`` op's payload)."""
         with self._lock:
             running = self.queue.running()
+            # Reading creates each counter at 0, so later scrapes list
+            # all seven; the rollup is the one count of shards.
             counters = {
                 name: self.metrics.counter(f"serve/{name}").value
                 for name in ("jobs_submitted", "jobs_completed",
@@ -425,6 +426,7 @@ class CampaignService:
                              "jobs_recovered", "shards_completed",
                              "worker_restarts")
             }
+            counters["shards_completed"] = self._rollup.shards
             pool = self.executor._pool
             worker_pids = ({str(slot): pid for slot, pid
                             in sorted(pool.worker_pids().items())}
@@ -456,7 +458,8 @@ class CampaignService:
         the service lock so the scrape is a consistent snapshot.
         """
         with self._lock:
-            snapshot = self.metrics.snapshot()
+            snapshot = fold_metrics(self.metrics,
+                                    stats={"shards": self._rollup.shards})
             rollup = (self._rollup.to_dict()
                       if self._rollup.shards or self._rollup.queue_wait_s
                       else None)

@@ -245,7 +245,6 @@ class EventHub:
             if not sub._overflow_open:
                 sub._overflow_open = True
                 sub.overflows += 1
-                self._count("hub/queue_overflows")
                 when_ns = self._kernel.clock.now_ns + delay_ns
                 obs = self._kernel.obs
                 if obs.enabled:

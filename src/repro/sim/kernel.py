@@ -148,14 +148,6 @@ class Process:
                 "kernel/process", self.spawned_ns, kernel.clock.now_ns,
                 process=self.name, steps=self.steps,
                 error=type(error).__name__ if error is not None else "")
-        if kernel.metrics is not None:
-            inc_finished = kernel._inc_finished
-            if inc_finished is None:
-                inc_finished = kernel._inc_finished = kernel.metrics.bind_counter(
-                    "kernel/processes_finished")
-            inc_finished()
-            if error is not None:
-                kernel.metrics.counter("kernel/processes_failed").inc()
         self.completion.trigger(result)
         if error is not None:
             self._kernel._failures.append((self, error))
@@ -186,11 +178,8 @@ class Kernel:
         self._active_processes: set = set()
         self._failures: List[Any] = []
         self._process_count = itertools.count(1)
-        # Bound-instrument handles, resolved on first use so metric
-        # names appear in snapshots exactly when the legacy per-call
-        # registry lookups would have created them.
+        # Bound instruments, resolved on first use (_step, _account_run).
         self._observe_step: Optional[Callable[[int], None]] = None
-        self._inc_finished: Optional[Callable[..., None]] = None
         self._account_bound: Optional[tuple] = None
 
     # -- scheduling ---------------------------------------------------------

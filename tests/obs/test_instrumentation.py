@@ -4,7 +4,7 @@ from repro.attacks.base import fingerprint_for
 from repro.attacks.toctou import FileObserverHijacker
 from repro.core.scenario import Scenario
 from repro.installers import installer_by_name
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, fold_metrics
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.kernel import Kernel, Sleep
 
@@ -65,7 +65,7 @@ def test_kernel_records_process_spans_and_step_latency():
     assert spans[0]["end_ns"] == 300
     assert spans[0]["attrs"]["process"] == "worker"
     assert spans[0]["attrs"]["error"] == ""
-    snapshot = metrics.snapshot()
+    snapshot = fold_metrics(metrics, recorder.records())
     assert snapshot["counters"]["kernel/processes_finished"] == 1
     latency = snapshot["histograms"]["kernel/step_latency_ns"]
     assert latency["count"] >= 2
@@ -83,7 +83,8 @@ def test_kernel_counts_failed_processes():
 
     kernel.spawn(proc(), name="bad")
     kernel.run()
-    assert metrics.snapshot()["counters"]["kernel/processes_failed"] == 1
+    snapshot = fold_metrics(metrics, recorder.records())
+    assert snapshot["counters"]["kernel/processes_failed"] == 1
     (span,) = [r for r in recorder.records()
                if r["name"] == "kernel/process"]
     assert span["attrs"]["error"] == "RuntimeError"
@@ -176,14 +177,16 @@ def test_scenario_binds_intent_defense_observability():
 
 def test_scenario_metrics_counters():
     metrics = MetricsRegistry()
-    scenario = build_scenario(metrics=metrics)
+    recorder = TraceRecorder()
+    scenario = build_scenario(recorder=recorder, metrics=metrics)
     scenario.run_install("com.bank.app")
-    counters = metrics.snapshot()["counters"]
+    snapshot = fold_metrics(metrics, recorder.records())
+    counters = snapshot["counters"]
     assert counters["ait/runs"] == 1
     assert counters["ait/installed"] == 1
     assert counters["ait/hijacked"] == 1
     assert counters["attack/strikes"] == 1
-    histograms = metrics.snapshot()["histograms"]
+    histograms = snapshot["histograms"]
     assert histograms["ait/elapsed_ns"]["count"] == 1
     assert histograms["attack/window_ns"]["count"] == 1
 

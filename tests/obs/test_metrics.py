@@ -8,6 +8,7 @@ from repro.obs.metrics import (
     bucket_bounds,
     bucket_index,
     empty_snapshot,
+    fold_metrics,
     merge_snapshots,
     snapshot_names,
 )
@@ -241,3 +242,26 @@ def test_histogram_observe_inline_bucketing_matches_bucket_index():
         bucket_index(value): count
         for value, count in {-3: 2, 1: 1, 2: 2, 1023: 1, 1024: 1}.items()
     }
+
+
+def test_fold_derives_counters_from_stats_and_trace_records():
+    from repro.core.campaign import CampaignStats
+
+    registry = MetricsRegistry()
+    registry.counter("serve/shards_completed")  # a read creates it at 0
+    records = [
+        {"type": "event", "name": "install/outcome", "t_ns": 1,
+         "attrs": {"installed": False, "hijacked": False, "error": "boom"}},
+        {"type": "span", "name": "attack/window", "start_ns": 2,
+         "end_ns": 7, "attrs": {"blocked": False}},
+    ]
+    snapshot = fold_metrics(registry, records, CampaignStats(runs=1))
+    # Alarms and blocks show at 0 beside a run count; the rest only
+    # when nonzero, unless the registry already holds the name.
+    assert snapshot["counters"] == {
+        "ait/errors": 1, "ait/runs": 1, "campaign/alarms": 0,
+        "campaign/blocked": 0, "campaign/runs": 1,
+        "serve/shards_completed": 0}
+    assert snapshot["histograms"]["attack/window_ns"]["sum"] == 5
+    assert fold_metrics(stats={"shards": 3})["counters"] == {
+        "serve/shards_completed": 3}

@@ -21,7 +21,12 @@ from repro.obs.runtime import validate_exposition
 from repro.serve.checkpoint import read_result
 from repro.serve.client import ServeClient
 from repro.serve.daemon import CampaignService, ServeDaemon
-from repro.serve.protocol import parse_submission, submit_campaign_request
+from repro.serve.protocol import (
+    decode_message,
+    encode_message,
+    parse_submission,
+    submit_campaign_request,
+)
 
 needs_unix_sockets = pytest.mark.skipif(
     not hasattr(socket_module, "AF_UNIX"),
@@ -60,6 +65,37 @@ def run_one_job(service, installs=20, seed=7):
         CampaignSpec(installs=installs, seed=seed))))
     service.execute(service.try_pop())
     return job
+
+
+# -- wrongly typed submissions ---------------------------------------------
+
+@needs_unix_sockets
+@pytest.mark.parametrize("field, value, expected", [
+    ("installs", "10", "installs must be an int, got str '10'"),
+    ("defenses", "dapp", "defenses must be a list of names, got str 'dapp'"),
+])
+def test_a_wrongly_typed_submit_gets_one_refusal(live_daemon, capfd, field,
+                                                 value, expected):
+    client, daemon, service = live_daemon
+    capfd.readouterr()
+    message = submit_campaign_request(CampaignSpec(installs=2, seed=7))
+    message["spec"][field] = value
+    with socket_module.socket(socket_module.AF_UNIX) as sock:
+        sock.settimeout(10)
+        sock.connect(str(daemon.socket_path))
+        sock.sendall(encode_message(message))
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    replies = [decode_message(line) for line in received.splitlines()]
+    assert len(replies) == 1
+    assert replies[0]["ok"] is False
+    assert replies[0]["error"] == expected
+    assert client.health()["jobs_submitted"] == 0
+    assert capfd.readouterr().err == ""
 
 
 # -- metrics op -------------------------------------------------------------

@@ -14,6 +14,12 @@ lists it, keyed ``module:Qual.name``, with the paper claim a test pins
 through it or the private state a test would otherwise have to read.
 The list cannot go stale: an entry that no longer exists, or that code
 outside ``tests`` now references, fails the guard too.
+
+Imports are held to the same rule, module by module: every name a
+module of ``src/repro`` imports (``__init__`` modules, which re-export,
+and ``from __future__`` aside) must be used in that module, as a
+``Name``, a name inside a string annotation, or an entry of
+``__all__``.
 """
 
 import ast
@@ -118,3 +124,56 @@ def test_kept_for_tests_entries_are_current():
     stale = sorted(key for key in KEPT_FOR_TESTS
                    if key not in defined or defined[key] in names)
     assert stale == []
+
+
+def annotations(tree):
+    """Every annotation expression in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            for argument in (arguments.posonlyargs + arguments.args
+                             + arguments.kwonlyargs
+                             + [arguments.vararg, arguments.kwarg]):
+                if argument is not None and argument.annotation is not None:
+                    yield argument.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def names_used(tree):
+    """The names a module uses: loads, string annotations, ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(inner.id for inner
+                             in ast.walk(ast.parse(node.value, mode="eval"))
+                             if isinstance(inner, ast.Name))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name)
+                        and target.id == "__all__"
+                        for target in node.targets)):
+            names.update(element.value for element in node.value.elts)
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused.extend(
+                    f"{path.relative_to(ROOT)}:{node.lineno}: {bound}"
+                    for bound in (alias.asname or alias.name.split(".")[0]
+                                  for alias in node.names)
+                    if bound not in used)
+    assert unused == []
