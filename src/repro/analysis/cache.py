@@ -19,14 +19,23 @@ file opens instead of one per app:
     segment up front, one lazy read-only mapping per segment actually
     read — regardless of how many records they hold.
 
+``map-<fingerprint>-<start>-<stop>.keys``
+    A key map: the raw 32-byte content keys of corpus indices
+    ``[start, stop)`` in index order, as one :mod:`repro.durable`
+    frame, for the corpus plan whose fingerprint the name carries.  A
+    cold shard writes one next to its segment, so a warm shard goes
+    from an index to its key without building the app.  A torn or
+    short map is ignored: its indices are keyed the slow way, so it
+    costs misses of the map, never a hit.
+
 ``put`` takes each payload already encoded to its canonical bytes
 (the caller writes them: see ``AnalysisCache.store``) and buffers
 them; ``flush()`` frames them and joins the frames into a whole
 segment in one pass (the pipeline flushes once per shard, and
-``put`` rotates automatically past a record cap).  Segment and index
-files go through a best-effort (not fsynced) ``atomic_write``, and
-segment names are derived from the content digest — concurrent shards
-never collide and re-flushing identical content is idempotent.
+``put`` rotates automatically past a record cap).  Segment, index and
+key-map files go through a best-effort (not fsynced) ``atomic_write``,
+and segment names are derived from the content digest — concurrent
+shards never collide and re-flushing identical content is idempotent.
 Because a segment is never rewritten in place, a reader may map it: a
 replaced file keeps its old inode alive under any existing mapping.
 
@@ -43,7 +52,7 @@ import json
 import mmap
 import os
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.durable import (
     FRAME,
@@ -67,6 +76,19 @@ _FANOUT = struct.Struct("<256I")
 DEFAULT_ROTATE_RECORDS = 65536
 
 _KEY_BYTES = 32
+
+_KEYMAP_PREFIX, _KEYMAP_SUFFIX = "map-", ".keys"
+
+
+def _keymap_range(name: str) -> Optional[Tuple[str, int, int]]:
+    """``(fingerprint, start, stop)`` of a key-map file name, or None."""
+    if not (name.startswith(_KEYMAP_PREFIX) and name.endswith(_KEYMAP_SUFFIX)):
+        return None
+    parts = name[len(_KEYMAP_PREFIX):-len(_KEYMAP_SUFFIX)].split("-")
+    if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+        return None
+    start, stop = int(parts[1]), int(parts[2])
+    return (parts[0], start, stop) if start < stop else None
 
 
 def _raw_key(key) -> bytes:
@@ -228,12 +250,28 @@ class PackStore:
         sweep_staging(root, names)
         #: Readable segments by path, in name then flush order.
         self._segments: Dict[str, _Segment] = {}
+        #: Key maps by fingerprint: ``(start, stop, path)`` entries.
+        self._keymaps: Dict[str, List[Tuple[int, int, str]]] = {}
         for name in names:
             if name.endswith(".pack"):
                 segment = _scan_segment(os.path.join(root, name))
                 if segment is not None:
                     self._segments[segment.path] = segment
+            else:
+                found = _keymap_range(name)
+                if found is not None:
+                    self._add_keymap(*found)
         self._buffer: Dict[str, bytes] = {}
+
+    def _add_keymap(self, fingerprint: str, start: int, stop: int) -> str:
+        """Register a key map; its path."""
+        path = os.path.join(self.root, f"{_KEYMAP_PREFIX}{fingerprint}-"
+                                       f"{start}-{stop}{_KEYMAP_SUFFIX}")
+        entries = self._keymaps.setdefault(fingerprint, [])
+        if (start, stop, path) not in entries:
+            entries.append((start, stop, path))
+            entries.sort()
+        return path
 
     # -- reads ----------------------------------------------------------------
 
@@ -255,6 +293,36 @@ class PackStore:
     @property
     def segment_count(self) -> int:
         return len(self._segments)
+
+    def mapped_keys(self, fingerprint: str, start: int,
+                    stop: int) -> List[Optional[str]]:
+        """The hex key of each index in ``[start, stop)`` from the key maps.
+
+        Any map of ``fingerprint`` that overlaps the range serves the
+        indices it covers, whatever range it was written for; where
+        maps overlap, the one with the lower ``(start, stop)`` wins.
+        An index no intact map covers reads as None.
+        """
+        keys: List[Optional[str]] = [None] * (stop - start)
+        for map_start, map_stop, path in self._keymaps.get(fingerprint, ()):
+            low, high = max(start, map_start), min(stop, map_stop)
+            if low >= high or None not in keys[low - start:high - start]:
+                continue
+            try:
+                with open(path, "rb") as handle:
+                    blob = handle.read()
+            except OSError:
+                continue
+            found = read_frame(blob, 0)
+            if (found is None or found[1] != len(blob)
+                    or len(found[0]) != (map_stop - map_start) * _KEY_BYTES):
+                continue  # torn or foreign: these indices stay unmapped
+            hexed, width = found[0].hex(), 2 * _KEY_BYTES
+            for index in range(low, high):
+                if keys[index - start] is None:
+                    at = (index - map_start) * width
+                    keys[index - start] = hexed[at:at + width]
+        return keys
 
     # -- writes ---------------------------------------------------------------
 
@@ -296,6 +364,14 @@ class PackStore:
             segment_path, count, fanout, index_keys, entries)
         self._buffer.clear()
         return segment_path
+
+    def write_keymap(self, fingerprint: str, start: int,
+                     keys: Sequence[str]) -> None:
+        """Write the key map of indices ``[start, start + len(keys))``."""
+        if keys:
+            path = self._add_keymap(fingerprint, start, start + len(keys))
+            atomic_write(path, frame(bytes.fromhex("".join(keys))),
+                         durable=False)
 
     def close(self) -> None:
         """Release every segment mapping (does not flush the buffer)."""

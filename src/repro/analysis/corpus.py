@@ -24,9 +24,12 @@ ecosystem (see DESIGN.md section 4).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
+import hashlib
 import itertools
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -37,6 +40,13 @@ from repro.sim.rand import DeterministicRandom
 
 WRITE_EXTERNAL = "android.permission.WRITE_EXTERNAL_STORAGE"
 INSTALL_MARKER = "application/vnd.android.package-archive"
+
+#: The version of what ``app_at`` builds.  Bump it with any edit that
+#: moves an app digest in ``tests/test_workload_items.py``: a plan's
+#: :meth:`~_CorpusPlan.fingerprint` includes it, and the analysis
+#: cache trusts an index -> content-key map only under the fingerprint
+#: it was written for.
+GENERATOR_VERSION = 1
 
 PLAY_URL = "http://play.google.com/store/apps/details?id="
 MARKET_SCHEME = "market://details?id="
@@ -475,13 +485,36 @@ def _truth_layout(buckets: Sequence[Tuple[int, GroundTruth]]
     return edges, truths + (GroundTruth.NON_INSTALLER,)
 
 
-class PlayCorpusPlan:
+class _CorpusPlan:
+    """What the two app-corpus plans share: the name of what they build."""
+
+    #: The corpus name (``AnalysisSpec.corpus``) this plan derives.
+    kind = ""
+
+    def fingerprint(self) -> str:
+        """sha256 of the canonical JSON of kind, spec, seed and generator.
+
+        Two plans with one fingerprint build the same app at every
+        index, as long as :data:`GENERATOR_VERSION` is bumped with
+        every edit that changes an app.
+        """
+        blob = json.dumps({
+            "kind": self.kind,
+            "spec": dataclasses.asdict(self.spec),
+            "seed": self.seed,
+            "generator": GENERATOR_VERSION,
+        }, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class PlayCorpusPlan(_CorpusPlan):
     """O(1)-memory, index-addressable Play corpus derivation.
 
     ``app_at(index)`` builds app ``index`` alone, for any index in
     ``range(size)``; a shard walks its ``[start, stop)`` slice of it.
     """
 
+    kind = "play"
     vendors: Tuple[str, ...] = ()
 
     def __init__(self, seed: int = 2016,
@@ -573,7 +606,7 @@ class PlayCorpusPlan:
         return app
 
 
-class PreinstalledCorpusPlan:
+class PreinstalledCorpusPlan(_CorpusPlan):
     """O(1)-memory, index-addressable pre-installed corpus derivation.
 
     The slot layout packs the bookkeeping the old list-based generator
@@ -585,6 +618,7 @@ class PreinstalledCorpusPlan:
     feasibility check runs before any app is built.
     """
 
+    kind = "preinstalled"
     vendors: Tuple[str, ...] = ("samsung", "xiaomi", "huawei")
 
     def __init__(self, seed: int = 2016,

@@ -29,7 +29,9 @@ re-runs incremental: each entry records the *detector versions its
 verdict consulted* (see
 :data:`~repro.analysis.classifier.DETECTOR_VERSIONS`), so bumping one
 detector's version re-analyzes only the apps whose code exercised that
-detector.
+detector.  A shard that keys its apps also writes its range's key map
+(index -> content key), so a warm shard reads its records by index
+without building the apps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cache import PackStore
 from repro.analysis.classifier import (
@@ -71,9 +73,12 @@ from repro.android.signing import platform_key
 from repro.engine.merge import ShardedReport
 from repro.engine.spec import ShardSlice, parse_chaos, partition
 from repro.errors import ReproError
+from repro.sim.rand import DeterministicRandom
 
 #: Bump on incompatible cache-entry layout changes.
 CACHE_SCHEMA = 1
+#: Mapped indices a shard rebuilds and keys before it trusts a key map.
+KEYMAP_GUARD_SAMPLE = 8
 #: Version of the redirect-target extraction (play-corpus pass).
 REDIRECT_SCAN_VERSION = 1
 
@@ -228,7 +233,8 @@ class AnalysisCache:
     append-only, sha256-verified segment plus its fanout index, so a
     warm run does O(segments) opens instead of one per app.  Hits are
     read from a read-only mapping of the segment and re-verified;
-    :meth:`close` releases those mappings.
+    :meth:`close` releases those mappings.  :meth:`mapped_keys` and a
+    :meth:`flush` given a plan read and write the store's key maps.
     """
 
     def __init__(self, root: str) -> None:
@@ -296,9 +302,38 @@ class AnalysisCache:
             "record": record.__dict__,
         }).encode("utf-8"))
 
-    def flush(self) -> Optional[str]:
-        """Rotate buffered writes into a segment; its path, or None."""
-        return self._store.flush()
+    def mapped_keys(self, plan, start: int,
+                    stop: int) -> List[Optional[str]]:
+        """Each index's content key from the key maps; None if unmapped.
+
+        The maps are trusted per plan fingerprint.  As a backstop
+        against a generator edit that did not bump its version, a
+        seeded sample of the mapped indices is rebuilt and keyed first;
+        on any mismatch every map is ignored, which costs misses of the
+        map, never a false hit.
+        """
+        fingerprint = plan.fingerprint()
+        keys = self._store.mapped_keys(fingerprint, start, stop)
+        mapped = [offset for offset, key in enumerate(keys) if key is not None]
+        guard = DeterministicRandom(start).fork(
+            f"key-map guard/{fingerprint}/{stop}")
+        for offset in guard.sample(mapped, min(KEYMAP_GUARD_SAMPLE,
+                                                len(mapped))):
+            if self.key_for(plan.app_at(start + offset)) != keys[offset]:
+                return [None] * (stop - start)
+        return keys
+
+    def flush(self, plan=None, start: int = 0,
+              keys: Sequence[str] = ()) -> Optional[str]:
+        """Rotate buffered writes into a segment; its path, or None.
+
+        Given a ``plan``, also write the key map of ``keys``, the
+        content keys of indices ``start, start + 1, ...`` of its corpus.
+        """
+        path = self._store.flush()
+        if plan is not None:
+            self._store.write_keymap(plan.fingerprint(), start, keys)
+        return path
 
     def close(self) -> None:
         """Release segment mappings; unflushed writes are not written."""
@@ -457,23 +492,31 @@ class AnalysisShardSpec(ShardSlice):
         cache = (AnalysisCache(spec.cache_dir)
                  if spec.cache_dir is not None else None)
         preinstalled = spec.corpus == "preinstalled"
-        hits = misses = 0
+        start, stop = self.start, self.stop
+        misses = 0
+        keys: List[Optional[str]] = [None] * (stop - start)
+        unmapped = False
         try:
-            for index in range(self.start, self.stop):
-                app = plan.app_at(index)
-                record = None
-                key = None
-                if cache is not None:
-                    key = cache.key_for(app)
-                    record = cache.load(key)
+            if cache is not None:
+                keys = cache.mapped_keys(plan, start, stop)
+            for index in range(start, stop):
+                # A mapped key reaches its record with no app built.
+                key = keys[index - start]
+                record = cache.load(key) if key is not None else None
                 if record is None:
-                    record = analyze_app(app, classifier,
-                                         scan_redirects=not preinstalled)
-                    misses += 1
+                    app = plan.app_at(index)
                     if cache is not None:
-                        cache.store(key, record)
-                else:
-                    hits += 1
+                        actual = cache.key_for(app)
+                        if actual != key:  # unmapped, or the map is wrong
+                            keys[index - start] = key = actual
+                            unmapped = True
+                            record = cache.load(key)
+                    if record is None:
+                        record = analyze_app(app, classifier,
+                                             scan_redirects=not preinstalled)
+                        misses += 1
+                        if cache is not None:
+                            cache.store(key, record)
                 fold_analysis(stats, record, preinstalled)
                 if recorder is not None:
                     # Simulated time = the app's global index: identical
@@ -487,12 +530,15 @@ class AnalysisShardSpec(ShardSlice):
                     )
             if cache is not None:
                 # One segment per shard: the warm re-run opens O(shards)
-                # index files instead of one JSON per analyzed app.
-                cache.flush()
+                # index files instead of one JSON per analyzed app.  A
+                # shard that had to key an index itself also writes
+                # its range's key map.
+                cache.flush(plan if unmapped else None, start, keys)
         finally:
             if cache is not None:
                 cache.close()
-        return stats, {"cache_hits": hits, "cache_misses": misses}
+        return stats, {"cache_hits": stop - start - misses,
+                       "cache_misses": misses}
 
     # -- per-image passes (hare + platform keys, Section IV-B) ----------------
 

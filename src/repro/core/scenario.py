@@ -79,11 +79,6 @@ class Scenario:
         """The device's trace recorder (NULL_RECORDER when off)."""
         return self.system.obs
 
-    @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        """The device's metrics registry (None when off)."""
-        return self.system.metrics
-
     # -- construction -------------------------------------------------------------
 
     @classmethod

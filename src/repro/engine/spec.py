@@ -423,6 +423,10 @@ class ShardSlice:
     start: int
     stop: int
 
+    #: Whether an observed run writes a :class:`MetricsRegistry`: only
+    #: the campaign kind records metrics that no other ledger holds.
+    writes_registry = False
+
     def run(self, recorder: Optional[TraceRecorder],
             metrics: Optional[MetricsRegistry]
             ) -> Tuple[Any, Dict[str, int]]:
@@ -443,7 +447,8 @@ class ShardSlice:
         started = time.perf_counter_ns()
         observe = self.campaign.observe
         recorder = TraceRecorder() if observe else None
-        metrics = MetricsRegistry() if observe else None
+        metrics = (MetricsRegistry() if observe and self.writes_registry
+                   else None)
         stats, counters = self.run(recorder, metrics)
         wall_ns = time.perf_counter_ns() - started
         telemetry = ShardTelemetry.since(self.index, wall_ns, before)
@@ -469,6 +474,8 @@ class ShardSpec(ShardSlice):
 
     campaign: CampaignSpec
     seed: int
+
+    writes_registry = True
 
     def build_scenario(self, recorder=None, metrics=None) -> Scenario:
         """Provision this shard's fresh device from the spec.

@@ -62,6 +62,11 @@ from repro.serve.queue import DONE, FAILED, Job, JobQueue
 #: wake path).
 _SCHEDULER_IDLE_S = 0.25
 
+#: The ``serve/*`` counters ``health`` reports, created with the service.
+_HEALTH_COUNTERS = ("jobs_submitted", "jobs_completed", "jobs_failed",
+                    "jobs_cancelled", "jobs_recovered", "shards_completed",
+                    "worker_restarts")
+
 
 class _JobProgress(FleetProgress):
     """Engine progress adapter: shard completions become stream frames.
@@ -102,6 +107,9 @@ class CampaignService:
         self.executor = FleetExecutor(workers=workers, backend=backend,
                                       warm=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Created here, so a fresh daemon's scrape lists all seven at 0.
+        for name in _HEALTH_COUNTERS:
+            self.metrics.counter(f"serve/{name}")
         #: Bounded ops-event ring, file-backed in the state dir so the
         #: recent event history survives a SIGKILL/restart cycle.
         self.flight = FlightRecorder(path=self.store.flight_path())
@@ -417,15 +425,9 @@ class CampaignService:
         """Liveness and load summary (the ``health`` op's payload)."""
         with self._lock:
             running = self.queue.running()
-            # Reading creates each counter at 0, so later scrapes list
-            # all seven; the rollup is the one count of shards.
-            counters = {
-                name: self.metrics.counter(f"serve/{name}").value
-                for name in ("jobs_submitted", "jobs_completed",
-                             "jobs_failed", "jobs_cancelled",
-                             "jobs_recovered", "shards_completed",
-                             "worker_restarts")
-            }
+            # The rollup is the one count of shards.
+            counters = {name: self.metrics.counter(f"serve/{name}").value
+                        for name in _HEALTH_COUNTERS}
             counters["shards_completed"] = self._rollup.shards
             pool = self.executor._pool
             worker_pids = ({str(slot): pid for slot, pid

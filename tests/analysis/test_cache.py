@@ -14,6 +14,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import durable
+from repro.analysis import corpus as corpus_mod
 from repro.analysis import pipeline as pipeline_mod
 from repro.analysis.cache import PackStore
 from repro.analysis.corpus import PlayCorpusPlan, scaled_play_spec
@@ -402,3 +404,114 @@ def test_sharded_cold_run_writes_one_segment_per_shard(tmp_path):
     assert len(_segment_paths(tmp_path)) == 4
     warm = run_serial(spec, shards=4)
     assert (warm.cache_hits, warm.cache_misses) == (200, 0)
+
+
+
+# -- key maps: index -> content key, written cold -----------------------------------
+
+
+def _map_names(root):
+    return sorted(name for name in os.listdir(root) if name.endswith(".keys"))
+
+
+def _count_app_at(monkeypatch, edit=None):
+    """Count ``PlayCorpusPlan.app_at`` calls; ``edit`` rewrites smali."""
+    calls = []
+    original = PlayCorpusPlan.app_at
+
+    def app_at(plan, index):
+        calls.append(index)
+        app = original(plan, index)
+        if edit is not None:
+            app.smali_text = edit(app.smali_text)
+        return app
+
+    monkeypatch.setattr(PlayCorpusPlan, "app_at", app_at)
+    return calls
+
+
+def test_fingerprint_names_kind_spec_seed_and_generator(monkeypatch):
+    def fingerprint(corpus="play", apps=300, seed=3):
+        return AnalysisSpec(corpus=corpus, apps=apps,
+                            seed=seed).plan().fingerprint()
+
+    prints = {fingerprint(), fingerprint(apps=301), fingerprint(seed=4),
+              fingerprint(corpus="preinstalled")}
+    assert len(prints) == 4
+    assert fingerprint() == fingerprint()
+    monkeypatch.setattr(corpus_mod, "GENERATOR_VERSION",
+                        corpus_mod.GENERATOR_VERSION + 1)
+    assert fingerprint() not in prints
+
+
+def test_cold_shard_writes_its_range_key_map(tmp_path):
+    spec = AnalysisSpec(corpus="play", apps=90, seed=5,
+                        cache_dir=str(tmp_path))
+    run_serial(spec, shards=2)
+    plan = spec.plan()
+    prefix = f"map-{plan.fingerprint()}-"
+    assert _map_names(tmp_path) == [prefix + "0-45.keys",
+                                    prefix + "45-90.keys"]
+    blob = (tmp_path / (prefix + "45-90.keys")).read_bytes()
+    payload, end = durable.read_frame(blob, 0)
+    assert end == len(blob)
+    assert payload.hex() == "".join(
+        AnalysisCache.key_for(plan.app_at(index)) for index in range(45, 90))
+    # A warm run of any layout reads them and writes no further map.
+    run_serial(spec, shards=3)
+    assert len(_map_names(tmp_path)) == 2
+
+
+def test_warm_run_over_another_partition_builds_only_the_guard_sample(
+        tmp_path, monkeypatch):
+    spec = AnalysisSpec(corpus="play", apps=700, cache_dir=str(tmp_path))
+    cold = run_serial(spec, shards=4)
+    calls = _count_app_at(monkeypatch)
+    for shards in (7, 1, 3):
+        del calls[:]
+        warm = run_serial(spec, shards=shards)
+        assert (warm.cache_hits, warm.cache_misses) == (700, 0)
+        assert warm.stats.identity_tuple() == cold.stats.identity_tuple()
+        assert warm.trace_records() == cold.trace_records()
+        assert len(calls) == shards * pipeline_mod.KEYMAP_GUARD_SAMPLE
+    assert len(_map_names(tmp_path)) == 4
+
+
+def test_guard_ignores_maps_a_changed_generator_no_longer_matches(
+        tmp_path, monkeypatch):
+    spec = AnalysisSpec(corpus="play", apps=300, cache_dir=str(tmp_path))
+    run_serial(spec, shards=2)
+    fingerprint = spec.plan().fingerprint()
+    # Every app gains one instruction; the fingerprint stays the same.
+    _count_app_at(monkeypatch,
+                  edit=lambda text: text + '\nconst-string v9, "edited"')
+    assert spec.plan().fingerprint() == fingerprint
+    edited = run_serial(dataclasses.replace(spec, cache_dir=None), shards=1)
+    warm = run_serial(spec, shards=3)
+    assert (warm.cache_hits, warm.cache_misses) == (0, 300)
+    assert warm.stats.identity_tuple() == edited.stats.identity_tuple()
+    assert warm.trace_records() == edited.trace_records()
+    # The re-keyed shards wrote maps of the new keys beside the stale
+    # ones: a re-run of the same layout is served from the cache.
+    again = run_serial(spec, shards=3)
+    assert (again.cache_hits, again.cache_misses) == (300, 0)
+    assert again.stats.identity_tuple() == edited.stats.identity_tuple()
+
+
+def test_torn_key_map_is_a_miss_of_the_map_never_a_hit(
+        tmp_path, monkeypatch):
+    spec = AnalysisSpec(corpus="play", apps=200, cache_dir=str(tmp_path))
+    cold = run_serial(spec, shards=2)
+    path = tmp_path / _map_names(tmp_path)[1]
+    intact = path.read_bytes()
+    path.write_bytes(intact[:-1])
+    calls = _count_app_at(monkeypatch)
+    warm = run_serial(spec, shards=2)
+    assert (warm.cache_hits, warm.cache_misses) == (200, 0)
+    assert warm.stats.identity_tuple() == cold.stats.identity_tuple()
+    # The first shard's map served it (apps built: the guard sample);
+    # the second shard keyed its range itself and rewrote its map.
+    first = [index for index in calls if index < 100]
+    assert len(first) == pipeline_mod.KEYMAP_GUARD_SAMPLE
+    assert calls[len(first):] == list(range(100, 200))
+    assert path.read_bytes() == intact

@@ -96,7 +96,7 @@ def test_kernel_counts_failed_processes():
 def test_scenario_defaults_to_null_observability():
     scenario = build_scenario(attack=False)
     assert scenario.obs is NULL_RECORDER
-    assert scenario.metrics is None
+    assert scenario.system.metrics is None
     outcome = scenario.run_install("com.bank.app")
     assert outcome.installed
 

@@ -128,6 +128,24 @@ def test_service_exposition_separates_service_and_job_scopes(tmp_path):
         service.close()
 
 
+def test_a_fresh_service_exposes_what_health_reads(tmp_path):
+    # A health call must not change the scrape: its seven serve/*
+    # counters exist, at 0, from construction on.
+    service = CampaignService(tmp_path, workers=1, backend="serial")
+
+    def scrape():
+        return [line for line in service.prometheus().splitlines()
+                if "uptime_seconds" not in line]
+
+    try:
+        fresh = scrape()
+        assert "repro_serve_jobs_cancelled_total 0" in fresh
+        service.health()
+        assert scrape() == fresh
+    finally:
+        service.close()
+
+
 def test_exposition_reports_current_and_peak_queue_depth(tmp_path):
     service = CampaignService(tmp_path, workers=1, backend="serial")
     try:

@@ -16,6 +16,9 @@ After each crash, recovery runs and the store's contract is checked:
 - pack cache: every ``get`` returns the exact payload put or None, a
   flush that returned is served in full, a reopen leaves no staging
   file behind, and a recovery flush works;
+- analysis key maps: a warm run over another shard layout merges to
+  the stats and trace of an uncached run, every hit is the record the
+  cold run stored for that key, and the run after it misses nothing;
 - flight recorder: ``seq`` values stay continuous across the reload.
 
 The model is a process crash: every operation that returned has reached
@@ -27,6 +30,7 @@ ordering and recovery, not where the fsyncs sit.
 """
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -38,6 +42,13 @@ import pytest
 
 from repro import durable
 from repro.analysis.cache import PackStore
+from repro.analysis.classifier import InstallerClassifier
+from repro.analysis.pipeline import (
+    AnalysisCache,
+    AnalysisSpec,
+    analyze_app,
+    run_analysis,
+)
 from repro.engine import CampaignSpec, FleetExecutor, NullProgress
 from repro.obs.runtime import FlightRecorder
 from repro.serve.checkpoint import JobStore, ShardJournal, read_result
@@ -341,6 +352,64 @@ def test_a_live_writers_staged_file_survives_another_stores_open(tmp_path):
     assert len(staged) == 1
     _gets(root)
     assert list(root.glob(".tmp-*")) == staged
+
+
+# -- analysis key maps ------------------------------------------------------
+
+ANALYSIS_SPEC = AnalysisSpec(corpus="play", apps=24, seed=9, observe=True)
+
+
+def _analyze(root, shards):
+    spec = dataclasses.replace(ANALYSIS_SPEC, cache_dir=str(root))
+    return run_analysis(spec, shards=shards, backend="serial")
+
+
+class KeyMapScenario:
+    """A 2-shard cold run, so each shard writes a segment and a key map."""
+
+    def __init__(self):
+        self.uncached = run_analysis(ANALYSIS_SPEC, shards=1,
+                                     backend="serial")
+        plan = ANALYSIS_SPEC.plan()
+        classifier = InstallerClassifier()
+        self.records = {}
+        for index in range(plan.size):
+            app = plan.app_at(index)
+            self.records[AnalysisCache.key_for(app)] = analyze_app(
+                app, classifier)
+
+    def run(self, root):
+        _analyze(root, shards=2)
+
+    def check(self, root):
+        served = []
+        real_load = AnalysisCache.load
+
+        def load(cache, key):
+            record = real_load(cache, key)
+            if record is not None:
+                served.append((key, record))
+            return record
+
+        AnalysisCache.load = load
+        try:
+            warm = _analyze(root, shards=3)
+        finally:
+            AnalysisCache.load = real_load
+        assert not list(root.glob(".tmp-*"))  # swept at open
+        assert (warm.stats.identity_tuple()
+                == self.uncached.stats.identity_tuple())
+        assert warm.trace_records() == self.uncached.trace_records()
+        assert warm.cache_hits == len(served)
+        assert all(record == self.records[key] for key, record in served)
+        again = _analyze(root, shards=2)
+        assert (again.cache_hits, again.cache_misses) == (24, 0)
+
+
+def test_key_maps_never_serve_a_wrong_record_after_any_crash(tmp_path):
+    ops = _crash_everywhere(KeyMapScenario(), tmp_path)
+    assert set(ops) == {"_write", "_replace"}  # best-effort: no fsync
+    assert len(ops) == 2 * 6  # per shard: segment, index and key map
 
 
 # -- flight recorder --------------------------------------------------------

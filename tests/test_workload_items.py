@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.analysis.corpus import GENERATOR_VERSION
 from repro.analysis.pipeline import AnalysisSpec
 from repro.engine.spec import CampaignSpec
 
@@ -82,6 +83,13 @@ def test_installs_without_a_permission_pool():
         "3a8e2eea56f174df3a3f4ea110f7d8a67a4d81f11519ebadcdf6b7b4afe12b7a")
 
 
+#: The corpus generator version the app digests below were taken at.
+#: An edit that moves one of them bumps ``GENERATOR_VERSION`` and this
+#: line: the analysis cache trusts its index -> key maps by a plan
+#: fingerprint that includes the version.
+APP_DIGESTS_AT_VERSION = 1
+
+
 @pytest.mark.parametrize("corpus, apps, seed, indices, expected", [
     ("play", None, 2016, (0, 1, 2, 777, 6374, 12749),
      "139c954bd76f305442901e031531944343dfd9f87c6498d63e6b8f702e9461ed"),
@@ -93,6 +101,7 @@ def test_installs_without_a_permission_pool():
      "59e6dbebde50b3bbf7b595e8bb050adce5ae291f859c2f39dbc699e196150f25"),
 ], ids=["play", "play-6000", "preinstalled", "preinstalled-3000"])
 def test_apps(corpus, apps, seed, indices, expected):
+    assert GENERATOR_VERSION == APP_DIGESTS_AT_VERSION
     plan = AnalysisSpec(corpus=corpus, apps=apps, seed=seed).plan()
     assert digest(app_records(plan, indices)) == expected
 
