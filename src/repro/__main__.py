@@ -51,7 +51,8 @@ import sys
 from typing import List, Optional
 
 from repro.attacks.base import fingerprint_for
-from repro.core.scenario import Scenario
+from repro.core.scenario import VALID_DEFENSES, Scenario
+from repro.engine.executor import BACKENDS
 from repro.engine.spec import ATTACKS, DEVICES, parse_chaos
 from repro.installers import all_installer_types, installer_by_name
 
@@ -649,7 +650,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: cores, max 4)")
     parser.add_argument("--backend", default="auto",
-                        choices=["auto", "process", "serial"])
+                        choices=BACKENDS)
     parser.add_argument("--chaos", default=None, metavar="MODE:I,J",
                         help="failure injection for pool workers "
                              f"({chaos_modes} + shard indices)")
@@ -662,12 +663,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--profile-out", metavar="PATH", default=None,
                         help="hotspot table path (default: "
                              "benchmarks/results/HOTSPOTS_<cmd>.txt)")
-
-
-#: Defense names the scenario layer accepts (keep in sync with
-#: :data:`repro.core.scenario.VALID_DEFENSES`).
-_DEFENSE_CHOICES = ["dapp", "dapp-rescan", "fuse-dac", "intent-detection",
-                    "intent-origin"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--attack", default="fileobserver",
                         choices=sorted(ATTACKS))
     attack.add_argument("--defense", action="append", default=[],
-                        choices=_DEFENSE_CHOICES)
+                        choices=VALID_DEFENSES)
     attack.add_argument("--package", default="com.victim.app")
 
     sub.add_parser("tables", help="regenerate Tables II-VI and Section IV-B",
@@ -712,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(all_installer_types()))
     fleet.add_argument("--attack", default="none", choices=sorted(ATTACKS))
     fleet.add_argument("--defense", action="append", default=[],
-                       choices=_DEFENSE_CHOICES)
+                       choices=VALID_DEFENSES)
     fleet.add_argument("--device", default="nexus5",
                        choices=sorted(DEVICES))
     fleet.add_argument("--watch-depth", type=int, default=None,
@@ -773,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--workers", type=int, default=None,
                       help="worker processes for non-serial backends")
     fuzz.add_argument("--backend", default="serial",
-                      choices=["auto", "process", "serial"],
+                      choices=BACKENDS,
                       help="fleet backend for case execution")
     fuzz.add_argument("--corpus", metavar="DIR", default=None,
                       help="regression corpus directory "
@@ -781,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--no-corpus", action="store_true",
                       help="do not write shrunk failures to the corpus")
     fuzz.add_argument("--break-defense", default=None, metavar="NAME",
-                      choices=_DEFENSE_CHOICES,
+                      choices=VALID_DEFENSES,
                       help="test-only: suppress one defense's reactions "
                            "to prove the oracles notice")
     fuzz.add_argument("--strict-lossy", action="store_true",
@@ -811,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="warm pool width (default: cores, max 4)")
     serve.add_argument("--backend", default="auto",
-                       choices=["auto", "process", "serial"])
+                       choices=BACKENDS)
     serve.add_argument("--seed", type=int, default=None,
                        help="service seed for derived per-job seeds")
     serve.add_argument("--stop", action="store_true",
@@ -828,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(all_installer_types()))
     submit.add_argument("--attack", default="none", choices=sorted(ATTACKS))
     submit.add_argument("--defense", action="append", default=[],
-                        choices=_DEFENSE_CHOICES)
+                        choices=VALID_DEFENSES)
     submit.add_argument("--device", default="nexus5",
                         choices=sorted(DEVICES))
     submit.add_argument("--shards", type=int, default=None,

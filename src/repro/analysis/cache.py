@@ -73,7 +73,7 @@ _FANOUT = struct.Struct("<256I")
 
 #: ``put`` rotates the open buffer into a segment past this many
 #: records, bounding writer memory on giant shards.
-DEFAULT_ROTATE_RECORDS = 65536
+ROTATE_RECORDS = 65536
 
 _KEY_BYTES = 32
 
@@ -241,10 +241,8 @@ class PackStore:
     a live writer's, another shard's on the same root, stays.
     """
 
-    def __init__(self, root: str,
-                 rotate_records: int = DEFAULT_ROTATE_RECORDS) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.rotate_records = rotate_records
         os.makedirs(root, exist_ok=True)
         names = sorted(os.listdir(root))
         sweep_staging(root, names)
@@ -329,7 +327,7 @@ class PackStore:
     def put(self, key: str, blob: bytes) -> None:
         """Buffer one payload's canonical bytes; rotates a full buffer."""
         self._buffer[key] = blob
-        if len(self._buffer) >= self.rotate_records:
+        if len(self._buffer) >= ROTATE_RECORDS:
             self.flush()
 
     def flush(self) -> Optional[str]:
@@ -372,6 +370,21 @@ class PackStore:
             path = self._add_keymap(fingerprint, start, start + len(keys))
             atomic_write(path, frame(bytes.fromhex("".join(keys))),
                          durable=False)
+
+    def remove_keymaps(self, fingerprint: str, start: int, stop: int) -> None:
+        """Delete the maps of ``fingerprint`` that overlap ``[start, stop)``.
+
+        Maps one run writes never overlap, so this removes no sibling
+        shard's map; one that another shard removed first is skipped.
+        """
+        entries = self._keymaps.get(fingerprint, [])
+        for map_start, map_stop, path in list(entries):
+            if map_start < stop and start < map_stop:
+                entries.remove((map_start, map_stop, path))
+                try:
+                    os.remove(path)
+                except FileNotFoundError:
+                    pass
 
     def close(self) -> None:
         """Release every segment mapping (does not flush the buffer)."""

@@ -310,7 +310,8 @@ class AnalysisCache:
         against a generator edit that did not bump its version, a
         seeded sample of the mapped indices is rebuilt and keyed first;
         on any mismatch every map is ignored, which costs misses of the
-        map, never a false hit.
+        map, never a false hit, and the maps that overlap the range are
+        deleted, so the map this shard writes is not outranked by them.
         """
         fingerprint = plan.fingerprint()
         keys = self._store.mapped_keys(fingerprint, start, stop)
@@ -320,6 +321,7 @@ class AnalysisCache:
         for offset in guard.sample(mapped, min(KEYMAP_GUARD_SAMPLE,
                                                 len(mapped))):
             if self.key_for(plan.app_at(start + offset)) != keys[offset]:
+                self._store.remove_keymaps(fingerprint, start, stop)
                 return [None] * (stop - start)
         return keys
 

@@ -206,7 +206,7 @@ def normalize(path: str) -> str:
     Pure string → string, so the result is memoized: simulated devices
     touch the same handful of paths thousands of times per campaign,
     and ``posixpath.normpath`` dominated the VFS profile before the
-    cache (``tools/bench.py --profile``).
+    cache (``repro fleet --profile-shards``).
     """
     if not path.startswith("/"):
         raise FilesystemError(path, "paths must be absolute")

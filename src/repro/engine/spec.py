@@ -74,6 +74,11 @@ CHAOS_MODES = ("crash", "hang", "error")
 #: the simulator's livelock guard (found by ``repro fuzz``).
 MIN_POLL_INTERVAL_NS = 1_000_000
 
+#: :class:`CampaignSpec` fields compared as ints in its checks, and
+#: whether each may be None.  A str or bool there is refused by type.
+_INT_FIELDS = {"max_extra_permissions": False, "poll_interval_ns": True,
+               "watch_queue_depth": True, "watch_drain_interval_ns": True}
+
 
 def parse_chaos(chaos: Optional[str],
                 shard_count: Optional[int] = None) -> Tuple[str, Tuple[int, ...]]:
@@ -201,6 +206,14 @@ class CampaignSpec:
             if isinstance(getattr(self, name), str):
                 raise ReproError(f"{name} must be a list of names, got "
                                  f"str {getattr(self, name)!r}")
+        for name, nullable in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if (value is None and nullable) or (
+                    isinstance(value, int) and not isinstance(value, bool)):
+                continue
+            raise ReproError(
+                f"{name} must be an int{' or None' if nullable else ''}, "
+                f"got {type(value).__name__} {value!r}")
         if self.installs < 0:
             raise ReproError(f"installs must be >= 0, got {self.installs}")
         parse_chaos(self.chaos)  # raises on a malformed spec

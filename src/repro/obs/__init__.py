@@ -1,6 +1,6 @@
 """Observability: tracing, metrics, and trace forensics for the stack.
 
-Six pieces, threaded through the simulator, the core scenario layer,
+Five pieces, threaded through the simulator, the core scenario layer,
 the defenses and the fleet engine:
 
 - :mod:`repro.obs.trace` — span/event recording keyed on *simulated*
@@ -17,8 +17,6 @@ the defenses and the fleet engine:
   records: latency profiles, span trees and critical paths, the
   armed→strike race-window distribution split by hijack outcome, and
   structural trace diffing (the ``repro trace`` CLI family),
-- :mod:`repro.obs.baseline` — ``BENCH_*.json`` perf baselines and the
-  wall-clock regression gate behind ``tools/bench.py``,
 - :mod:`repro.obs.runtime` — the wall-clock plane: per-shard
   rusage/RSS telemetry with associative rollups, the daemon flight
   recorder, Prometheus text exposition, and merged shard profiling.
@@ -49,13 +47,6 @@ from repro.obs.analyze import (
     render_windows,
     validate_records,
     window_forensics,
-)
-from repro.obs.baseline import (
-    BenchBaseline,
-    GateResult,
-    load_baseline,
-    regression_gate,
-    save_baseline,
 )
 from repro.obs.export import (
     iter_trace_jsonl,
@@ -96,11 +87,9 @@ from repro.obs.trace import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = [
     "NULL_RECORDER",
-    "BenchBaseline",
     "Counter",
     "FlightRecorder",
     "Gauge",
-    "GateResult",
     "Histogram",
     "MetricsRegistry",
     "NullRecorder",
@@ -124,14 +113,12 @@ __all__ = [
     "host_metadata",
     "iter_trace_jsonl",
     "layer_of",
-    "load_baseline",
     "load_trace_jsonl",
     "merge_snapshots",
     "merged_hotspots",
     "profile_blob",
     "profile_trace",
     "prometheus_name",
-    "regression_gate",
     "render_critical_path",
     "render_diff",
     "render_metrics",
@@ -140,7 +127,6 @@ __all__ = [
     "render_trace_summary",
     "render_windows",
     "rusage_now",
-    "save_baseline",
     "snapshot_names",
     "summary_percentile",
     "summary_percentiles",

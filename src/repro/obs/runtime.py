@@ -90,10 +90,9 @@ def _max_rss_kb(ru_maxrss: int) -> int:
 
 
 def host_metadata() -> Dict[str, Any]:
-    """Host facts stamped into benchmark baselines and exposition.
+    """Host facts stamped into each benchmark result.
 
-    Cross-machine perf numbers are uninterpretable without these; the
-    bench gate ignores the block when comparing (it lives in ``meta``).
+    Cross-machine perf numbers are uninterpretable without these.
     """
     import platform
 

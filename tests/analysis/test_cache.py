@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import durable
+from repro.analysis import cache as cache_module
 from repro.analysis import corpus as corpus_mod
 from repro.analysis import pipeline as pipeline_mod
 from repro.analysis.cache import PackStore
@@ -91,8 +92,9 @@ def test_flush_is_idempotent_and_content_addressed(tmp_path):
     assert sorted(os.listdir(tmp_path)) == first
 
 
-def test_put_rotates_past_record_cap(tmp_path):
-    store = PackStore(str(tmp_path), rotate_records=4)
+def test_put_rotates_past_record_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "ROTATE_RECORDS", 4)
+    store = PackStore(str(tmp_path))
     for index in range(10):
         key = f"{index:02x}" * 32
         store.put(key, canonical({"key": key, "value": index}))
@@ -491,11 +493,32 @@ def test_guard_ignores_maps_a_changed_generator_no_longer_matches(
     assert (warm.cache_hits, warm.cache_misses) == (0, 300)
     assert warm.stats.identity_tuple() == edited.stats.identity_tuple()
     assert warm.trace_records() == edited.trace_records()
-    # The re-keyed shards wrote maps of the new keys beside the stale
-    # ones: a re-run of the same layout is served from the cache.
+    # The re-keyed shards deleted the stale maps and wrote maps of the
+    # new keys: a re-run of the same layout is served from the cache.
     again = run_serial(spec, shards=3)
     assert (again.cache_hits, again.cache_misses) == (300, 0)
     assert again.stats.identity_tuple() == edited.stats.identity_tuple()
+
+
+def test_stale_maps_are_deleted_by_the_shard_whose_guard_caught_them(
+        tmp_path, monkeypatch):
+    spec = AnalysisSpec(corpus="play", apps=300, seed=3,
+                        cache_dir=str(tmp_path))
+    run_serial(spec, shards=2)
+    calls = _count_app_at(monkeypatch,
+                          edit=lambda text: text + '\nconst-string v9, "x"')
+    run_serial(spec, shards=3)
+    prefix = f"map-{spec.plan().fingerprint()}-"
+    assert _map_names(tmp_path) == [prefix + "0-100.keys",
+                                    prefix + "100-200.keys",
+                                    prefix + "200-300.keys"]
+    # A stale 0-150 or 150-300 map left beside them would outrank the
+    # fresh maps of shards 1 and 2 and make them key their ranges anew.
+    for _ in range(2):
+        del calls[:]
+        warm = run_serial(spec, shards=3)
+        assert (warm.cache_hits, warm.cache_misses) == (300, 0)
+        assert len(calls) <= 3 * pipeline_mod.KEYMAP_GUARD_SAMPLE
 
 
 def test_torn_key_map_is_a_miss_of_the_map_never_a_hit(

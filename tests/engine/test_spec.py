@@ -205,6 +205,24 @@ def test_watch_axis_validation():
         CampaignSpec(installs=1, watch_drain_interval_ns=-1)
 
 
+@pytest.mark.parametrize("field, value, expected", [
+    ("watch_queue_depth", "8",
+     "watch_queue_depth must be an int or None, got str '8'"),
+    ("watch_drain_interval_ns", "5",
+     "watch_drain_interval_ns must be an int or None, got str '5'"),
+    ("poll_interval_ns", True,
+     "poll_interval_ns must be an int or None, got bool True"),
+    ("max_extra_permissions", "1",
+     "max_extra_permissions must be an int, got str '1'"),
+    ("max_extra_permissions", None,
+     "max_extra_permissions must be an int, got NoneType None"),
+])
+def test_int_fields_refuse_other_types_by_name(field, value, expected):
+    with pytest.raises(ReproError) as caught:
+        CampaignSpec.from_json_dict({"installs": 2, field: value})
+    assert str(caught.value) == expected
+
+
 def test_dapp_variants_are_mutually_exclusive():
     with pytest.raises(ReproError, match="mutually exclusive"):
         CampaignSpec(installs=1, defenses=("dapp", "dapp-rescan"))

@@ -73,6 +73,8 @@ def run_one_job(service, installs=20, seed=7):
 @pytest.mark.parametrize("field, value, expected", [
     ("installs", "10", "installs must be an int, got str '10'"),
     ("defenses", "dapp", "defenses must be a list of names, got str 'dapp'"),
+    ("watch_queue_depth", "8",
+     "watch_queue_depth must be an int or None, got str '8'"),
 ])
 def test_a_wrongly_typed_submit_gets_one_refusal(live_daemon, capfd, field,
                                                  value, expected):

@@ -29,7 +29,8 @@ GOLDEN_DIR = (pathlib.Path(__file__).parent.parent
 GOLDEN_TRACE = GOLDEN_DIR / "fleet_s7x4.jsonl"
 GOLDEN_METRICS = GOLDEN_DIR / "fleet_s7x4_metrics.json"
 
-#: The bench reference fleet (tools/bench.py) — 2000 installs, seed 7.
+#: The reference fleet, 2000 installs at seed 7 in 4 shards: the job
+#: size of perfbench's fleet-benign workload on two workers.
 REFERENCE_SPEC = CampaignSpec(installs=2000, seed=7)
 REFERENCE_SHARDS = 4
 
