@@ -7,9 +7,9 @@ file opens instead of one per app:
     A segment: fixed 16-byte header (magic, format version, record
     count) followed by length-prefixed records.  Each record is
     ``u32 payload length + 32-byte sha256(payload) + payload`` (a
-    :mod:`repro.durable` frame) of canonical JSON (sorted keys, compact
-    separators).  Reads re-hash the payload and treat any mismatch as
-    a miss, so a torn or corrupted record can never surface as a hit.
+    :mod:`repro.durable` frame) of compact JSON.  Reads re-hash the
+    payload and treat any mismatch as a miss, so a torn or corrupted
+    record can never surface as a hit.
 
 ``seg-<digest>.idx``
     The segment's fanout index: header, a 256-entry cumulative fanout
@@ -17,7 +17,9 @@ file opens instead of one per app:
     parallel ``(u64 offset, u32 length)`` table pointing into the
     segment.  A warm run opens O(segments) files — one index per
     segment up front, one lazy read-only mapping per segment actually
-    read — regardless of how many records they hold.
+    read — regardless of how many records they hold.  A segment's first
+    hit turns its index into a dict (hex key -> offset, length), so a
+    later lookup there is one dict probe.
 
 ``map-<fingerprint>-<start>-<stop>.keys``
     A key map: the raw 32-byte content keys of corpus indices
@@ -39,20 +41,25 @@ shards never collide and re-flushing identical content is idempotent.
 Because a segment is never rewritten in place, a reader may map it: a
 replaced file keeps its old inode alive under any existing mapping.
 
-Semantic validation (schema and detector-version checks, record
-materialization) stays with the caller — this module moves canonical
-payload bytes in and payload dicts out.
+A hit is one bounds check, one sha256 and one C-level decode that must
+end at the payload's last byte.  Semantic validation (schema, shape and
+detector-version checks, record materialization) stays with the
+caller: ``get`` hands each decoded candidate to the caller's ``accept``,
+and a refused candidate passes the lookup on to the next segment
+holding the key, so a stale record never hides a fresh one.  A payload
+is a JSON array whose element 1 is its key: the rebuild of a lost index
+reads the keys from there.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import mmap
 import os
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from hashlib import sha256
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.durable import (
     FRAME,
@@ -99,32 +106,73 @@ def _raw_key(key) -> bytes:
         return b""
 
 
-_DECODER = json.JSONDecoder()
+#: The C scanner behind ``json.loads``: one call decodes one value and
+#: says where it ended, with none of ``decode``'s whitespace matching.
+_SCAN = json.JSONDecoder().scan_once
 
 
-def _decode_payload(blob: bytes) -> Optional[dict]:
-    """The payload dict in ``blob``, or None if it is not one."""
+def _decode(blob: bytes) -> Any:
+    """The JSON value ``blob`` holds to its last byte, or None."""
     try:
-        decoded = _DECODER.decode(blob.decode("utf-8"))
-    except ValueError:
+        text = blob.decode("utf-8")
+        value, end = _SCAN(text, 0)
+    except (ValueError, StopIteration):  # StopIteration: no value at 0
         return None
-    return decoded if isinstance(decoded, dict) else None
+    return value if end == len(text) else None
 
 
 class _Segment:
-    """One pack segment and its in-memory index tables."""
+    """One pack segment and how a key is found in it.
 
-    def __init__(self, path: str, count: int, fanout: Tuple[int, ...],
-                 keys: bytes, entries: bytes) -> None:
+    Until the segment serves its first hit, a key is found by a
+    bisect of its index tables (fanout bucket, then the sorted keys).
+    That hit — a candidate the caller's ``accept`` takes — turns them
+    into a dict, hex key -> ``(offset, length)``, and drops them.  So
+    only segments that serve hits hold a table, each bounded by its own
+    records, and a lookup there is one probe.  Keys are lowercase hex:
+    any other spelling of a key never matches.
+    """
+
+    def __init__(self, path: str, fanout: Tuple[int, ...], keys: bytes,
+                 entries: bytes) -> None:
         self.path = path
-        self.count = count
         self._fanout = fanout
         self._keys = keys
         self._entries = entries
-        self._map: Optional[mmap.mmap] = None
+        self.table: Optional[Dict[str, Tuple[int, int]]] = None
+        self.view: Optional[mmap.mmap] = None
 
-    def find(self, raw_key: bytes) -> Optional[Tuple[int, int]]:
-        """``(offset, length)`` of the key's payload, or None."""
+    def read(self, key: str, accept: Callable[[Any], Any]) -> Any:
+        """``accept`` of the key's decoded payload here, or None.
+
+        None also when the segment lacks the key, the frame does not
+        lie inside the segment, or the payload does not re-hash to the
+        frame's sha256.  ``accept`` gets None for a payload that is not
+        one JSON value ending at its last byte.
+        """
+        table = self.table
+        entry = table.get(key) if table is not None else self._bisect(key)
+        if entry is None:
+            return None
+        view = self.view or self._map()
+        offset, length = entry
+        end = offset + length
+        if view is None or offset < FRAME.size or end > len(view):
+            return None
+        stored, digest = FRAME.unpack_from(view, offset - FRAME.size)
+        payload = view[offset:end]
+        if stored != length or sha256(payload).digest() != digest:
+            return None
+        result = accept(_decode(payload))
+        if result is not None and table is None:
+            self._build_table()
+        return result
+
+    def _bisect(self, key: str) -> Optional[Tuple[int, int]]:
+        """``(offset, length)`` of ``key`` from the index tables, or None."""
+        raw_key = _raw_key(key)
+        if len(raw_key) != _KEY_BYTES or raw_key.hex() != key:
+            return None
         bucket = raw_key[0]
         low = self._fanout[bucket - 1] if bucket else 0
         high = self._fanout[bucket]
@@ -137,31 +185,34 @@ class _Segment:
             elif probe > raw_key:
                 high = mid
             else:
-                return _INDEX_ENTRY.unpack_from(
-                    self._entries, mid * _INDEX_ENTRY.size)
+                return _INDEX_ENTRY.unpack_from(self._entries,
+                                                mid * _INDEX_ENTRY.size)
         return None
 
-    def read_payload(self, offset: int, length: int) -> Optional[dict]:
-        """Decode one sha256-verified payload; None on any corruption."""
-        view = self._map
-        if view is None:
+    def _build_table(self) -> None:
+        """Turn the index tables into the key -> entry dict."""
+        hexed, width = self._keys.hex(), 2 * _KEY_BYTES
+        self.table = dict(zip(
+            [hexed[at:at + width] for at in range(0, len(hexed), width)],
+            _INDEX_ENTRY.iter_unpack(self._entries)))
+        self._keys = self._entries = b""
+
+    def _map(self) -> Optional[mmap.mmap]:
+        """The segment's read-only mapping, made on first use."""
+        if self.view is None:
             try:
                 with open(self.path, "rb") as handle:
-                    view = mmap.mmap(handle.fileno(), 0,
-                                     access=mmap.ACCESS_READ)
+                    self.view = mmap.mmap(handle.fileno(), 0,
+                                          access=mmap.ACCESS_READ)
             except (OSError, ValueError):  # ValueError: empty file
                 return None
-            self._map = view
-        verified = read_frame(view, offset - FRAME.size)
-        if verified is None or verified[1] != offset + length:
-            return None
-        return _decode_payload(verified[0])
+        return self.view
 
     def close(self) -> None:
         """Release the mapping (a later read maps the file again)."""
-        if self._map is not None:
-            self._map.close()
-            self._map = None
+        if self.view is not None:
+            self.view.close()
+            self.view = None
 
 
 def _build_index(records: List[Tuple[bytes, int, int]]
@@ -196,7 +247,7 @@ def _scan_segment(path: str) -> Optional[_Segment]:
         if (len(keys) == count * _KEY_BYTES
                 and len(entries) == count * _INDEX_ENTRY.size
                 and fanout[255] == count):
-            return _Segment(path, count, fanout, keys, entries)
+            return _Segment(path, fanout, keys, entries)
     except (OSError, ValueError, struct.error):
         pass
     return _rebuild_from_segment(path)
@@ -220,21 +271,20 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
         return None
     records: List[Tuple[bytes, int, int]] = []
     for payload, end in iter_frames(blob, _HEADER.size):
-        raw_key = _raw_key((_decode_payload(payload) or {}).get("key"))
-        if len(raw_key) == _KEY_BYTES:
-            records.append((raw_key, end - len(payload), len(payload)))
-    fanout, keys, entries = _build_index(records)
-    return _Segment(path, len(records), fanout, keys, entries)
+        value = _decode(payload)
+        if isinstance(value, list) and len(value) > 1:
+            raw_key = _raw_key(value[1])
+            if len(raw_key) == _KEY_BYTES:
+                records.append((raw_key, end - len(payload), len(payload)))
+    return _Segment(path, *_build_index(records))
 
 
 class PackStore:
     """Pack-aware payload storage under one cache root.
 
-    ``put`` buffers a payload's canonical bytes (sorted keys, compact
-    separators: what ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))`` writes), ``get`` returns the decoded dict,
-    and ``flush`` frames the buffered bytes into an immutable segment +
-    index pair.
+    ``put`` buffers a payload's canonical JSON bytes, ``get`` returns
+    the first decoded candidate its ``accept`` takes, and ``flush``
+    frames the buffered bytes into an immutable segment + index pair.
 
     Opening the store removes the staging files of flushes whose
     process died before their rename (:func:`repro.durable.sweep_staging`);
@@ -273,19 +323,24 @@ class PackStore:
 
     # -- reads ----------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key`` (buffered or packed)."""
+    def get(self, key: str, accept: Callable[[Any], Any]) -> Any:
+        """The first stored payload for ``key`` that ``accept`` takes.
+
+        The candidates are the buffered payload, then each segment's in
+        name order (see ``_Segment.read`` for the checks a segment's
+        candidate passes).  ``accept`` maps a decoded candidate (None if
+        it does not decode) to the result, or refuses it with None; a
+        refused candidate passes the lookup on to the next one.
+        """
         buffered = self._buffer.get(key)
         if buffered is not None:
-            return _decode_payload(buffered)
-        raw_key = _raw_key(key)
-        if len(raw_key) == _KEY_BYTES:
-            for segment in self._segments.values():
-                entry = segment.find(raw_key)
-                if entry is not None:
-                    payload = segment.read_payload(*entry)
-                    if payload is not None:
-                        return payload
+            result = accept(_decode(buffered))
+            if result is not None:
+                return result
+        for segment in self._segments.values():
+            result = segment.read(key, accept)
+            if result is not None:
+                return result
         return None
 
     @property
@@ -338,7 +393,7 @@ class PackStore:
         payloads = [self._buffer[key] for key in keys]
         framed = list(map(frame, payloads))
         # The segment's name hashes the frames' sha256 fields in order.
-        running = hashlib.sha256(b"".join(
+        running = sha256(b"".join(
             [record[4:FRAME.size] for record in framed]))
         records: List[Tuple[bytes, int, int]] = []
         starts = itertools.accumulate(map(len, framed), initial=_HEADER.size)
@@ -359,7 +414,7 @@ class PackStore:
         if retired is not None:  # identical content re-flushed
             retired.close()
         self._segments[segment_path] = _Segment(
-            segment_path, count, fanout, index_keys, entries)
+            segment_path, fanout, index_keys, entries)
         self._buffer.clear()
         return segment_path
 

@@ -29,9 +29,13 @@ re-runs incremental: each entry records the *detector versions its
 verdict consulted* (see
 :data:`~repro.analysis.classifier.DETECTOR_VERSIONS`), so bumping one
 detector's version re-analyzes only the apps whose code exercised that
-detector.  A shard that keys its apps also writes its range's key map
-(index -> content key), so a warm shard reads its records by index
-without building the apps.
+detector.  An entry is one positional JSON array (schema, key,
+versions, then the record's fields in order), read back by position
+after its shape and versions are checked; an entry that check refuses
+lets the lookup go on to the next segment holding the key.  A shard
+that keys its apps also writes its range's key map (index -> content
+key), so a warm shard reads its records by index without building the
+apps.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cache import PackStore
@@ -76,7 +80,7 @@ from repro.errors import ReproError
 from repro.sim.rand import DeterministicRandom
 
 #: Bump on incompatible cache-entry layout changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 #: Mapped indices a shard rebuilds and keys before it trusts a key map.
 KEYMAP_GUARD_SAMPLE = 8
 #: Version of the redirect-target extraction (play-corpus pass).
@@ -214,8 +218,15 @@ def analyze_app(app: CorpusApp, classifier: InstallerClassifier,
     return record
 
 
-#: A payload's canonical bytes: sorted keys, compact separators.
+#: A payload's canonical bytes: compact separators, and the versions
+#: object's keys sorted.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The record fields in payload order (``AppAnalysis``'s field order).
+_FIELDS = tuple(item.name for item in fields(AppAnalysis))
+#: A payload's length: schema, key, versions, then one slot a field.
+_PAYLOAD_LENGTH = 3 + len(_FIELDS)
+_REDIRECT_TARGETS = _FIELDS.index("redirect_targets")
+_DETECTORS = _FIELDS.index("detectors")
 
 
 class AnalysisCache:
@@ -227,14 +238,22 @@ class AnalysisCache:
     ``DETECTOR_VERSIONS["chmod"]`` re-analyzes exactly the apps whose
     code reached the chmod detector, and nothing else.
 
+    An entry is one positional JSON array, ``[CACHE_SCHEMA, key,
+    versions, <AppAnalysis fields in field order>]``: :meth:`load`
+    checks its length, schema, key and versions and builds the record
+    by position.
+
     Storage is the :class:`~repro.analysis.cache.PackStore` pack
     format: :meth:`store` encodes each entry once into an in-memory
     buffer and :meth:`flush` (called once per shard) frames it into one
     append-only, sha256-verified segment plus its fanout index, so a
     warm run does O(segments) opens instead of one per app.  Hits are
-    read from a read-only mapping of the segment and re-verified;
-    :meth:`close` releases those mappings.  :meth:`mapped_keys` and a
-    :meth:`flush` given a plan read and write the store's key maps.
+    read from a read-only mapping of the segment and re-verified; an
+    entry :meth:`load` refuses (stale versions, another schema) passes
+    the lookup on to the next segment holding the key, so a stale entry
+    never hides a fresh one.  :meth:`close` releases those mappings.
+    :meth:`mapped_keys` and a :meth:`flush` given a plan read and write
+    the store's key maps.
     """
 
     def __init__(self, root: str) -> None:
@@ -248,43 +267,8 @@ class AnalysisCache:
 
     def load(self, key: str) -> Optional[AppAnalysis]:
         """The cached record, or None on miss / stale detector versions."""
-        payload = self._store.get(key)
-        if payload is None:
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            return None
-        for name, version in payload.get("versions", {}).items():
-            if name == "redirect":
-                current: Optional[int] = REDIRECT_SCAN_VERSION
-            else:
-                current = DETECTOR_VERSIONS.get(name)
-            if current != version:
-                return None
-        record = payload.get("record")
-        if not isinstance(record, dict):
-            return None
-        try:
-            fields = {
-                "package": record["package"],
-                "category": record["category"],
-                "has_install_api": record["has_install_api"],
-                "uses_sdcard": record["uses_sdcard"],
-                "sets_world_readable": record["sets_world_readable"],
-                "unresolved_setter": record["unresolved_setter"],
-                "redirect_targets": tuple(record["redirect_targets"]),
-                "instructions": record["instructions"],
-                "unparsed_lines": record["unparsed_lines"],
-                "detectors": tuple(record["detectors"]),
-                "scanned_redirects": record["scanned_redirects"],
-                "write_external": record["write_external"],
-                "instances": record["instances"],
-            }
-        except (KeyError, TypeError):
-            return None
-        loaded = object.__new__(AppAnalysis)
-        # Built like analyze_app's records: no frozen-dataclass __init__.
-        object.__setattr__(loaded, "__dict__", fields)
-        return loaded
+        return self._store.get(
+            key, lambda payload: _record_from(key, payload))
 
     def store(self, key: str, record: AppAnalysis) -> None:
         """Buffer ``record`` with its consulted detector versions."""
@@ -293,14 +277,11 @@ class AnalysisCache:
                     if name in DETECTOR_VERSIONS}
         if record.scanned_redirects:
             versions["redirect"] = REDIRECT_SCAN_VERSION
-        # Flat fields (str, bool, int, tuple of str): the record's own
-        # __dict__ encodes exactly as asdict() would.
-        self._store.put(key, _ENCODER.encode({
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "versions": versions,
-            "record": record.__dict__,
-        }).encode("utf-8"))
+        # Flat fields (str, bool, int, tuple of str), set in field order
+        # by both analyze_app and the dataclass __init__.
+        self._store.put(key, _ENCODER.encode(
+            [CACHE_SCHEMA, key, versions, *record.__dict__.values()]
+        ).encode("utf-8"))
 
     def mapped_keys(self, plan, start: int,
                     stop: int) -> List[Optional[str]]:
@@ -345,6 +326,34 @@ class AnalysisCache:
     def segment_count(self) -> int:
         """Flushed pack segments currently readable under the root."""
         return self._store.segment_count
+
+
+def _record_from(key: str, payload: Any) -> Optional[AppAnalysis]:
+    """The record a decoded entry holds, or None if it is not a current
+    entry of ``key`` (wrong shape, schema or key, or stale versions)."""
+    if (type(payload) is not list or len(payload) != _PAYLOAD_LENGTH
+            or payload[0] != CACHE_SCHEMA or payload[1] != key):
+        return None
+    versions = payload[2]
+    if type(versions) is not dict:
+        return None
+    for name, version in versions.items():
+        if name == "redirect":
+            current: Optional[int] = REDIRECT_SCAN_VERSION
+        else:
+            current = DETECTOR_VERSIONS.get(name)
+        if current != version:
+            return None
+    values = payload[3:]
+    try:
+        values[_REDIRECT_TARGETS] = tuple(values[_REDIRECT_TARGETS])
+        values[_DETECTORS] = tuple(values[_DETECTORS])
+    except TypeError:
+        return None
+    record = object.__new__(AppAnalysis)
+    # Built like analyze_app's records: no frozen-dataclass __init__.
+    object.__setattr__(record, "__dict__", dict(zip(_FIELDS, values)))
+    return record
 
 
 #: Interned tally keys: fold_analysis runs once per app, and f-string

@@ -149,12 +149,26 @@ def drain_queue(result_queue, handle: Callable[[object], None],
         block = 0.0
 
 
+#: Set once a probe succeeds; a failed probe is tried again next time.
+_MULTIPROCESSING_USABLE = False
+
+
 def multiprocessing_usable() -> bool:
     """Can this environment create process pools at all?
 
     Creating a queue exercises the semaphores and pipes that
-    restricted sandboxes typically forbid.
+    restricted sandboxes typically forbid.  Each probe creates and
+    joins a queue, so a success is remembered for the process; a
+    failure, perhaps a passing ``EMFILE``, is probed again next call.
     """
+    global _MULTIPROCESSING_USABLE
+    if not _MULTIPROCESSING_USABLE:
+        _MULTIPROCESSING_USABLE = _probe_multiprocessing()
+    return _MULTIPROCESSING_USABLE
+
+
+def _probe_multiprocessing() -> bool:
+    """Create and join one queue; False if the environment refuses."""
     try:
         import multiprocessing
 

@@ -32,11 +32,11 @@ from repro.analysis.pipeline import (
 
 #: The segment ``populate(apps=40, seed=7)`` writes: its name and the
 #: sha256 of both files.  Any change to the on-disk format moves these.
-GOLDEN_SEGMENT = "seg-ef570bc5b32877d7"
+GOLDEN_SEGMENT = "seg-5e9b6b9106777e36"
 GOLDEN_PACK_SHA256 = (
-    "568d3066f15c233a0c03ee11a682327ad8db00f6f3ff77b7c272750e56ab5908")
+    "9b209753b7593c64fc008f253d10bb37e20009993197a040a76e71a374239c57")
 GOLDEN_IDX_SHA256 = (
-    "8471356699a5dc3e09ce86bb5e445435d2ae7ee8964ec9b42e17919f37035669")
+    "421a8e9c69fecf544d41d1aba774dfca44ea6a409c747acdc732b8ddb8946760")
 
 
 def canonical(payload):
@@ -105,7 +105,8 @@ def test_put_rotates_past_record_cap(tmp_path, monkeypatch):
     fresh = PackStore(str(tmp_path))
     for index in range(10):
         key = f"{index:02x}" * 32
-        assert fresh.get(key) == {"key": key, "value": index}
+        assert fresh.get(key, lambda value: value) == {"key": key,
+                                                       "value": index}
 
 
 def test_identical_reflush_replaces_its_segment(tmp_path):
@@ -113,15 +114,41 @@ def test_identical_reflush_replaces_its_segment(tmp_path):
     key = "ab" * 32
     store.put(key, canonical({"key": key, "value": 1}))
     first = store.flush()
-    assert store.get(key) == {"key": key, "value": 1}  # maps the segment
+    # Maps the segment.
+    assert store.get(key, lambda value: value) == {"key": key, "value": 1}
     store.put(key, canonical({"key": key, "value": 1}))
     assert store.flush() == first
     assert store.segment_count == 1
     assert sorted(os.listdir(tmp_path)) == sorted(
         os.path.basename(first)[:-len(".pack")] + suffix
         for suffix in (".idx", ".pack"))
-    assert store.get(key) == {"key": key, "value": 1}
+    assert store.get(key, lambda value: value) == {"key": key, "value": 1}
     store.close()
+
+
+def test_only_segments_that_serve_hits_build_a_lookup_table(tmp_path):
+    store = PackStore(str(tmp_path))
+    batches = [[f"a{batch}b{index}" * 16 for index in range(5)]
+               for batch in range(3)]
+    for batch in batches:
+        for key in batch:
+            store.put(key, canonical([0, key]))
+        store.flush()
+    fresh = PackStore(str(tmp_path))
+    for key in batches[1] + ["ee" * 32]:
+        assert fresh.get(key, lambda value: value) == (
+            [0, key] if key in batches[1] else None)
+    # A candidate the caller refuses is no hit: its segment stays bisected.
+    assert fresh.get(batches[2][0], lambda value: None) is None
+    assert sorted(len(segment.table or ())
+                  for segment in fresh._segments.values()) == [0, 0, 5]
+    # Keys are lowercase hex: another spelling misses, in a bisected
+    # segment and in a tabled one alike, and raises nothing.
+    for key in (batches[1][0], batches[2][0]):
+        for spelling in (key.upper(), " ".join([key[:2], key[2:]])):
+            assert fresh.get(spelling, lambda value: value) is None
+        assert fresh.get(key, lambda value: value) == [0, key]
+    fresh.close()
 
 
 # -- format pins -------------------------------------------------------------------
@@ -156,20 +183,26 @@ def _raw_payloads(root):
         for _ in range(count):
             (length,) = struct.unpack_from("<I", blob, offset)
             payload = blob[offset + 36:offset + 36 + length]
-            payloads[json.loads(payload)["key"]] = payload
+            payloads[json.loads(payload)[1]] = payload
             offset += 36 + length
     return payloads
 
 
-def _reference_payload(key, record):
-    """The entry as the asdict()/json.dumps writer encoded it."""
+def _versions(record):
+    """The detector versions an entry of ``record`` carries."""
     versions = {name: DETECTOR_VERSIONS[name] for name in record.detectors
                 if name in DETECTOR_VERSIONS}
     if record.scanned_redirects:
         versions["redirect"] = REDIRECT_SCAN_VERSION
-    return canonical({"schema": CACHE_SCHEMA, "key": key,
-                      "versions": versions,
-                      "record": dataclasses.asdict(record)})
+    return versions
+
+
+def _reference_payload(key, record):
+    """The entry as json.dumps encodes the positional array: schema,
+    key, versions, then the record's fields in dataclass field order
+    (the order ``asdict`` walks ``dataclasses.fields``)."""
+    return canonical([CACHE_SCHEMA, key, _versions(record),
+                      *dataclasses.asdict(record).values()])
 
 
 def test_stored_bytes_match_asdict_encoding(tmp_path):
@@ -248,7 +281,9 @@ def test_store_matches_json_for_every_detector_set():
     keys, payloads = _stored(records)
     assert payloads == {key: _reference_payload(key, record)
                         for key, record in zip(keys, records)}
-    assert b'"instances":1,"instructions":1,' in payloads[keys[0]]
+    # instructions, unparsed_lines, detectors, scanned_redirects,
+    # write_external, instances: the last six slots, in field order.
+    assert payloads[keys[0]].endswith(b',1,0,[],false,true,1]')
 
 
 def test_load_after_store_round_trips(tmp_path):
@@ -273,23 +308,55 @@ def test_load_after_store_round_trips(tmp_path):
     fresh.close()
 
 
+def _entry(key, record, **changes):
+    """A positional entry of ``record`` with ``changes`` to its fields."""
+    values = dict(dataclasses.asdict(record), **changes)
+    return [CACHE_SCHEMA, key, {}, *values.values()]
+
+
 def test_malformed_record_reads_as_miss(tmp_path):
     plan = PlayCorpusPlan(seed=3, spec=scaled_play_spec(2))
     app = plan.app_at(0)
     key = AnalysisCache.key_for(app)
-    record = dataclasses.asdict(analyze_app(app, InstallerClassifier()))
-    missing = dict(record)
-    del missing["instances"]
-    variants = (record, missing, dict(record, detectors=5),
-                dict(record, redirect_targets=None))
+    record = analyze_app(app, InstallerClassifier())
+    valid = _entry(key, record)
+    variants = (
+        valid,
+        valid[:-1],                                  # instances missing
+        valid + [0],                                 # one slot too many
+        _entry(key, record, detectors=5),
+        _entry(key, record, redirect_targets=None),
+        [CACHE_SCHEMA, key, [], *valid[3:]],         # versions not a dict
+        [CACHE_SCHEMA, key, None, *valid[3:]],
+        [1, key, {}, *valid[3:]],                    # another schema
+        ["ff" * 32 if slot == key else slot for slot in valid],  # wrong key
+        {"schema": CACHE_SCHEMA, "key": key, "versions": {},
+         "record": dataclasses.asdict(record)},      # not a list
+        None,
+    )
     for number, variant in enumerate(variants):
         root = str(tmp_path / str(number))
         store = PackStore(root)
-        store.put(key, canonical({"schema": CACHE_SCHEMA, "key": key,
-                                  "versions": {}, "record": variant}))
+        store.put(key, canonical(variant))
         store.flush()
         loaded = AnalysisCache(root).load(key)
-        assert (loaded is not None) == (variant is record)
+        assert (loaded is not None) == (variant is valid)
+        if variant is valid:
+            assert loaded == record
+
+
+def test_payload_must_decode_to_its_last_byte(tmp_path):
+    plan = PlayCorpusPlan(seed=3, spec=scaled_play_spec(2))
+    app = plan.app_at(0)
+    key = AnalysisCache.key_for(app)
+    blob = canonical(_entry(key, analyze_app(app, InstallerClassifier())))
+    for number, variant in enumerate((blob, blob + b" ", b" " + blob,
+                                      blob + b"0", blob[:-1], b"")):
+        root = str(tmp_path / str(number))
+        store = PackStore(root)
+        store.put(key, variant)
+        store.flush()
+        assert (AnalysisCache(root).load(key) is not None) == (number == 0)
 
 
 # -- releasing segments ---------------------------------------------------------
@@ -538,3 +605,47 @@ def test_torn_key_map_is_a_miss_of_the_map_never_a_hit(
     assert len(first) == pipeline_mod.KEYMAP_GUARD_SAMPLE
     assert calls[len(first):] == list(range(100, 200))
     assert path.read_bytes() == intact
+
+
+# -- entries another schema or version wrote ----------------------------------------
+
+
+def _store_schema_1(cache, key, record):
+    """``AnalysisCache.store`` as schema 1 wrote it: one sorted-key dict."""
+    cache._store.put(key, canonical({"schema": 1, "key": key,
+                                     "versions": _versions(record),
+                                     "record": dataclasses.asdict(record)}))
+
+
+def test_schema_1_cache_is_reanalyzed_once(tmp_path, monkeypatch):
+    spec = AnalysisSpec(corpus="play", apps=300, seed=3, observe=True,
+                        cache_dir=str(tmp_path))
+    uncached = run_serial(dataclasses.replace(spec, cache_dir=None), 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(AnalysisCache, "store", _store_schema_1)
+        old = run_serial(spec, shards=2)
+    assert (old.cache_hits, old.cache_misses) == (0, 300)
+    for shards, misses in ((3, 300), (2, 0), (3, 0)):
+        run = run_serial(spec, shards=shards)
+        assert (run.cache_hits, run.cache_misses) == (300 - misses, misses)
+        assert run.stats.identity_tuple() == uncached.stats.identity_tuple()
+        assert run.trace_records() == uncached.trace_records()
+
+
+def test_stale_entry_never_hides_the_fresh_one(tmp_path, monkeypatch):
+    spec = AnalysisSpec(corpus="play", apps=600, seed=3,
+                        cache_dir=str(tmp_path))
+    cold = run_serial(spec, shards=2)
+    warm = run_serial(spec, shards=2)
+    assert (warm.cache_hits, warm.cache_misses) == (600, 0)
+    for name, version in list(DETECTOR_VERSIONS.items()):
+        monkeypatch.setitem(DETECTOR_VERSIONS, name, version + 1)
+    monkeypatch.setattr(pipeline_mod, "REDIRECT_SCAN_VERSION",
+                        REDIRECT_SCAN_VERSION + 1)
+    bumped = run_serial(spec, shards=2)
+    assert (bumped.cache_hits, bumped.cache_misses) == (0, 600)
+    for _ in range(3):
+        again = run_serial(spec, shards=2)
+        assert (again.cache_hits, again.cache_misses) == (600, 0)
+        assert again.stats.identity_tuple() == cold.stats.identity_tuple()
+    assert AnalysisCache(str(tmp_path)).segment_count == 4

@@ -292,16 +292,15 @@ def test_detector_version_bump_invalidates_only_consulted_apps(
 def test_cache_rejects_torn_or_foreign_entries(tmp_path):
     key = "ab" + "0" * 62
     store = PackStore(str(tmp_path / "foreign"))
-    store.put(key, json.dumps({"schema": 999, "key": key, "record": {}},
-                              sort_keys=True, separators=(",", ":")).encode())
-    store.flush()
-    assert AnalysisCache(str(tmp_path / "foreign")).load(key) is None
     record = {field.name: 0 for field in dataclasses.fields(AppAnalysis)}
     record.update(redirect_targets=[], detectors=[])
+    store.put(key, json.dumps([999, key, {}, *record.values()],
+                              separators=(",", ":")).encode())
+    store.flush()
+    assert AnalysisCache(str(tmp_path / "foreign")).load(key) is None
     store = PackStore(str(tmp_path / "torn"))
-    store.put(key, json.dumps({"schema": CACHE_SCHEMA, "key": key,
-                               "versions": {}, "record": record},
-                              sort_keys=True, separators=(",", ":")).encode())
+    store.put(key, json.dumps([CACHE_SCHEMA, key, {}, *record.values()],
+                              separators=(",", ":")).encode())
     path = store.flush()
     assert AnalysisCache(str(tmp_path / "torn")).load(key) is not None
     with open(path, "r+b") as handle:

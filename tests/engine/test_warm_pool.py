@@ -193,6 +193,39 @@ def test_warm_executor_matches_serial_and_reuses_workers():
     assert {shard.backend for shard in first.shards} == {"process"}
 
 
+def _count_probes(monkeypatch, answers):
+    """Make each probe return the next of ``answers``; the calls made."""
+    calls = []
+    answers = iter(answers)
+
+    def probe():
+        calls.append(None)
+        return next(answers)
+
+    monkeypatch.setattr(executor_module, "_MULTIPROCESSING_USABLE", False)
+    monkeypatch.setattr(executor_module, "_probe_multiprocessing", probe)
+    return calls
+
+
+@needs_multiprocessing
+def test_two_runs_probe_multiprocessing_once(monkeypatch):
+    calls = _count_probes(monkeypatch, [True])
+    spec = CampaignSpec(installs=8, seed=7)
+    with FleetExecutor(workers=2, backend="process", warm=True) as fleet:
+        first = fleet.run(spec, shards=2)
+        second = fleet.run(spec, shards=2)
+    assert (first.backend, second.backend) == ("process", "process")
+    assert len(calls) == 1
+
+
+def test_failed_multiprocessing_probe_is_tried_again(monkeypatch):
+    calls = _count_probes(monkeypatch, [False, True])
+    assert not multiprocessing_usable()
+    assert multiprocessing_usable()
+    assert multiprocessing_usable()
+    assert len(calls) == 2
+
+
 @needs_multiprocessing
 def test_warm_executor_survives_chaos_via_retry_and_fallback():
     spec = CampaignSpec(installs=24, seed=7, chaos="crash:1")

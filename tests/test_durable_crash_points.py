@@ -252,8 +252,9 @@ def _key(number):
     return hashlib.sha256(f"app-{number}".encode()).hexdigest()
 
 
-PAYLOADS = {_key(number): {"key": _key(number), "verdict": number % 3,
-                           "urls": [f"http://cdn/{number}"] * (number % 4)}
+#: Payloads carry their key at element 1, where an index rebuild reads it.
+PAYLOADS = {_key(number): [number % 3, _key(number),
+                           [f"http://cdn/{number}"] * (number % 4)]
             for number in range(12)}
 #: What ``PackStore.put`` takes: each payload's canonical JSON bytes.
 BLOBS = {key: json.dumps(payload, sort_keys=True,
@@ -277,7 +278,7 @@ class PackScenario:
         store = PackStore(str(root))
         try:
             for key, payload in PAYLOADS.items():
-                got = store.get(key)
+                got = store.get(key, lambda value: value)
                 assert got is None or got == payload
                 if key in self.flushed:
                     assert got == payload
@@ -294,13 +295,13 @@ class PackScenario:
         self._check_reads(root)
         store = PackStore(str(root))
         for key, blob in BLOBS.items():
-            if store.get(key) is None:
+            if store.get(key, lambda value: value) is None:
                 store.put(key, blob)
         store.flush()
         store.close()
         store = PackStore(str(root))
         try:
-            assert all(store.get(key) == payload
+            assert all(store.get(key, lambda value: value) == payload
                        for key, payload in PAYLOADS.items())
         finally:
             store.close()
@@ -315,7 +316,8 @@ def test_pack_cache_serves_exact_payloads_or_misses_after_any_crash(
 def _gets(root):
     store = PackStore(str(root))
     try:
-        return {key: store.get(key) for key in PAYLOADS}
+        return {key: store.get(key, lambda value: value)
+                for key in PAYLOADS}
     finally:
         store.close()
 

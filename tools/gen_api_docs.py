@@ -52,7 +52,9 @@ def describe_module(name, module):
             continue
         if getattr(member, "__module__", None) != name:
             continue
-        if inspect.isclass(member) or inspect.isfunction(member):
+        # unwrap: a functools.lru_cache wrapper is not a function itself.
+        if (inspect.isclass(member)
+                or inspect.isfunction(inspect.unwrap(member))):
             kind = "class" if inspect.isclass(member) else "def"
             members.append(
                 f"- **{kind} `{attr_name}`** — {first_line(member) or '(undocumented)'}"
