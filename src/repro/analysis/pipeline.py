@@ -75,7 +75,7 @@ from repro.analysis.redirect_scan import redirect_targets
 from repro.analysis.smali import parse_program
 from repro.android.signing import platform_key
 from repro.engine.merge import ShardedReport
-from repro.engine.spec import ShardSlice, parse_chaos, partition
+from repro.engine.spec import ShardSlice, check_fields, parse_chaos, partition
 from repro.errors import ReproError
 from repro.sim.rand import DeterministicRandom
 
@@ -423,6 +423,7 @@ class AnalysisSpec:
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.corpus not in ANALYSIS_CORPORA:
             raise ReproError(
                 f"unknown analysis corpus {self.corpus!r}; "

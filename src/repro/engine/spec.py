@@ -20,8 +20,10 @@ bit-identical for any shard count and worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -74,10 +76,67 @@ CHAOS_MODES = ("crash", "hang", "error")
 #: the simulator's livelock guard (found by ``repro fuzz``).
 MIN_POLL_INTERVAL_NS = 1_000_000
 
-#: :class:`CampaignSpec` fields compared as ints in its checks, and
-#: whether each may be None.  A str or bool there is refused by type.
-_INT_FIELDS = {"max_extra_permissions": False, "poll_interval_ns": True,
-               "watch_queue_depth": True, "watch_drain_interval_ns": True}
+
+def _rule(owner: type, name: str, hint: Any) -> Tuple[Callable, str]:
+    """``(accepts, expected)`` for one annotation of the vocabulary."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union and args[1:] == (type(None),):
+        inner, expected = _rule(owner, name, args[0])
+        return lambda v: v is None or inner(v), f"{expected} or None"
+    if hint is int:  # a bool is an int to Python, never to a spec
+        return (lambda v: isinstance(v, int)
+                and not isinstance(v, bool)), "an int"
+    if typing.get_origin(hint) is tuple and args == (str, ...):
+        return (lambda v: isinstance(v, tuple)
+                and all(isinstance(item, str) for item in v),
+                "a list of names")
+    if isinstance(hint, type) and not args:
+        return lambda v: isinstance(v, hint), f"a {hint.__name__}"
+    raise TypeError(f"{owner.__name__}.{name}: no field check for {hint!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> Dict[str, Tuple[Callable, str]]:
+    """Each field's ``(accepts, expected)``, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {item.name: _rule(cls, item.name, hints[item.name])
+            for item in dataclasses.fields(cls)}
+
+
+def check_fields(instance: Any) -> None:
+    """Refuse a field whose value is not of its annotated type.
+
+    The one type check of every boundary dataclass.  It knows ``int``
+    (not a bool), ``bool``, ``str``, ``Optional[X]``, ``Tuple[str, ...]``
+    (not a str) and a class, and raises ``TypeError`` on any other
+    annotation.  A refusal reads ``installs must be an int, got str '10'``.
+    """
+    for name, (accepts, expected) in _schema(type(instance)).items():
+        value = getattr(instance, name)
+        if not accepts(value):
+            raise ReproError(f"{name} must be {expected}, got "
+                             f"{type(value).__name__} {value!r}")
+
+
+def load_fields(cls: type, data: Any, required: typing.Collection[str]) -> Any:
+    """Build dataclass ``cls`` from its JSON object form.
+
+    Refuses a non-object, unknown fields (a newer peer fails loudly
+    rather than losing options) and missing ``required`` ones; a JSON
+    list becomes a tuple where a tuple is accepted.
+    """
+    if not isinstance(data, dict):
+        raise ReproError(f"{cls.__name__} must be a JSON object, "
+                         f"got {type(data).__name__}")
+    schema = _schema(cls)
+    for problem, names in (("has unknown", set(data) - set(schema)),
+                           ("is missing", set(required) - set(data))):
+        if names:
+            raise ReproError(
+                f"{cls.__name__} {problem} field(s): {sorted(names)}")
+    return cls(**{name: tuple(value) if isinstance(value, list)
+                  and schema[name][0](tuple(value)) else value
+                  for name, value in data.items()})
 
 
 def parse_chaos(chaos: Optional[str],
@@ -196,24 +255,7 @@ class CampaignSpec:
     sabotage_defense: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Refused by type: compared or iterated, a str raises TypeError
-        # or reads as one name per character.
-        if not isinstance(self.installs, (int, float)):
-            raise ReproError(
-                f"installs must be an int, got "
-                f"{type(self.installs).__name__} {self.installs!r}")
-        for name in ("defenses", "permission_pool"):
-            if isinstance(getattr(self, name), str):
-                raise ReproError(f"{name} must be a list of names, got "
-                                 f"str {getattr(self, name)!r}")
-        for name, nullable in _INT_FIELDS.items():
-            value = getattr(self, name)
-            if (value is None and nullable) or (
-                    isinstance(value, int) and not isinstance(value, bool)):
-                continue
-            raise ReproError(
-                f"{name} must be an int{' or None' if nullable else ''}, "
-                f"got {type(value).__name__} {value!r}")
+        check_fields(self)
         if self.installs < 0:
             raise ReproError(f"installs must be >= 0, got {self.installs}")
         parse_chaos(self.chaos)  # raises on a malformed spec
@@ -290,36 +332,13 @@ class CampaignSpec:
         (the reconstructed spec compares equal), which the serve
         protocol and the checkpoint journal both rely on.
         """
-        data = asdict(self)
-        data["defenses"] = list(self.defenses)
-        data["permission_pool"] = list(self.permission_pool)
-        return data
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
-        """Rebuild (and re-validate) a spec from its dict form.
-
-        Unknown fields are rejected — a client speaking a newer
-        protocol should fail loudly, not lose options silently.
-        Missing fields fall back to the dataclass defaults so minimal
-        submissions stay minimal.
-        """
-        if not isinstance(data, dict):
-            raise ReproError(
-                f"campaign spec must be a JSON object, "
-                f"got {type(data).__name__}")
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ReproError(
-                f"campaign spec has unknown field(s): {sorted(unknown)}")
-        if "installs" not in data:
-            raise ReproError("campaign spec is missing 'installs'")
-        fields = dict(data)
-        for name in ("defenses", "permission_pool"):
-            if name in fields and not isinstance(fields[name], str):
-                fields[name] = tuple(fields[name])
-        return cls(**fields)
+        """Rebuild (and re-validate) a spec; only ``installs`` is required."""
+        return load_fields(cls, data, required=("installs",))
 
     def canonical_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace — byte-stable.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.android.permissions import (
     INTERNET,
@@ -24,7 +24,8 @@ from repro.android.permissions import (
     READ_CONTACTS,
     READ_LOGS,
 )
-from repro.engine.spec import ATTACKS, DEVICES, CHAOS_MODES, CampaignSpec
+from repro.engine.spec import (ATTACKS, CHAOS_MODES, DEVICES, CampaignSpec,
+                               check_fields, load_fields)
 from repro.errors import ReproError
 from repro.installers import all_installer_types
 from repro.sim.clock import millis
@@ -101,6 +102,9 @@ class FuzzCase:
     watch_drain_interval_ns: Optional[int] = None
     watch_coalesce: bool = False
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @property
     def lossy_watchers(self) -> bool:
         """True when the device can actually drop watch events."""
@@ -121,26 +125,13 @@ class FuzzCase:
             raise ReproError(f"fuzz case needs trials >= 1, got {self.trials}")
         if self.shards < 1:
             raise ReproError(f"fuzz case needs shards >= 1, got {self.shards}")
+        # Every field but trials and shards is a CampaignSpec field.
+        shared = asdict(self)
+        del shared["trials"], shared["shards"]
         spec = CampaignSpec(
-            installs=self.trials,
-            installer=self.installer,
-            attack=self.attack,
-            defenses=self.defenses,
-            device=self.device,
-            seed=self.seed,
-            base_size_bytes=self.base_size_bytes,
-            arm_attacker=self.arm_attacker,
-            rearm_between=self.rearm_between,
-            chaos=self.chaos,
-            observe=observe,
+            installs=self.trials, observe=observe,
             permission_pool=PERMISSION_POOL if self.max_extra_permissions else (),
-            max_extra_permissions=self.max_extra_permissions,
-            poll_interval_ns=self.poll_interval_ns,
-            watch_queue_depth=self.watch_queue_depth,
-            watch_drain_interval_ns=self.watch_drain_interval_ns,
-            watch_coalesce=self.watch_coalesce,
-            sabotage_defense=sabotage_defense,
-        )
+            sabotage_defense=sabotage_defense, **shared)
         spec.shard(self.shards)  # validates chaos indices against the count
         return spec
 
@@ -157,23 +148,13 @@ class FuzzCase:
 
     @classmethod
     def from_json(cls, text: str) -> "FuzzCase":
-        """Inverse of :meth:`to_json`; rejects unknown fields."""
-        data: Dict[str, Any] = json.loads(text)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ReproError(
-                f"fuzz case JSON has unknown field(s): {sorted(unknown)}")
-        # The watcher-loss axes postdate the corpus format; entries
-        # written before them mean "lossless", which is the default.
-        optional = {"watch_queue_depth", "watch_drain_interval_ns",
-                    "watch_coalesce"}
-        missing = known - set(data) - optional
-        if missing:
-            raise ReproError(
-                f"fuzz case JSON is missing field(s): {sorted(missing)}")
-        data["defenses"] = tuple(data["defenses"])
-        return cls(**data)
+        """Inverse of :meth:`to_json`; rejects unknown and missing fields."""
+        # Only the watcher-loss axes, which postdate the corpus format,
+        # may be absent: entries written before them mean "lossless".
+        return load_fields(cls, json.loads(text),
+                           required=set(cls.__dataclass_fields__) - {
+                               "watch_queue_depth", "watch_drain_interval_ns",
+                               "watch_coalesce"})
 
     def case_id(self) -> str:
         """Stable content hash (12 hex chars) for corpus file names."""

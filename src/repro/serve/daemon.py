@@ -62,6 +62,9 @@ from repro.serve.queue import DONE, FAILED, Job, JobQueue
 #: wake path).
 _SCHEDULER_IDLE_S = 0.25
 
+#: Longest request line the daemon reads (asyncio's stream limit).
+_LINE_LIMIT = 2 ** 16
+
 #: The ``serve/*`` counters ``health`` reports, created with the service.
 _HEALTH_COUNTERS = ("jobs_submitted", "jobs_completed", "jobs_failed",
                     "jobs_cancelled", "jobs_recovered", "shards_completed",
@@ -144,40 +147,35 @@ class CampaignService:
         with self._lock:
             for record in sorted(submits, key=lambda r: r.get("seq", 0)):
                 job_id = record["job_id"]
+                options = {"shards": record.get("shards"),
+                           "priority": record.get("priority", 0),
+                           "label": record.get("label", ""),
+                           "kind": record.get("kind", "campaign")}
                 try:
                     spec = CampaignSpec.from_json_dict(record["spec"])
+                    Submission(spec=spec, **options)  # type-checks options
                 except ReproError as exc:
-                    # Only another build writes a spec this one cannot
-                    # read back (e.g. a field it no longer has).
+                    # Another build wrote it (a field this one no longer
+                    # has) or accepted a value this one refuses.
                     raise ReproError(
-                        f"{self.store.journal_path}: job {job_id} was "
-                        f"written by a build that does not speak journal "
-                        f"version {JOURNAL_VERSION} ({exc}); start the "
-                        f"daemon on a fresh --state-dir") from None
+                        f"{self.store.journal_path}: job {job_id} is "
+                        f"refused by this build (journal version "
+                        f"{JOURNAL_VERSION}): {exc}; start the daemon on "
+                        f"a fresh --state-dir") from None
                 end = ends.get(job_id)
                 if end is not None:
                     job = Job(
                         job_id=job_id, spec=spec, seq=record["seq"],
-                        shards=record.get("shards"),
-                        priority=record.get("priority", 0),
-                        label=record.get("label", ""),
-                        kind=record.get("kind", "campaign"),
                         state=end.get("state", DONE),
                         error=end.get("error", ""),
                         summary=end.get("summary"),
-                        counters=end.get("counters") or {},
-                    )
+                        counters=end.get("counters") or {}, **options)
                     if job.state not in TERMINAL_STATES:
                         job.state = FAILED
                     self.queue.register_finished(job)
                     continue
-                self.queue.submit(
-                    spec, shards=record.get("shards"),
-                    priority=record.get("priority", 0),
-                    label=record.get("label", ""),
-                    kind=record.get("kind", "campaign"),
-                    job_id=job_id, seq=record["seq"],
-                )
+                self.queue.submit(spec, job_id=job_id, seq=record["seq"],
+                                  **options)
                 requeued += 1
             if requeued:
                 self.metrics.counter("serve/jobs_recovered").inc(requeued)
@@ -529,10 +527,12 @@ class ServeDaemon:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)  # stale socket from a kill -9
             server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path)
+                self._handle_connection, path=self.socket_path,
+                limit=_LINE_LIMIT)
         else:
             server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port or 0)
+                self._handle_connection, host=self.host, port=self.port or 0,
+                limit=_LINE_LIMIT)
             self.port = server.sockets[0].getsockname()[1]
         scheduler = loop.create_task(self._scheduler(loop))
         if ready is not None:
@@ -583,16 +583,21 @@ class ServeDaemon:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # the line outgrew the stream limit
+                await self._write(writer, error_response(
+                    f"request line exceeds the {_LINE_LIMIT}-byte limit"))
+                # Read out what the client still sends, so its send
+                # completes and it reads the reply before we close.
+                writer.write_eof()
+                while await reader.read(_LINE_LIMIT):
+                    pass
+                return
             if not line:
                 return
             try:
-                message = decode_request(line)
-            except ReproError as exc:
-                await self._write(writer, error_response(str(exc)))
-                return
-            try:
-                await self._dispatch(message, writer)
+                await self._dispatch(decode_request(line), writer)
             except ReproError as exc:
                 await self._write(writer, error_response(str(exc)))
         except (ConnectionResetError, BrokenPipeError):

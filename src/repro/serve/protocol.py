@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.engine.spec import CampaignSpec
+from repro.engine.spec import CampaignSpec, check_fields
 from repro.errors import ReproError
 from repro.fuzz.gen import FuzzCase
 
@@ -57,8 +57,8 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: frame that ends a stream.
 TERMINAL_STATES = JOB_STATES[2:]
 
-#: Submission kinds and the payload field each carries.
-SUBMIT_KINDS = {"campaign": "spec", "fuzz": "case"}
+#: Submission kinds: a campaign carries a "spec", a fuzz job a "case".
+SUBMIT_KINDS = ("campaign", "fuzz")
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
@@ -175,15 +175,19 @@ class Submission:
     #: The campaign asked the service to assign a per-job seed.
     derive_seed: bool = False
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.shards is not None and self.shards < 1:
+            raise ReproError(
+                f"shards must be a positive integer, got {self.shards!r}")
+
 
 def parse_submission(message: Dict[str, Any]) -> Submission:
     """Lower a ``submit`` request to a validated :class:`Submission`.
 
-    Campaign specs are rebuilt through the
-    :meth:`~repro.engine.spec.CampaignSpec.from_json_dict` round trip
-    (which re-validates every field); fuzz cases go through
-    :meth:`~repro.fuzz.gen.FuzzCase.from_json` and are lowered with
-    ``observe=True`` so their traces are archived like any campaign.
+    The payload loads through :func:`~repro.engine.spec.load_fields`
+    (``CampaignSpec.from_json_dict`` or ``FuzzCase.from_json``); a fuzz
+    case is lowered with ``observe=True`` so its trace is archived.
     """
     kind = message.get("kind")
     if kind not in SUBMIT_KINDS:
@@ -191,32 +195,22 @@ def parse_submission(message: Dict[str, Any]) -> Submission:
             f"unknown submission kind {kind!r}; "
             f"valid: {sorted(SUBMIT_KINDS)}")
     priority = message.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise ReproError(f"priority must be an integer, got {priority!r}")
-    label = message.get("label") or ""
-    if not isinstance(label, str):
-        raise ReproError(f"label must be a string, got {label!r}")
-    shards = message.get("shards")
-    if shards is not None and (not isinstance(shards, int)
-                               or isinstance(shards, bool) or shards < 1):
-        raise ReproError(f"shards must be a positive integer, got {shards!r}")
+    label = message.get("label", "")
+    key = "case" if kind == "fuzz" else "spec"
+    payload = message.get(key)
+    if not isinstance(payload, dict):
+        raise ReproError(f"{kind} submission is missing its {key!r} object")
     if kind == "fuzz":
-        payload = message.get("case")
-        if not isinstance(payload, dict):
-            raise ReproError("fuzz submission is missing its 'case' object")
         case = FuzzCase.from_json(json.dumps(payload))
         spec = case.campaign_spec(observe=True)
         return Submission(kind=kind, spec=spec, shards=case.shards,
                           priority=priority, label=label)
-    payload = message.get("spec")
-    if not isinstance(payload, dict):
-        raise ReproError("campaign submission is missing its 'spec' object")
     payload = dict(payload)
     derive_seed = "seed" in payload and payload["seed"] is None
     if derive_seed:
         del payload["seed"]
     spec = CampaignSpec.from_json_dict(payload)
-    return Submission(kind=kind, spec=spec, shards=shards,
+    return Submission(kind=kind, spec=spec, shards=message.get("shards"),
                       priority=priority, label=label,
                       derive_seed=derive_seed)
 

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.pipeline import AnalysisSpec
 from repro.engine.spec import (
     ATTACKS,
     DEVICES,
@@ -13,6 +14,7 @@ from repro.engine.spec import (
     parse_chaos,
 )
 from repro.errors import ReproError
+from repro.serve.protocol import Submission
 
 
 def test_shard_partition_covers_workload_contiguously():
@@ -216,10 +218,37 @@ def test_watch_axis_validation():
      "max_extra_permissions must be an int, got str '1'"),
     ("max_extra_permissions", None,
      "max_extra_permissions must be an int, got NoneType None"),
+    ("seed", "x", "seed must be an int, got str 'x'"),
+    ("seed", 1.5, "seed must be an int, got float 1.5"),
+    ("installs", True, "installs must be an int, got bool True"),
+    ("installs", 1.5, "installs must be an int, got float 1.5"),
+    ("arm_attacker", "no", "arm_attacker must be a bool, got str 'no'"),
+    ("observe", "yes", "observe must be a bool, got str 'yes'"),
+    ("base_size_bytes", "big",
+     "base_size_bytes must be an int, got str 'big'"),
+    ("chaos", 5, "chaos must be a str or None, got int 5"),
+    ("defenses", 5, "defenses must be a list of names, got int 5"),
+    # "Class.field" names a field of another checked dataclass.
+    ("AnalysisSpec.apps", "5", "apps must be an int or None, got str '5'"),
+    ("AnalysisSpec.apps", True, "apps must be an int or None, got bool True"),
+    ("AnalysisSpec.seed", "x", "seed must be an int, got str 'x'"),
+    ("AnalysisSpec.observe", "x", "observe must be a bool, got str 'x'"),
+    ("AnalysisSpec.cache_dir", 5,
+     "cache_dir must be a str or None, got int 5"),
+    ("Submission.priority", True, "priority must be an int, got bool True"),
+    ("Submission.label", 0, "label must be a str, got int 0"),
 ])
 def test_int_fields_refuse_other_types_by_name(field, value, expected):
+    owner, _, name = field.rpartition(".")
+    build = {
+        "": lambda: CampaignSpec.from_json_dict({"installs": 2, name: value}),
+        "AnalysisSpec": lambda: AnalysisSpec(**{name: value}),
+        "Submission": lambda: Submission(**{
+            "kind": "campaign", "spec": CampaignSpec(installs=2),
+            "shards": None, "priority": 0, "label": "", name: value}),
+    }[owner]
     with pytest.raises(ReproError) as caught:
-        CampaignSpec.from_json_dict({"installs": 2, field: value})
+        build()
     assert str(caught.value) == expected
 
 

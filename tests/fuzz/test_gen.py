@@ -1,5 +1,7 @@
 """Tests for fuzz case sampling, lowering, and serialization."""
 
+import json
+
 import pytest
 
 from repro.errors import ReproError
@@ -52,6 +54,16 @@ def test_from_json_rejects_unknown_and_missing_fields():
         FuzzCase.from_json(case.to_json()[:-1] + ',"bogus":1}')
     with pytest.raises(ReproError, match="missing field"):
         FuzzCase.from_json('{"seed":1,"trials":1}')
+    # Wrongly typed fields are refused by name, never coerced: a str of
+    # defenses is not read one name per character.
+    for field, value, expected in (
+            ("trials", "3", "trials must be an int, got str '3'"),
+            ("defenses", "dapp",
+             "defenses must be a list of names, got str 'dapp'")):
+        data = dict(json.loads(case.to_json()), **{field: value})
+        with pytest.raises(ReproError) as caught:
+            FuzzCase.from_json(json.dumps(data))
+        assert str(caught.value) == expected
 
 
 def test_case_id_is_content_addressed():

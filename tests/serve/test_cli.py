@@ -179,6 +179,40 @@ def test_serve_refuses_a_jobs_log_from_an_older_journal_version(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec_edit, record_edit, expected", [
+    ({"seed": "x"}, {}, "seed must be an int, got str 'x'"),
+    ({}, {"priority": "x"}, "priority must be an int, got str 'x'"),
+])
+def test_serve_refuses_a_jobs_log_spec_this_build_refuses(
+        tmp_path, capsys, monkeypatch, spec_edit, record_edit, expected):
+    from repro.engine.spec import CampaignSpec
+    from repro.serve.checkpoint import JobStore
+    from repro.serve.daemon import ServeDaemon
+
+    def serve_forever(self, ready):
+        raise AssertionError("the daemon accepted the refused record")
+
+    monkeypatch.setattr(ServeDaemon, "serve_forever", serve_forever)
+
+    state_dir = tmp_path / "state"
+    # A submit record a build without the field type check accepted.
+    spec = dict(CampaignSpec(installs=4).to_json_dict(), **spec_edit)
+    JobStore(state_dir).append_journal(dict({
+        "event": "submit", "job_id": "job-000001", "seq": 1,
+        "kind": "campaign", "label": "", "priority": 0, "shards": None,
+        "spec": spec,
+    }, **record_edit))
+    code = main(["serve", "--state-dir", str(state_dir),
+                 "--backend", "serial"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "jobs.log" in err
+    assert "job-000001" in err
+    assert expected in err
+    assert "Traceback" not in err
+
+
 def test_metrics_for_an_unknown_job_explains_itself(tmp_path, capsys):
     code = main(["metrics", "--job", "job-000009",
                  "--state-dir", str(tmp_path)])

@@ -8,6 +8,8 @@ op, per-job telemetry rollups, and the extended ``health`` payload.
 
 import asyncio
 import errno
+import json
+import random
 import socket as socket_module
 import threading
 
@@ -17,15 +19,18 @@ from repro.__main__ import main
 from repro.engine.executor import multiprocessing_usable
 from repro.engine.spec import CampaignSpec
 from repro.errors import ReproError
+from repro.fuzz.gen import FuzzCase
 from repro.obs.runtime import validate_exposition
 from repro.serve.checkpoint import read_result
 from repro.serve.client import ServeClient
 from repro.serve.daemon import CampaignService, ServeDaemon
 from repro.serve.protocol import (
+    TERMINAL_STATES,
     decode_message,
     encode_message,
     parse_submission,
     submit_campaign_request,
+    submit_fuzz_request,
 )
 
 needs_unix_sockets = pytest.mark.skipif(
@@ -69,12 +74,28 @@ def run_one_job(service, installs=20, seed=7):
 
 # -- wrongly typed submissions ---------------------------------------------
 
+def exchange(socket_path, payload: bytes) -> list:
+    """Send one raw request line; every reply the daemon sends back."""
+    with socket_module.socket(socket_module.AF_UNIX) as sock:
+        sock.settimeout(10)
+        sock.connect(str(socket_path))
+        sock.sendall(payload)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    return [decode_message(line) for line in received.splitlines()]
+
+
 @needs_unix_sockets
 @pytest.mark.parametrize("field, value, expected", [
     ("installs", "10", "installs must be an int, got str '10'"),
     ("defenses", "dapp", "defenses must be a list of names, got str 'dapp'"),
     ("watch_queue_depth", "8",
      "watch_queue_depth must be an int or None, got str '8'"),
+    ("chaos", 5, "chaos must be a str or None, got int 5"),
 ])
 def test_a_wrongly_typed_submit_gets_one_refusal(live_daemon, capfd, field,
                                                  value, expected):
@@ -82,21 +103,96 @@ def test_a_wrongly_typed_submit_gets_one_refusal(live_daemon, capfd, field,
     capfd.readouterr()
     message = submit_campaign_request(CampaignSpec(installs=2, seed=7))
     message["spec"][field] = value
-    with socket_module.socket(socket_module.AF_UNIX) as sock:
-        sock.settimeout(10)
-        sock.connect(str(daemon.socket_path))
-        sock.sendall(encode_message(message))
-        received = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            received += chunk
-    replies = [decode_message(line) for line in received.splitlines()]
+    replies = exchange(daemon.socket_path, encode_message(message))
     assert len(replies) == 1
     assert replies[0]["ok"] is False
     assert replies[0]["error"] == expected
     assert client.health()["jobs_submitted"] == 0
+    assert capfd.readouterr().err == ""
+
+
+JSON_TYPES = ("null", "bool", "int", "float", "str", "list", "object")
+DROP = object()
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return {type(None): "null", int: "int", float: "float", str: "str",
+            list: "list", dict: "object"}[type(value)]
+
+
+def mutated_requests(seed: int) -> list:
+    """Raw request lines: seeded mutations of two valid submissions.
+
+    Every field of the message and of its spec or case is set to a
+    value of each other JSON type (a bool counts as one for an int)
+    and dropped, and each object gets an unknown field; then come
+    non-UTF-8 bytes and a line past the daemon's 64 KiB limit.
+    """
+    rng = random.Random(seed)
+
+    def value_of(kind):
+        return {"null": None, "bool": rng.random() < 0.5,
+                "int": rng.randint(1, 9), "float": rng.randint(1, 9) + 0.5,
+                "str": rng.choice(["x", "", "10", "dapp"]),
+                "list": [rng.choice([1, "dapp"])],
+                "object": {"x": rng.randint(1, 9)}}[kind]
+
+    def mutations(message: dict) -> list:
+        out = []
+        for key in ("", "spec", "case"):
+            if key and key not in message:
+                continue
+            fields = message[key] if key else message
+            edits = [(name, value_of(kind)) for name in fields
+                     for kind in JSON_TYPES if kind != json_type(fields[name])]
+            edits += [(name, DROP) for name in fields]
+            edits.append(("bogus", value_of("int")))
+            for name, value in edits:
+                copy = json.loads(json.dumps(message))
+                target = copy[key] if key else copy
+                if value is DROP:
+                    del target[name]
+                else:
+                    target[name] = value
+                out.append(encode_message(copy))
+        return out
+
+    campaign = submit_campaign_request(CampaignSpec(installs=1, seed=7))
+    fuzz = submit_fuzz_request(FuzzCase(seed=11, trials=1))
+    requests = mutations(campaign) + mutations(fuzz)
+    line = encode_message(campaign)
+    requests += [b"\x80\xfe\xff\n", line.replace(b'"label":""',
+                                                  b'"label":"\xff"'),
+                 line[:-1] + b" " * (1 << 17) + b"\n"]
+    return requests
+
+
+@needs_unix_sockets
+def test_every_mutated_request_gets_exactly_one_reply(live_daemon, capfd):
+    """One reply per request: ``ok: false`` with a message, or a job.
+
+    Every accepted job reaches a terminal state, ``jobs_submitted``
+    counts exactly the accepted ones, and nothing reaches stderr.
+    Huge integers are left out of the mutations: no field declares an
+    upper bound, so ``"shards": 10**9`` would be accepted and then
+    build 10**9 shard specs.
+    """
+    client, daemon, service = live_daemon
+    capfd.readouterr()
+    accepted = []
+    for payload in mutated_requests(seed=2017):
+        replies = exchange(daemon.socket_path, payload)
+        assert len(replies) == 1, payload[:200]
+        reply = replies[0]
+        if reply["ok"]:
+            accepted.append(reply["job"]["job_id"])
+        else:
+            assert isinstance(reply["error"], str) and reply["error"]
+    for job_id in accepted:
+        assert client.wait(job_id, timeout=60)["state"] in TERMINAL_STATES
+    assert client.health()["jobs_submitted"] == len(accepted)
     assert capfd.readouterr().err == ""
 
 

@@ -6,7 +6,9 @@ and proves, in order:
 
 1.  daemon start + health endpoint;
 2.  campaign submission, live ``watch`` streaming, trace retrieval;
-3.  fuzz-case submission through the same queue;
+3.  fuzz-case submission through the same queue, and one refusal
+    (``ok: false``, no daemon traceback) each for a wrongly typed
+    submit and a request line past the daemon's 64 KiB limit;
 4.  double-run byte identity — two jobs with the same spec archive
     byte-identical trace JSONL;
 5.  ops surface: the ``metrics`` op's Prometheus exposition parses
@@ -28,6 +30,7 @@ import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -42,6 +45,10 @@ from repro.engine import CampaignSpec, NullProgress, run_fleet  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.obs import write_trace_jsonl  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
+from repro.serve.protocol import (  # noqa: E402
+    encode_message,
+    submit_campaign_request,
+)
 
 DEADLINE = time.monotonic() + float(os.environ.get("SMOKE_DEADLINE", "110"))
 
@@ -85,6 +92,16 @@ def stop_daemon(process: subprocess.Popen,
             f"daemon exited {process.returncode} on graceful shutdown")
 
 
+def exchange(state_dir: pathlib.Path, payload: bytes) -> list:
+    """Send one raw request line; every reply the daemon sends back."""
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.settimeout(min(30.0, remaining()))
+        sock.connect(str(state_dir / "serve.sock"))
+        sock.sendall(payload)
+        with sock.makefile("rb") as stream:
+            return [json.loads(line) for line in stream]
+
+
 def hard_kill(process: subprocess.Popen) -> None:
     """SIGKILL the daemon's whole process group — no cleanup runs."""
     os.killpg(os.getpgid(process.pid), signal.SIGKILL)
@@ -125,6 +142,18 @@ def main() -> int:
     say(f"fuzz case {fuzz_job['job_id']}: done "
         f"(seed={fuzz_final['spec']['seed']}, "
         f"shards={fuzz_final['shards']})")
+
+    # a wrongly typed submit and an oversized line: one refusal each
+    typed = submit_campaign_request(CampaignSpec(installs=2, seed=7))
+    typed["spec"]["installs"] = True
+    oversized = submit_campaign_request(spec, label="x" * 100_000)
+    for message, expected in ((typed, "installs must be an int"),
+                              (oversized, "byte limit")):
+        replies = exchange(state_a, encode_message(message))
+        assert len(replies) == 1, replies
+        assert replies[0]["ok"] is False, replies
+        assert expected in replies[0]["error"], replies
+    say("wrongly typed submit and oversized line: one refusal each")
 
     # trace retrieval by job id
     info = client.trace_info(job_one["job_id"])
@@ -174,7 +203,10 @@ def main() -> int:
         f"kinds cover the job lifecycle")
 
     stop_daemon(daemon, state_a)
-    say("graceful shutdown clean")
+    output = daemon.stdout.read().decode("utf-8", errors="replace")
+    for marker in ("Traceback", "Unhandled exception"):
+        assert marker not in output, output
+    say("graceful shutdown clean, no traceback in the daemon's output")
 
     # -- phase 3: hard kill mid-campaign, restart, resume ---------------------
     state_b = workdir / "state-b"
